@@ -3,9 +3,10 @@
 
 Only the chosen vertices of the first factor are multiplied with the second
 factor; the rest are reattached along the original boundary edges.  The
-direct implementation applies the four edge rules; the long way builds the
-full Cartesian product and then collapses the copies of every vertex that
-was left out of the partition.  Both reduce to the same Hasse diagram.
+direct implementation applies the four edge rules, which on Hasse factors
+emit exactly the covering edges; the long way builds the full Cartesian
+product, collapses the copies of every vertex that was left out of the
+partition and reduces.  Both give the same Hasse diagram.
 """
 
 from groundsub import (

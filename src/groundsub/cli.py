@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .builder import run, subtype_by_graph, sufficient_depth
-from .errors import GroundsubError
+from .errors import GroundsubError, ParseError
 from .export import FORMATS, render
 from .rules import differential_check, is_subtype
 from .typelang import parse_declarations, parse_ground_type
@@ -55,7 +55,11 @@ def _build_parser() -> _Parser:
 
 
 def _load_table(path: str):
-    return parse_declarations(Path(path).read_text(encoding="utf-8"))
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err}") from None
+    return parse_declarations(source)
 
 
 def _print_stats(trace) -> None:

@@ -72,9 +72,8 @@ class LabeledDigraph:
                     f"parallel edges between {edge.src!r} and {edge.dst!r}"
                 )
             seen.add(edge.pair)
-        # Planting the order in __dict__ doubles as the cycle check and
-        # seeds the cached property of the same name.
-        self.__dict__["_topo_order"] = self._sorted_topologically()
+        # The topological order doubles as the cycle check.
+        object.__setattr__(self, "_topo_order", self._sorted_topologically())
 
     @classmethod
     def from_edges(
@@ -184,10 +183,6 @@ class LabeledDigraph:
             stuck = sorted(v for v, d in indegree.items() if d > 0)
             raise GraphError(f"graph contains a cycle through {stuck}")
         return tuple(order)
-
-    @cached_property
-    def _topo_order(self) -> tuple[str, ...]:
-        return self._sorted_topologically()
 
     @cached_property
     def _descendants(self) -> dict[str, frozenset[str]]:

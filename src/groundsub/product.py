@@ -11,15 +11,17 @@ each class contributes edges of its own shape:
   of the second factor (the standard product rule for the first coordinate);
 * each product vertex also carries a copy of the second factor's edges
   (the standard product rule for the second coordinate);
-* an edge from a product vertex to a plain vertex fans out of every copy of
-  its source, and symmetrically for edges entering the product part;
+* an edge from a product vertex to a plain vertex fans out of the copies of
+  its source at the sinks of the second factor, and an edge entering the
+  product part fans in to the copies of its target at the sources;
 * edges between plain vertices are copied verbatim.
 
-Results are returned in transitively-reduced (Hasse) form.  Two independent
-implementations are provided: `partial_product` applies the four edge rules
-directly, while `partial_product_via_merge` takes the long way around the
-full Cartesian product and collapses the copies of every plain vertex.
-They must agree on all inputs, which the test suite exploits.
+Factors in Hasse form give the Hasse form of the result by construction: a
+Cartesian product of Hasse diagrams is the Hasse diagram of the product
+order, and every other copy reaches the boundary through its own copy of
+the second factor.  `partial_product_via_merge` computes the same order the
+long way: it collapses the copies of every plain vertex of the full
+Cartesian product and reduces.  The test suite checks that the two agree.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .digraph import (
     Edge,
     EdgeTag,
     LabeledDigraph,
-    _coalesce,
     cartesian_product,
     merge_vertices,
     pair_label,
@@ -107,12 +108,12 @@ def _product_labels(
     return labels
 
 
-def _pre_reduction_edges(
+def _cover_edges(
     pg: PartitionedGraph,
     g2: LabeledDigraph,
     labels: dict[tuple[str, str], str],
-) -> list[tuple[str, str, EdgeTag]]:
-    """Edge candidates of the product before transitive reduction.
+) -> list[Edge]:
+    """Edges of the product: its covers when both factors are in Hasse form.
 
     Product edges keep the tag of their generating factor edge; boundary
     fan-out edges are plumbing and are tagged INHERIT; edges between plain
@@ -120,22 +121,22 @@ def _pre_reduction_edges(
     the first factor unchanged).
     """
     pp, pn, np, nn = pg.classify_edges()
-    candidates: list[tuple[str, str, EdgeTag]] = []
+    sinks, sources = g2.sinks, g2.sources
+    edges: list[Edge] = []
     for edge in pp:
         for v in g2.sorted_vertices:
-            candidates.append((labels[(edge.src, v)], labels[(edge.dst, v)], edge.tag))
+            edges.append(Edge(labels[(edge.src, v)], labels[(edge.dst, v)], edge.tag))
     for u in sorted(pg.product_vertices):
         for edge in g2.sorted_edges:
-            candidates.append((labels[(u, edge.src)], labels[(u, edge.dst)], edge.tag))
+            edges.append(Edge(labels[(u, edge.src)], labels[(u, edge.dst)], edge.tag))
     for edge in pn:
-        for v in g2.sorted_vertices:
-            candidates.append((labels[(edge.src, v)], edge.dst, EdgeTag.INHERIT))
+        for v in sinks:
+            edges.append(Edge(labels[(edge.src, v)], edge.dst, EdgeTag.INHERIT))
     for edge in np:
-        for v in g2.sorted_vertices:
-            candidates.append((edge.src, labels[(edge.dst, v)], EdgeTag.INHERIT))
-    for edge in nn:
-        candidates.append((edge.src, edge.dst, edge.tag))
-    return candidates
+        for v in sources:
+            edges.append(Edge(edge.src, labels[(edge.dst, v)], EdgeTag.INHERIT))
+    edges.extend(nn)
+    return edges
 
 
 def partial_product(
@@ -145,15 +146,14 @@ def partial_product(
 ) -> LabeledDigraph:
     """Product of the chosen vertices with `g2`, plain vertices reattached.
 
-    The pre-reduction edge multiset is assembled in one pass from the four
-    edge rules and reduced once at the end.
+    Factors in Hasse form give the Hasse diagram of the result; other
+    factors give the same order but may keep implied edges.
     """
     if not g2.vertices:
         raise GraphError("second factor must be nonempty")
     labels = _product_labels(pg, g2, combine)
     vertices = frozenset(labels.values()) | pg.nonproduct_vertices
-    edges = frozenset(_coalesce(_pre_reduction_edges(pg, g2, labels)))
-    return transitive_reduction(LabeledDigraph(vertices, edges))
+    return LabeledDigraph(vertices, frozenset(_cover_edges(pg, g2, labels)))
 
 
 def partial_product_via_merge(

@@ -43,6 +43,9 @@ from .labels import (
 _KEYWORDS = frozenset({"class", "extends"})
 _RESERVED = frozenset({TOP_CLASS, BOTTOM_CLASS, "Object", "Null"})
 _ALIASES = {"Object": TOP_CLASS, "Null": BOTTOM_CLASS}
+# Deepest nesting of type arguments the parser accepts; it and the functions
+# over ground types recurse once per level.
+MAX_TYPE_NESTING = 200
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +501,12 @@ def _reject_cycles(declared: dict[str, _RawDecl]) -> None:
 def parse_ground_type(text: str, table: ClassTable) -> GroundType:
     """Parse a type expression and normalize it against `table`."""
     stream = _TokenStream(text)
-    parsed = _parse_type(stream, table)
+    parsed = _parse_type(stream, table, 0)
     stream.expect_end()
     return parsed
 
 
-def _parse_type(stream: _TokenStream, table: ClassTable) -> GroundType:
+def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundType:
     name_tok = stream.expect_name()
     if name_tok.text in _KEYWORDS:
         raise ParseError(
@@ -520,7 +523,13 @@ def _parse_type(stream: _TokenStream, table: ClassTable) -> GroundType:
                 open_tok.line,
                 open_tok.column,
             )
-        arg = _parse_argument(stream, table)
+        if depth == MAX_TYPE_NESTING:
+            raise ParseError(
+                f"type arguments nested deeper than {MAX_TYPE_NESTING} levels",
+                open_tok.line,
+                open_tok.column,
+            )
+        arg = _parse_argument(stream, table, depth + 1)
         stream.expect_punct(">")
         return GroundType(name, normalize_argument(arg))
     if table.is_generic(name):
@@ -532,14 +541,14 @@ def _parse_type(stream: _TokenStream, table: ClassTable) -> GroundType:
     return GroundType(name)
 
 
-def _parse_argument(stream: _TokenStream, table: ClassTable) -> TypeArg:
+def _parse_argument(stream: _TokenStream, table: ClassTable, depth: int) -> TypeArg:
     if stream.at_punct("?"):
         stream.advance()
         if stream.at_punct("<:") or stream.at_name("extends"):
             stream.advance()
-            return Cov(_parse_type(stream, table))
+            return Cov(_parse_type(stream, table, depth))
         if stream.at_punct(":>") or stream.at_name("super"):
             stream.advance()
-            return Con(_parse_type(stream, table))
+            return Con(_parse_type(stream, table, depth))
         return WILD
-    return Inv(_parse_type(stream, table))
+    return Inv(_parse_type(stream, table, depth))

@@ -168,6 +168,21 @@ class TestCli:
         assert main(["stats", "--decls", str(decls), "--iterations", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_declarations_exit_one(self, tmp_path, capsys):
+        decls = tmp_path / "latin1.decls"
+        decls.write_bytes(b"class C\xff {}")
+        assert main(["stats", "--decls", str(decls), "--iterations", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_type_exits_one(self, decls_path, capsys):
+        deep = "C<" * 500 + "?" + ">" * 500
+        assert main(["query", "--decls", str(decls_path), deep, "O"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested deeper" in err
+        assert err.count("\n") == 1
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1
 

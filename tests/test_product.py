@@ -15,10 +15,11 @@ from groundsub import (
     partial_product,
     partial_product_via_merge,
     run,
+    transitive_reduction,
     wildcards_graph,
 )
 from groundsub.labels import instantiation_label
-from groundsub.product import _pre_reduction_edges, _product_labels
+from groundsub.product import _cover_edges, _product_labels
 
 from conftest import CORPUS, dags
 
@@ -70,9 +71,9 @@ class TestPartialProduct:
 
     def test_one_generic_second_step_by_hand(self):
         # The 3-chain with its middle vertex multiplied by the 6-vertex
-        # argument graph of the first approximation: 8 vertices, and after
-        # reduction 6 product edges, three edges out of the bottom, one into
-        # the top.
+        # argument graph of the first approximation: 8 vertices, 6 product
+        # edges, three edges out of the bottom into the copies at the
+        # argument graph's sources, one into the top from the copy at its sink.
         table = parse_declarations(CORPUS["one_generic"])
         first = run(table, 1).last
         arguments = wildcards_graph(first)
@@ -104,21 +105,25 @@ class TestPartialProduct:
         )
 
     @given(dags(max_vertices=5, reduced=True), dags(max_vertices=4, reduced=True), st.randoms())
-    def test_boundary_edges_fan_out_per_second_vertex(self, g1, g2, rng):
+    def test_boundary_edges_fan_out_of_sinks_and_into_sources(self, g1, g2, rng):
         subset = frozenset(v for v in g1.vertices if rng.random() < 0.5)
         pg = PartitionedGraph(g1, subset)
         parts = pg.classify_edges()
         labels = _product_labels(pg, g2, lambda u, v: f"{u}*{v}")
-        candidates = _pre_reduction_edges(pg, g2, labels)
+        edges = _cover_edges(pg, g2, labels)
         plain = pg.nonproduct_vertices
-        crossing = [c for c in candidates if (c[0] in plain) != (c[1] in plain)]
-        assert len(crossing) == (len(parts.pn) + len(parts.np)) * len(g2.vertices)
-        assert len(candidates) == (
+        crossing = [e for e in edges if (e.src in plain) != (e.dst in plain)]
+        assert len(crossing) == (
+            len(parts.pn) * len(g2.sinks) + len(parts.np) * len(g2.sources)
+        )
+        assert len(edges) == (
             len(parts.pp) * len(g2.vertices)
             + len(subset) * len(g2.edges)
-            + (len(parts.pn) + len(parts.np)) * len(g2.vertices)
+            + len(parts.pn) * len(g2.sinks)
+            + len(parts.np) * len(g2.sources)
             + len(parts.nn)
         )
+        assert len({e.pair for e in edges}) == len(edges)
 
 
 class TestMergePathAgreement:
@@ -161,11 +166,18 @@ class TestMergePathAgreement:
                 merged = partial_product_via_merge(pg, arguments, combine=instantiation_label)
                 assert direct.equals_ignoring_tags(merged), name
 
-    @settings(max_examples=60)
-    @given(dags(max_vertices=5), dags(max_vertices=4), st.randoms())
-    def test_agreement_on_random_inputs(self, g1, g2, rng):
+    @settings(max_examples=120)
+    @given(st.booleans(), st.data(), st.randoms())
+    def test_agreement_on_random_inputs(self, reduced, data, rng):
+        # Any factors give the same order; Hasse factors give the Hasse
+        # diagram itself, tags included.
+        g1 = data.draw(dags(max_vertices=5, reduced=reduced))
+        g2 = data.draw(dags(max_vertices=4, reduced=reduced))
         subset = frozenset(v for v in g1.vertices if rng.random() < 0.5)
         pg = PartitionedGraph(g1, subset)
         direct = partial_product(pg, g2)
         merged = partial_product_via_merge(pg, g2)
-        assert direct.equals_ignoring_tags(merged)
+        assert transitive_reduction(direct).equals_ignoring_tags(merged)
+        if reduced:
+            assert direct.equals_ignoring_tags(merged)
+            assert transitive_reduction(direct) == direct

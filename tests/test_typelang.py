@@ -23,6 +23,8 @@ from groundsub import (
     rank,
 )
 
+from groundsub.typelang import MAX_TYPE_NESTING
+
 from conftest import CORPUS
 
 
@@ -149,6 +151,16 @@ class TestParseGroundType:
     def test_trailing_input(self, one_generic):
         with pytest.raises(ParseError, match="trailing"):
             parse_ground_type("N O", one_generic)
+
+    def test_nesting_limit(self, one_generic):
+        def nested(depth):
+            return "C<" * depth + "?" + ">" * depth
+
+        t = parse_ground_type(nested(MAX_TYPE_NESTING), one_generic)
+        assert canonical_label(t) == nested(MAX_TYPE_NESTING)
+        for depth in (MAX_TYPE_NESTING + 1, 500):
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_ground_type(nested(depth), one_generic)
 
 
 class TestNormalization:
