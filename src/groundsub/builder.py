@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import BipointedGraph, LabeledDigraph, reachable
-from .errors import QueryError
+from .errors import QueryError, SizeLimitError
 from .labels import (
     BOTTOM_CLASS,
     TOP_CLASS,
@@ -23,7 +23,11 @@ from .labels import (
 )
 from .product import PartitionedGraph, partial_product
 from .typelang import ClassTable, GroundType, canonical_label, rank
-from .wildcards import wildcards_graph
+from .wildcards import wildcards_graph, wildcards_size
+
+# Most vertices one approximation may have.  `run` predicts every size from
+# the vertex recurrence and refuses before it builds anything.
+MAX_VERTICES = 200_000
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,35 @@ def step(table: ClassTable, current: BipointedGraph) -> BipointedGraph:
     return _product_with_arguments(table, wildcards_graph(current))
 
 
+def _check_predicted_sizes(table: ClassTable, iterations: int) -> None:
+    """Raise `SizeLimitError` when an approximation would exceed `MAX_VERTICES`.
+
+    The sizes follow n_1 = |classes| and n_{k+1} = |plain| + |generic| * 3(n_k - 1).
+    """
+    plain = len(table.classes) - len(table.generic)
+    n = len(table.classes)
+    for k in range(1, iterations + 1):
+        if n > MAX_VERTICES:
+            raise SizeLimitError(
+                f"approximation {k} would have {n} vertices, over the limit of {MAX_VERTICES}"
+            )
+        following = plain + len(table.generic) * wildcards_size(n)
+        if following == n:
+            return
+        n = following
+
+
 def run(table: ClassTable, iterations: int) -> IterationTrace:
     """Build the first `iterations` approximations.
 
     Stops early when a step reproduces the previous graph exactly (the
     label and edge sets are compared verbatim), recording the fixed point.
+    Raises `SizeLimitError`, before building anything, when an approximation
+    would have more than `MAX_VERTICES` vertices.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    _check_predicted_sizes(table, iterations)
     graphs = [initial_approximation(table)]
     fixed = False
     while len(graphs) < iterations:

@@ -59,21 +59,40 @@ class LabeledDigraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         object.__setattr__(self, "edges", frozenset(self.edges))
-        seen: set[tuple[str, str]] = set()
-        for edge in self.edges:
+        # One pass over the sorted edges validates them and builds every
+        # index, so successor and predecessor tuples come out in label order.
+        tag_by_pair: dict[tuple[str, str], EdgeTag] = {}
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        pred: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for edge in self.sorted_edges:
             if edge.src == edge.dst:
                 raise GraphError(f"self-loop on {edge.src!r}")
             if edge.src not in self.vertices or edge.dst not in self.vertices:
                 raise GraphError(
                     f"edge {edge.src!r} -> {edge.dst!r} leaves the vertex set"
                 )
-            if edge.pair in seen:
+            if edge.pair in tag_by_pair:
                 raise GraphError(
                     f"parallel edges between {edge.src!r} and {edge.dst!r}"
                 )
-            seen.add(edge.pair)
-        # The topological order doubles as the cycle check.
-        object.__setattr__(self, "_topo_order", self._sorted_topologically())
+            tag_by_pair[edge.pair] = edge.tag
+            succ[edge.src].append(edge.dst)
+            pred[edge.dst].append(edge.src)
+        object.__setattr__(self, "_tag_by_pair", tag_by_pair)
+        object.__setattr__(self, "_succ", {v: tuple(ns) for v, ns in succ.items()})
+        object.__setattr__(self, "_pred", {v: tuple(ns) for v, ns in pred.items()})
+        # Kahn's algorithm; the topological order doubles as the cycle check.
+        indegree = {v: len(ns) for v, ns in pred.items()}
+        order = [v for v, d in indegree.items() if d == 0]
+        for v in order:
+            for w in succ[v]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    order.append(w)
+        if len(order) != len(self.vertices):
+            stuck = sorted(v for v, d in indegree.items() if d > 0)
+            raise GraphError(f"graph contains a cycle through {stuck}")
+        object.__setattr__(self, "_topo_order", tuple(order))
 
     @classmethod
     def from_edges(
@@ -101,21 +120,17 @@ class LabeledDigraph:
     def __contains__(self, label: str) -> bool:
         return label in self.vertices
 
-    @property
+    @cached_property
     def sorted_vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices))
 
-    @property
+    @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges, key=_edge_sort_key))
 
     @cached_property
     def edge_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(e.pair for e in self.edges)
-
-    @cached_property
-    def _tag_by_pair(self) -> dict[tuple[str, str], EdgeTag]:
-        return {e.pair: e.tag for e in self.edges}
+        return frozenset(self._tag_by_pair)
 
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self._tag_by_pair
@@ -125,20 +140,6 @@ class LabeledDigraph:
             return self._tag_by_pair[(src, dst)]
         except KeyError:
             raise GraphError(f"no edge {src!r} -> {dst!r}") from None
-
-    @cached_property
-    def _succ(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for edge in self.sorted_edges:
-            out[edge.src].append(edge.dst)
-        return {v: tuple(ns) for v, ns in out.items()}
-
-    @cached_property
-    def _pred(self) -> dict[str, tuple[str, ...]]:
-        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for edge in self.sorted_edges:
-            inc[edge.dst].append(edge.src)
-        return {v: tuple(ns) for v, ns in inc.items()}
 
     def successors(self, label: str) -> tuple[str, ...]:
         self._require_vertex(label)
@@ -159,30 +160,6 @@ class LabeledDigraph:
     def _require_vertex(self, label: str) -> None:
         if label not in self.vertices:
             raise GraphError(f"unknown vertex {label!r}")
-
-    def _sorted_topologically(self) -> tuple[str, ...]:
-        indegree = {v: 0 for v in self.vertices}
-        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for edge in self.edges:
-            indegree[edge.dst] += 1
-            succ[edge.src].append(edge.dst)
-        ready = sorted(v for v, d in indegree.items() if d == 0)
-        order: list[str] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            inserted = False
-            for w in succ[v]:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    ready.append(w)
-                    inserted = True
-            if inserted:
-                ready.sort()
-        if len(order) != len(self.vertices):
-            stuck = sorted(v for v, d in indegree.items() if d > 0)
-            raise GraphError(f"graph contains a cycle through {stuck}")
-        return tuple(order)
 
     @cached_property
     def _descendants(self) -> dict[str, frozenset[str]]:

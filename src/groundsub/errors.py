@@ -28,3 +28,7 @@ class DeclarationError(GroundsubError):
 
 class QueryError(GroundsubError):
     """A query needs a deeper construction than the one it was given."""
+
+
+class SizeLimitError(GroundsubError):
+    """A construction would exceed the vertex budget of the builder."""

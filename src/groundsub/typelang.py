@@ -503,7 +503,7 @@ def parse_ground_type(text: str, table: ClassTable) -> GroundType:
     stream = _TokenStream(text)
     parsed = _parse_type(stream, table, 0)
     stream.expect_end()
-    return parsed
+    return normalize_type(parsed)
 
 
 def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundType:
@@ -531,7 +531,7 @@ def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundTy
             )
         arg = _parse_argument(stream, table, depth + 1)
         stream.expect_punct(">")
-        return GroundType(name, normalize_argument(arg))
+        return GroundType(name, arg)
     if table.is_generic(name):
         raise ParseError(
             f"generic class {name!r} needs a type argument",

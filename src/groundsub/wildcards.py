@@ -8,12 +8,14 @@ two bounded forms.  Corner spellings name the same argument and collapse to
 one canonical vertex: the upper-bounded top and the lower-bounded bottom are
 both the default argument `?`, the lower-bounded top is the top itself, and
 the upper-bounded bottom is the bottom itself.  An edge `u -> v` means the
-argument `u` is contained in the argument `v`.
+argument `u` is contained in the argument `v`.  No edge leaves the copy of
+its source, so the copies of a Hasse input's edges are already the covers.
 """
 
 from __future__ import annotations
 
-from .digraph import BipointedGraph, EdgeTag, LabeledDigraph, _coalesce, transitive_reduction
+from .digraph import BipointedGraph, Edge, EdgeTag, LabeledDigraph
+from .digraph import transitive_reduction  # noqa: F401 - unused here; kept for bench/tracer.py only
 from .errors import GraphError
 from .labels import WILDCARD, lower_bounded_label, upper_bounded_label
 
@@ -26,10 +28,9 @@ def wildcards_size(n: int) -> int:
 
 
 def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
-    """Hasse form of the containment order over all arguments drawn from `g`.
-
-    The input must be in Hasse form already.  The result has exactly
-    3(|V| - 1) vertices and a unique sink `?`.
+    """Containment order over all arguments drawn from `g`: 3(|V| - 1)
+    vertices, a unique sink `?`, and the Hasse form when `g` is in Hasse form
+    (for any other `g`, the same order, possibly with implied edges).
     """
     if g.top == g.bottom:
         raise GraphError("input graph must contain distinct top and bottom vertices")
@@ -51,19 +52,15 @@ def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
             return top
         return lower_bounded_label(t)
 
-    names = set(g.vertices)
-    names.update(upper(t) for t in g.vertices)
-    names.update(lower(t) for t in g.vertices)
-
-    candidates: list[tuple[str, str, EdgeTag]] = []
-    for edge in g.graph.sorted_edges:
-        candidates.append((upper(edge.src), upper(edge.dst), EdgeTag.COVARIANT))
-    for edge in g.graph.sorted_edges:
-        candidates.append((lower(edge.dst), lower(edge.src), EdgeTag.CONTRAVARIANT))
-    for t in sorted(g.vertices):
+    # `upper` and `lower` are injective and the three families share no pair.
+    edges: list[Edge] = []
+    for edge in g.graph.edges:
+        edges.append(Edge(upper(edge.src), upper(edge.dst), EdgeTag.COVARIANT))
+        edges.append(Edge(lower(edge.dst), lower(edge.src), EdgeTag.CONTRAVARIANT))
+    vertices = {WILDCARD, top, bottom}
+    for t in g.vertices:
         if t not in (top, bottom):
-            candidates.append((t, upper(t), EdgeTag.INV_LINK))
-            candidates.append((t, lower(t), EdgeTag.INV_LINK))
-
-    graph = LabeledDigraph(frozenset(names), frozenset(_coalesce(candidates)))
-    return transitive_reduction(graph)
+            vertices.update((t, upper(t), lower(t)))
+            edges.append(Edge(t, upper(t), EdgeTag.INV_LINK))
+            edges.append(Edge(t, lower(t), EdgeTag.INV_LINK))
+    return LabeledDigraph(frozenset(vertices), frozenset(edges))

@@ -7,6 +7,7 @@ import pytest
 from groundsub import (
     PartitionedGraph,
     QueryError,
+    SizeLimitError,
     contravariant_image,
     covariant_image,
     induced_subgraph,
@@ -21,8 +22,10 @@ from groundsub import (
     step,
     subtype_by_graph,
     transitive_reduction,
+    wildcards_graph,
     wildcards_size,
 )
+from groundsub import builder
 from groundsub.labels import instantiation_label
 
 from conftest import ALL_PLAIN_SOURCE
@@ -88,6 +91,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(tables["one_generic"], 0)
 
+    def test_size_limit_at_the_boundary(self, tables, monkeypatch):
+        # One generic class predicts 3, 8, 23 and then 68 vertices.
+        monkeypatch.setattr(builder, "MAX_VERTICES", 23)
+        assert [v for v, _ in run(tables["one_generic"], 3).stats] == [3, 8, 23]
+        with pytest.raises(SizeLimitError, match="approximation 4 would have 68 vertices"):
+            run(tables["one_generic"], 4)
+        # Without generics the sizes never grow, however deep the run.
+        assert run(parse_declarations(ALL_PLAIN_SOURCE), 10**9).reached_fixed_point
+
     def test_vertex_count_recurrence(self, tables, traces):
         for name, trace in traces.items():
             table = tables[name]
@@ -105,6 +117,8 @@ class TestRun:
             for s in trace.graphs:
                 assert s.top == "O" and s.bottom == "N"
                 assert transitive_reduction(s.graph) == s.graph
+                arguments = wildcards_graph(s)
+                assert transitive_reduction(arguments) == arguments
 
 
 class TestVertexQueries:

@@ -108,6 +108,17 @@ class TestCartesianProduct:
         assert product.edge_pairs == frozenset(brute)
         assert len(product.vertices) == 18
         assert len(product.edges) == 30
+        # Neighbours come back as tuples in label order, whatever the input order.
+        assert product.predecessors(pair_label("p1", "lo")) == (
+            pair_label("p0", "lo"),
+            pair_label("p1", "N"),
+            pair_label("p1", "inv"),
+        )
+        assert product.successors(pair_label("p1", "inv")) == (
+            pair_label("p1", "hi"),
+            pair_label("p1", "lo"),
+            pair_label("p2", "inv"),
+        )
 
     def test_product_edges_keep_factor_tags(self):
         g1 = LabeledDigraph.from_edges([("a", "b", EdgeTag.INHERIT)])

@@ -183,6 +183,20 @@ class TestCli:
         assert err.startswith("error: ") and "nested deeper" in err
         assert err.count("\n") == 1
 
+    def test_oversized_query_exits_one_before_building(self, decls_path, capsys, monkeypatch):
+        # A rank-12 query on one generic class needs 442,868 vertices.
+        import groundsub.builder as builder_module
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built a graph although the predicted size is over the limit")
+
+        monkeypatch.setattr(builder_module, "partial_product", refuse)
+        deep = "C<" * 12 + "?" + ">" * 12
+        assert main(["query", "--decls", str(decls_path), deep, "O"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "442868 vertices" in err
+        assert err.count("\n") == 1
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1
 

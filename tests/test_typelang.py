@@ -23,6 +23,7 @@ from groundsub import (
     rank,
 )
 
+from groundsub import typelang
 from groundsub.typelang import MAX_TYPE_NESTING
 
 from conftest import CORPUS
@@ -161,6 +162,21 @@ class TestParseGroundType:
         for depth in (MAX_TYPE_NESTING + 1, 500):
             with pytest.raises(ParseError, match="nested deeper"):
                 parse_ground_type(nested(depth), one_generic)
+
+    def test_normalization_is_linear_in_depth(self, one_generic, monkeypatch):
+        calls = []
+        original = typelang.normalize_type
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(typelang, "normalize_type", counting)
+        text = "C<? <: " * MAX_TYPE_NESTING + "O" + ">" * MAX_TYPE_NESTING
+        t = parse_ground_type(text, one_generic)
+        assert len(calls) <= 2 * MAX_TYPE_NESTING
+        depth = MAX_TYPE_NESTING - 1
+        assert canonical_label(t) == "C<? <: " * depth + "C<?>" + ">" * depth
 
 
 class TestNormalization:
