@@ -9,18 +9,13 @@ number of iterations is always an explicit input.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .digraph import BipointedGraph, LabeledDigraph, reachable
 from .errors import QueryError, SizeLimitError
-from .labels import (
-    BOTTOM_CLASS,
-    TOP_CLASS,
-    WILDCARD,
-    instantiation_label,
-    lower_bounded_label,
-    upper_bounded_label,
-)
+from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .product import PartitionedGraph, partial_product
 from .typelang import ClassTable, GroundType, canonical_label, rank
 from .wildcards import wildcards_graph, wildcards_size
@@ -34,8 +29,8 @@ MAX_VERTICES = 200_000
 class IterationTrace:
     """The successive approximations produced by `run`.
 
-    `reached_fixed_point` is set when a step reproduced the previous graph
-    exactly, which happens only for programs without generic classes.
+    `reached_fixed_point` is set when a step would reproduce the previous
+    graph exactly, which happens only for programs without generic classes.
     """
 
     table: ClassTable
@@ -79,44 +74,41 @@ def step(table: ClassTable, current: BipointedGraph) -> BipointedGraph:
     return _product_with_arguments(table, wildcards_graph(current))
 
 
-def _check_predicted_sizes(table: ClassTable, iterations: int) -> None:
-    """Raise `SizeLimitError` when an approximation would exceed `MAX_VERTICES`.
+def predicted_sizes(table: ClassTable) -> Iterator[int]:
+    """Vertex counts of the approximations, from the recurrence
+    n_1 = |classes| and n_{k+1} = |plain| + |generic| * 3(n_k - 1).
 
-    The sizes follow n_1 = |classes| and n_{k+1} = |plain| + |generic| * 3(n_k - 1).
+    Endless for a table with generic classes, whose sizes strictly grow;
+    a single count for one without, whose first graph is the fixed point.
     """
     plain = len(table.classes) - len(table.generic)
     n = len(table.classes)
-    for k in range(1, iterations + 1):
-        if n > MAX_VERTICES:
-            raise SizeLimitError(
-                f"approximation {k} would have {n} vertices, over the limit of {MAX_VERTICES}"
-            )
-        following = plain + len(table.generic) * wildcards_size(n)
-        if following == n:
-            return
-        n = following
+    yield n
+    while table.generic:
+        n = plain + len(table.generic) * wildcards_size(n)
+        yield n
 
 
 def run(table: ClassTable, iterations: int) -> IterationTrace:
     """Build the first `iterations` approximations.
 
-    Stops early when a step reproduces the previous graph exactly (the
-    label and edge sets are compared verbatim), recording the fixed point.
-    Raises `SizeLimitError`, before building anything, when an approximation
-    would have more than `MAX_VERTICES` vertices.
+    A table without generic classes stops at its first graph, which every
+    further step would reproduce, and records the fixed point.  Raises
+    `SizeLimitError`, before building anything, when an approximation would
+    have more than `MAX_VERTICES` vertices.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    _check_predicted_sizes(table, iterations)
+    for k, n in enumerate(islice(predicted_sizes(table), iterations), start=1):
+        if n > MAX_VERTICES:
+            raise SizeLimitError(
+                f"approximation {k} would have {n} vertices, over the limit of {MAX_VERTICES}"
+            )
     graphs = [initial_approximation(table)]
-    fixed = False
-    while len(graphs) < iterations:
-        nxt = step(table, graphs[-1])
-        if nxt == graphs[-1]:
-            fixed = True
-            break
-        graphs.append(nxt)
-    return IterationTrace(table, tuple(graphs), fixed)
+    while len(graphs) < iterations and table.generic:
+        graphs.append(step(table, graphs[-1]))
+    fixed = not table.generic and iterations > 1
+    return IterationTrace(table, tuple(graphs), reached_fixed_point=fixed)
 
 
 def sufficient_depth(t1: GroundType, t2: GroundType) -> int:
@@ -133,25 +125,3 @@ def subtype_by_graph(trace: IterationTrace, t1: GroundType, t2: GroundType) -> b
         )
     s = trace.graphs[min(k, trace.depth) - 1]
     return reachable(s.graph, canonical_label(t1), canonical_label(t2))
-
-
-def covariant_image(class_name: str, label: str) -> str:
-    """Instantiation of `class_name` at the upper-bounded copy of a vertex.
-
-    The corner arguments coalesce: the top's upper-bounded copy is the
-    default wildcard and the bottom's is the bottom itself.
-    """
-    if label == TOP_CLASS:
-        return instantiation_label(class_name, WILDCARD)
-    if label == BOTTOM_CLASS:
-        return instantiation_label(class_name, BOTTOM_CLASS)
-    return instantiation_label(class_name, upper_bounded_label(label))
-
-
-def contravariant_image(class_name: str, label: str) -> str:
-    """Instantiation of `class_name` at the lower-bounded copy of a vertex."""
-    if label == BOTTOM_CLASS:
-        return instantiation_label(class_name, WILDCARD)
-    if label == TOP_CLASS:
-        return instantiation_label(class_name, TOP_CLASS)
-    return instantiation_label(class_name, lower_bounded_label(label))

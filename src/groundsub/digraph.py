@@ -9,7 +9,7 @@ between any number of readers.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -59,11 +59,11 @@ class LabeledDigraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         object.__setattr__(self, "edges", frozenset(self.edges))
-        # One pass over the sorted edges validates them and builds every
-        # index, so successor and predecessor tuples come out in label order.
-        tag_by_pair: dict[tuple[str, str], EdgeTag] = {}
+        # One pass over the sorted edges validates them and builds the
+        # successor index, so successor tuples come out in label order.
+        pairs: set[tuple[str, str]] = set()
         succ: dict[str, list[str]] = {v: [] for v in self.vertices}
-        pred: dict[str, list[str]] = {v: [] for v in self.vertices}
+        indegree = dict.fromkeys(self.vertices, 0)
         for edge in self.sorted_edges:
             if edge.src == edge.dst:
                 raise GraphError(f"self-loop on {edge.src!r}")
@@ -71,19 +71,18 @@ class LabeledDigraph:
                 raise GraphError(
                     f"edge {edge.src!r} -> {edge.dst!r} leaves the vertex set"
                 )
-            if edge.pair in tag_by_pair:
+            if edge.pair in pairs:
                 raise GraphError(
                     f"parallel edges between {edge.src!r} and {edge.dst!r}"
                 )
-            tag_by_pair[edge.pair] = edge.tag
+            pairs.add(edge.pair)
             succ[edge.src].append(edge.dst)
-            pred[edge.dst].append(edge.src)
-        object.__setattr__(self, "_tag_by_pair", tag_by_pair)
+            indegree[edge.dst] += 1
         object.__setattr__(self, "_succ", {v: tuple(ns) for v, ns in succ.items()})
-        object.__setattr__(self, "_pred", {v: tuple(ns) for v, ns in pred.items()})
         # Kahn's algorithm; the topological order doubles as the cycle check.
-        indegree = {v: len(ns) for v, ns in pred.items()}
-        order = [v for v, d in indegree.items() if d == 0]
+        sources = [v for v, d in indegree.items() if d == 0]
+        object.__setattr__(self, "_sources", tuple(sorted(sources)))
+        order = sources
         for v in order:
             for w in succ[v]:
                 indegree[w] -= 1
@@ -128,18 +127,20 @@ class LabeledDigraph:
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges, key=_edge_sort_key))
 
-    @cached_property
+    # No command reads the pair, tag and predecessor lookups below, so the
+    # graph stores no index for them: each is worked out when called.
+    @property
     def edge_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self._tag_by_pair)
+        return frozenset(e.pair for e in self.edges)
 
     def has_edge(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._tag_by_pair
+        return dst in self._succ.get(src, ())
 
     def tag_of(self, src: str, dst: str) -> EdgeTag:
-        try:
-            return self._tag_by_pair[(src, dst)]
-        except KeyError:
-            raise GraphError(f"no edge {src!r} -> {dst!r}") from None
+        for tag in EdgeTag:
+            if Edge(src, dst, tag) in self.edges:
+                return tag
+        raise GraphError(f"no edge {src!r} -> {dst!r}")
 
     def successors(self, label: str) -> tuple[str, ...]:
         self._require_vertex(label)
@@ -147,11 +148,11 @@ class LabeledDigraph:
 
     def predecessors(self, label: str) -> tuple[str, ...]:
         self._require_vertex(label)
-        return self._pred[label]
+        return tuple(e.src for e in self.sorted_edges if e.dst == label)
 
     @property
     def sources(self) -> tuple[str, ...]:
-        return tuple(v for v in self.sorted_vertices if not self._pred[v])
+        return self._sources
 
     @property
     def sinks(self) -> tuple[str, ...]:
@@ -176,21 +177,6 @@ class LabeledDigraph:
     def descendants_of(self, label: str) -> frozenset[str]:
         self._require_vertex(label)
         return self._descendants[label]
-
-    def relabeled(self, rename: Callable[[str], str]) -> LabeledDigraph:
-        """Apply an injective renaming to every vertex."""
-        mapping: dict[str, str] = {}
-        owners: dict[str, str] = {}
-        for v in self.sorted_vertices:
-            new = rename(v)
-            if new in owners:
-                raise GraphError(
-                    f"relabeling collision: {owners[new]!r} and {v!r} both map to {new!r}"
-                )
-            owners[new] = v
-            mapping[v] = new
-        edges = frozenset(Edge(mapping[e.src], mapping[e.dst], e.tag) for e in self.edges)
-        return LabeledDigraph(frozenset(mapping.values()), edges)
 
     def equals_ignoring_tags(self, other: LabeledDigraph) -> bool:
         return self.vertices == other.vertices and self.edge_pairs == other.edge_pairs
@@ -226,69 +212,6 @@ def pair_label(left: str, right: str) -> str:
     return f"({left!r}, {right!r})"
 
 
-def _coalesce(candidates: Iterable[tuple[str, str, EdgeTag]]) -> list[Edge]:
-    """Drop duplicate pairs, keeping the first tag seen in iteration order."""
-    chosen: dict[tuple[str, str], EdgeTag] = {}
-    for src, dst, tag in candidates:
-        chosen.setdefault((src, dst), tag)
-    return [Edge(src, dst, tag) for (src, dst), tag in chosen.items()]
-
-
-def cartesian_product(
-    g1: LabeledDigraph,
-    g2: LabeledDigraph,
-    combine: Callable[[str, str], str] = pair_label,
-) -> LabeledDigraph:
-    """Standard Cartesian product of two DAGs.
-
-    The result has one vertex per pair and an edge whenever one coordinate
-    takes an edge step while the other stands still; each edge keeps the tag
-    of the factor edge that generated it.
-    """
-    labels: dict[tuple[str, str], str] = {}
-    owners: dict[str, tuple[str, str]] = {}
-    for u in g1.sorted_vertices:
-        for v in g2.sorted_vertices:
-            name = combine(u, v)
-            if name in owners:
-                raise GraphError(
-                    f"label collision: {name!r} produced by both {owners[name]} and {(u, v)}"
-                )
-            owners[name] = (u, v)
-            labels[(u, v)] = name
-    candidates: list[tuple[str, str, EdgeTag]] = []
-    for edge in g1.sorted_edges:
-        for v in g2.sorted_vertices:
-            candidates.append((labels[(edge.src, v)], labels[(edge.dst, v)], edge.tag))
-    for u in g1.sorted_vertices:
-        for edge in g2.sorted_edges:
-            candidates.append((labels[(u, edge.src)], labels[(u, edge.dst)], edge.tag))
-    return LabeledDigraph(frozenset(labels.values()), frozenset(_coalesce(candidates)))
-
-
-def disjoint_union(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
-    """Union of two graphs over disjoint label sets."""
-    overlap = g1.vertices & g2.vertices
-    if overlap:
-        raise GraphError(f"vertex labels shared by both graphs: {sorted(overlap)}")
-    return LabeledDigraph(g1.vertices | g2.vertices, g1.edges | g2.edges)
-
-
-def reflexive_transitive_closure(g: LabeledDigraph) -> LabeledDigraph:
-    """Edge for every directed path.
-
-    Reflexive pairs are represented implicitly (a vertex always reaches
-    itself; self-loops are never stored).  Edges already present keep their
-    tags; edges added for longer paths carry no variance provenance and are
-    tagged INHERIT.
-    """
-    edges = []
-    for u in g.sorted_vertices:
-        for v in sorted(g.descendants_of(u)):
-            edges.append(Edge(u, v, g._tag_by_pair.get((u, v), EdgeTag.INHERIT)))
-    return LabeledDigraph(g.vertices, frozenset(edges))
-
-
 def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
     """Unique minimal edge set with the same reachability (unique on DAGs).
 
@@ -306,67 +229,8 @@ def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
     return LabeledDigraph(g.vertices, frozenset(kept))
 
 
-def merge_vertices(g: LabeledDigraph, cluster: Iterable[str], kept: str) -> LabeledDigraph:
-    """Collapse `cluster` onto its member `kept`.
-
-    Incident edges are redirected, self-loops dropped, and parallel edges
-    coalesced with the first tag winning under the lexicographic ordering of
-    the original edges.  Merging must not create a cycle.
-    """
-    members = frozenset(cluster)
-    if not members <= g.vertices:
-        raise GraphError(f"cluster contains unknown vertices: {sorted(members - g.vertices)}")
-    if kept not in members:
-        raise GraphError(f"kept vertex {kept!r} is not in the cluster")
-
-    def target(v: str) -> str:
-        return kept if v in members else v
-
-    candidates = []
-    for edge in g.sorted_edges:
-        src, dst = target(edge.src), target(edge.dst)
-        if src != dst:
-            candidates.append((src, dst, edge.tag))
-    vertices = frozenset(target(v) for v in g.vertices)
-    return LabeledDigraph(vertices, frozenset(_coalesce(candidates)))
-
-
-def induced_subgraph(g: LabeledDigraph, keep: Iterable[str]) -> LabeledDigraph:
-    """Restriction to `keep` and the edges with both endpoints inside it."""
-    names = frozenset(keep)
-    if not names <= g.vertices:
-        raise GraphError(f"unknown vertices: {sorted(names - g.vertices)}")
-    edges = frozenset(e for e in g.edges if e.src in names and e.dst in names)
-    return LabeledDigraph(names, edges)
-
-
 def reachable(g: LabeledDigraph, src: str, dst: str) -> bool:
     """True when `src` equals `dst` or a directed path connects them."""
     g._require_vertex(src)
     g._require_vertex(dst)
     return src == dst or dst in g.descendants_of(src)
-
-
-def order_isomorphic(
-    g1: LabeledDigraph, g2: LabeledDigraph, mapping: Mapping[str, str]
-) -> bool:
-    """True when `mapping` is a reachability-preserving bijection onto `g2`."""
-    if not g1.vertices <= set(mapping):
-        return False
-    image = {mapping[v] for v in g1.vertices}
-    if len(image) != len(g1.vertices) or image != g2.vertices:
-        return False
-    for u in g1.vertices:
-        for v in g1.vertices:
-            if u == v:
-                continue
-            if reachable(g1, u, v) != reachable(g2, mapping[u], mapping[v]):
-                return False
-    return True
-
-
-def reversed_graph(g: LabeledDigraph) -> LabeledDigraph:
-    """Same vertices with every edge flipped."""
-    return LabeledDigraph(
-        g.vertices, frozenset(Edge(e.dst, e.src, e.tag) for e in g.edges)
-    )

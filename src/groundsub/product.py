@@ -19,9 +19,7 @@ each class contributes edges of its own shape:
 Factors in Hasse form give the Hasse form of the result by construction: a
 Cartesian product of Hasse diagrams is the Hasse diagram of the product
 order, and every other copy reaches the boundary through its own copy of
-the second factor.  `partial_product_via_merge` computes the same order the
-long way: it collapses the copies of every plain vertex of the full
-Cartesian product and reduces.  The test suite checks that the two agree.
+the second factor.
 """
 
 from __future__ import annotations
@@ -30,15 +28,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .digraph import (
-    Edge,
-    EdgeTag,
-    LabeledDigraph,
-    cartesian_product,
-    merge_vertices,
-    pair_label,
-    transitive_reduction,
-)
+from .digraph import Edge, EdgeTag, LabeledDigraph, pair_label
+from .digraph import transitive_reduction  # noqa: F401 - unused here; kept for bench/tracer.py only
 from .errors import GraphError
 
 
@@ -154,32 +145,3 @@ def partial_product(
     labels = _product_labels(pg, g2, combine)
     vertices = frozenset(labels.values()) | pg.nonproduct_vertices
     return LabeledDigraph(vertices, frozenset(_cover_edges(pg, g2, labels)))
-
-
-def partial_product_via_merge(
-    pg: PartitionedGraph,
-    g2: LabeledDigraph,
-    combine: Callable[[str, str], str] = pair_label,
-) -> LabeledDigraph:
-    """Same contract as `partial_product`, computed the long way.
-
-    Builds the full Cartesian product of the first factor with `g2`, merges
-    the cluster of copies of every plain vertex back into a single vertex,
-    reduces, and relabels.  Kept as an internal cross-check for the direct
-    implementation.
-    """
-    if not g2.vertices:
-        raise GraphError("second factor must be nonempty")
-    full = cartesian_product(pg.base, g2, pair_label)
-    second = g2.sorted_vertices
-    merged = full
-    for w in sorted(pg.nonproduct_vertices):
-        cluster = [pair_label(w, v) for v in second]
-        merged = merge_vertices(merged, cluster, cluster[0])
-
-    final = _product_labels(pg, g2, combine)
-    names = {pair_label(u, v): lab for (u, v), lab in final.items()}
-    for w in pg.nonproduct_vertices:
-        names[pair_label(w, second[0])] = w
-    renamed = merged.relabeled(lambda v: names[v])
-    return transitive_reduction(renamed)

@@ -10,7 +10,9 @@ up to a rank bound and reports any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
+from .errors import SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS
 from .typelang import (
     ClassTable,
@@ -23,6 +25,10 @@ from .typelang import (
     canonical_label,
     rank,
 )
+
+# Most ordered pairs `differential_check` may compare.  It predicts the type
+# count from the vertex recurrence and refuses before it builds anything.
+MAX_PAIRS = 20_000_000
 
 NULL = GroundType(BOTTOM_CLASS)
 OBJECT = GroundType(TOP_CLASS)
@@ -126,7 +132,10 @@ def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
                 args.append(Con(t))
         fresh = [GroundType(c, a) for c in generics for a in args]
         known = set(current)
-        current = current + [t for t in fresh if t not in known]
+        added = [t for t in fresh if t not in known]
+        if not added:
+            break
+        current = current + added
     return tuple(sorted(current, key=lambda t: (rank(t), canonical_label(t))))
 
 
@@ -159,12 +168,20 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     """Compare both deciders over every ordered pair of enumerated types.
 
     Mismatches are report content, not exceptions; an empty mismatch list is
-    the expected outcome.
+    the expected outcome.  Raises `SizeLimitError`, before building or
+    enumerating anything, when there would be more than `MAX_PAIRS` pairs.
     """
-    from .builder import run, subtype_by_graph
+    from .builder import predicted_sizes, run, subtype_by_graph
 
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
+    # The types up to rank k are the vertices of the k-th approximation.
+    for k, n in enumerate(islice(predicted_sizes(table), max_rank), start=1):
+        if n * n > MAX_PAIRS:
+            raise SizeLimitError(
+                f"rank {k} has {n} types, so at least {n * n} ordered pairs, "
+                f"over the limit of {MAX_PAIRS}"
+            )
     trace = run(table, max_rank)
     types = enumerate_types(table, max_rank)
     mismatches: list[Mismatch] = []

@@ -13,7 +13,7 @@ DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 
 @pytest.mark.parametrize(
     "name",
-    ["iterated_construction", "product_two_ways", "selfcheck_and_export", "variance_rules"],
+    ["iterated_construction", "partial_product", "selfcheck_and_export", "variance_rules"],
 )
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     # Demos that write files put them under the test's own directory.

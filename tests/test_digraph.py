@@ -11,19 +11,22 @@ from groundsub import (
     EdgeTag,
     GraphError,
     LabeledDigraph,
+    pair_label,
+    reachable,
+    transitive_reduction,
+)
+
+from conftest import dags
+from oracles import (
     cartesian_product,
     disjoint_union,
     induced_subgraph,
     merge_vertices,
     order_isomorphic,
-    pair_label,
-    reachable,
     reflexive_transitive_closure,
+    relabeled,
     reversed_graph,
-    transitive_reduction,
 )
-
-from conftest import dags
 
 
 def chain(*labels: str) -> LabeledDigraph:
@@ -79,7 +82,7 @@ class TestCartesianProduct:
         g1 = LabeledDigraph.from_edges(vertices=("a",))
         g2 = chain("x", "y", "z")
         product = cartesian_product(g1, g2)
-        expected = g2.relabeled(lambda v: pair_label("a", v))
+        expected = relabeled(g2, lambda v: pair_label("a", v))
         assert product == expected
 
     def test_two_paths_make_a_square(self):

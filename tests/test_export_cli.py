@@ -197,6 +197,29 @@ class TestCli:
         assert err.startswith("error: ") and "442868 vertices" in err
         assert err.count("\n") == 1
 
+    def test_selfcheck_without_generics_stops_at_the_fixed_point(self, tmp_path, capsys):
+        decls = tmp_path / "plain.decls"
+        decls.write_text(ALL_PLAIN_SOURCE, encoding="utf-8")
+        assert main(["selfcheck", "--decls", str(decls), "--max-rank", "1000000000"]) == 0
+        assert capsys.readouterr().out.startswith("checked 36 ordered pairs over 6 types")
+
+    def test_oversized_selfcheck_exits_one_before_building(self, tmp_path, capsys, monkeypatch):
+        # Three generic classes have 27,065 types of rank at most 5.
+        import groundsub.builder as builder_module
+        import groundsub.rules as rules_module
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built or enumerated although the predicted pair count is over the limit")
+
+        monkeypatch.setattr(builder_module, "partial_product", refuse)
+        monkeypatch.setattr(rules_module, "enumerate_types", refuse)
+        decls = tmp_path / "three.decls"
+        decls.write_text("class A<T> {}\nclass B<T> {}\nclass C<T> {}\n", encoding="utf-8")
+        assert main(["selfcheck", "--decls", str(decls), "--max-rank", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "27065 types" in err
+        assert err.count("\n") == 1
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1
 

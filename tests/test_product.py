@@ -10,10 +10,8 @@ from groundsub import (
     GraphError,
     LabeledDigraph,
     PartitionedGraph,
-    cartesian_product,
     parse_declarations,
     partial_product,
-    partial_product_via_merge,
     run,
     transitive_reduction,
     wildcards_graph,
@@ -22,6 +20,7 @@ from groundsub.labels import instantiation_label
 from groundsub.product import _cover_edges, _product_labels
 
 from conftest import CORPUS, dags
+from oracles import cartesian_product, partial_product_via_merge
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from groundsub import (
     Cov,
     GroundType,
     Inv,
+    SizeLimitError,
     canonical_label,
     contains_argument,
     differential_check,
@@ -18,6 +19,7 @@ from groundsub import (
     parse_declarations,
     parse_ground_type,
 )
+from groundsub import rules
 
 from conftest import ALL_PLAIN_SOURCE
 
@@ -167,6 +169,13 @@ class TestDifferentialCheck:
         report = differential_check(table, 1)
         assert report.ok
         assert report.type_count == len(table.classes)
+
+    def test_pair_limit_at_the_boundary(self, one_generic, monkeypatch):
+        # One generic class has 3, 8 and then 23 types up to ranks 1, 2, 3.
+        monkeypatch.setattr(rules, "MAX_PAIRS", 64)
+        assert differential_check(one_generic, 2).pair_count == 64
+        with pytest.raises(SizeLimitError, match="rank 3 has 23 types, so at least 529"):
+            differential_check(one_generic, 3)
 
     def test_minimum_rank_is_enforced(self, one_generic):
         with pytest.raises(ValueError):
