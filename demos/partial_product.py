@@ -34,7 +34,7 @@ for e in product.sorted_edges:
 # Fan-out leaves only the copies at the chain's top and fan-in enters only
 # the copies at its bottom, so every edge above is a cover.
 print("bot reaches top only through the copies:",
-      reachable(product, "bot", "top") and not product.has_edge("bot", "top"))
+      reachable(product, "bot", "top") and "top" not in product.successors("bot"))
 print()
 
 # With an empty partition nothing multiplies and the product returns the

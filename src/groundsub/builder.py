@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 from .digraph import BipointedGraph, LabeledDigraph, reachable
 from .errors import QueryError, SizeLimitError
@@ -99,7 +98,7 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    for k, n in enumerate(islice(predicted_sizes(table), iterations), start=1):
+    for k, n in zip(range(1, iterations + 1), predicted_sizes(table)):
         if n > MAX_VERTICES:
             raise SizeLimitError(
                 f"approximation {k} would have {n} vertices, over the limit of {MAX_VERTICES}"

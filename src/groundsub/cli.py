@@ -122,10 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (GroundsubError, OSError) as err:
+    except (_UsageError, GroundsubError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

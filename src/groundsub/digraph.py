@@ -13,6 +13,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import GraphError
 
@@ -34,19 +36,10 @@ class EdgeTag(Enum):
     PRODUCT = "product"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     tag: EdgeTag
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.src, self.dst)
-
-
-def _edge_sort_key(edge: Edge) -> tuple[str, str]:
-    return (edge.src, edge.dst)
 
 
 @dataclass(frozen=True, repr=False)
@@ -61,23 +54,20 @@ class LabeledDigraph:
         object.__setattr__(self, "edges", frozenset(self.edges))
         # One pass over the sorted edges validates them and builds the
         # successor index, so successor tuples come out in label order.
-        pairs: set[tuple[str, str]] = set()
+        # Sorting puts parallel edges next to each other.
         succ: dict[str, list[str]] = {v: [] for v in self.vertices}
         indegree = dict.fromkeys(self.vertices, 0)
-        for edge in self.sorted_edges:
-            if edge.src == edge.dst:
-                raise GraphError(f"self-loop on {edge.src!r}")
-            if edge.src not in self.vertices or edge.dst not in self.vertices:
-                raise GraphError(
-                    f"edge {edge.src!r} -> {edge.dst!r} leaves the vertex set"
-                )
-            if edge.pair in pairs:
-                raise GraphError(
-                    f"parallel edges between {edge.src!r} and {edge.dst!r}"
-                )
-            pairs.add(edge.pair)
-            succ[edge.src].append(edge.dst)
-            indegree[edge.dst] += 1
+        last = None
+        for src, dst, _ in self.sorted_edges:
+            if src == dst:
+                raise GraphError(f"self-loop on {src!r}")
+            if src not in self.vertices or dst not in self.vertices:
+                raise GraphError(f"edge {src!r} -> {dst!r} leaves the vertex set")
+            if (src, dst) == last:
+                raise GraphError(f"parallel edges between {src!r} and {dst!r}")
+            last = (src, dst)
+            succ[src].append(dst)
+            indegree[dst] += 1
         object.__setattr__(self, "_succ", {v: tuple(ns) for v, ns in succ.items()})
         # Kahn's algorithm; the topological order doubles as the cycle check.
         sources = [v for v, d in indegree.items() if d == 0]
@@ -96,18 +86,12 @@ class LabeledDigraph:
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[Edge | tuple] = (),
+        edges: Iterable[tuple] = (),
         vertices: Iterable[str] = (),
         tag: EdgeTag = EdgeTag.PRODUCT,
     ) -> LabeledDigraph:
         """Build a graph from `(src, dst)` or `(src, dst, tag)` tuples."""
-        built: list[Edge] = []
-        for item in edges:
-            if isinstance(item, Edge):
-                built.append(item)
-            else:
-                src, dst, *rest = item
-                built.append(Edge(src, dst, rest[0] if rest else tag))
+        built = [Edge(src, dst, rest[0] if rest else tag) for src, dst, *rest in edges]
         names = set(vertices)
         names.update(e.src for e in built)
         names.update(e.dst for e in built)
@@ -125,30 +109,12 @@ class LabeledDigraph:
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges, key=_edge_sort_key))
-
-    # No command reads the pair, tag and predecessor lookups below, so the
-    # graph stores no index for them: each is worked out when called.
-    @property
-    def edge_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(e.pair for e in self.edges)
-
-    def has_edge(self, src: str, dst: str) -> bool:
-        return dst in self._succ.get(src, ())
-
-    def tag_of(self, src: str, dst: str) -> EdgeTag:
-        for tag in EdgeTag:
-            if Edge(src, dst, tag) in self.edges:
-                return tag
-        raise GraphError(f"no edge {src!r} -> {dst!r}")
+        # By endpoints only, so parallel edges never compare their tags.
+        return tuple(sorted(self.edges, key=itemgetter(0, 1)))
 
     def successors(self, label: str) -> tuple[str, ...]:
         self._require_vertex(label)
         return self._succ[label]
-
-    def predecessors(self, label: str) -> tuple[str, ...]:
-        self._require_vertex(label)
-        return tuple(e.src for e in self.sorted_edges if e.dst == label)
 
     @property
     def sources(self) -> tuple[str, ...]:
@@ -178,9 +144,6 @@ class LabeledDigraph:
         self._require_vertex(label)
         return self._descendants[label]
 
-    def equals_ignoring_tags(self, other: LabeledDigraph) -> bool:
-        return self.vertices == other.vertices and self.edge_pairs == other.edge_pairs
-
 
 @dataclass(frozen=True)
 class BipointedGraph:
@@ -191,8 +154,6 @@ class BipointedGraph:
     bottom: str
 
     def __post_init__(self) -> None:
-        if self.top not in self.graph.vertices or self.bottom not in self.graph.vertices:
-            raise GraphError("top and bottom must be vertices of the graph")
         if self.graph.sinks != (self.top,):
             raise GraphError(
                 f"top {self.top!r} is not the unique sink (sinks: {list(self.graph.sinks)})"
@@ -231,6 +192,5 @@ def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
 
 def reachable(g: LabeledDigraph, src: str, dst: str) -> bool:
     """True when `src` equals `dst` or a directed path connects them."""
-    g._require_vertex(src)
     g._require_vertex(dst)
     return src == dst or dst in g.descendants_of(src)

@@ -31,8 +31,8 @@ def _dot_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(g: LabeledDigraph, name: str = "subtyping") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+def to_dot(g: LabeledDigraph) -> str:
+    lines = ["digraph subtyping {", "  rankdir=BT;"]
     for v in g.sorted_vertices:
         lines.append(f"  {_dot_quote(v)};")
     for e in g.sorted_edges:

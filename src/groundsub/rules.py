@@ -10,11 +10,12 @@ up to a rank bound and reports any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS
 from .typelang import (
+    NULL_TYPE,
+    OBJECT_TYPE,
     ClassTable,
     Con,
     Cov,
@@ -29,9 +30,6 @@ from .typelang import (
 # Most ordered pairs `differential_check` may compare.  It predicts the type
 # count from the vertex recurrence and refuses before it builds anything.
 MAX_PAIRS = 20_000_000
-
-NULL = GroundType(BOTTOM_CLASS)
-OBJECT = GroundType(TOP_CLASS)
 
 
 def _inherits(table: ClassTable, sub: str, sup: str) -> bool:
@@ -95,9 +93,9 @@ def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
     """
     if t1 == t2:
         return True
-    if t1 == NULL:
+    if t1 == NULL_TYPE:
         return True
-    if t2 == OBJECT:
+    if t2 == OBJECT_TYPE:
         return True
     if not _inherits(table, t1.name, t2.name):
         return False
@@ -127,7 +125,7 @@ def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
         args: list[TypeArg] = []
         for t in current:
             args.append(Inv(t))
-            if t not in (OBJECT, NULL):
+            if t not in (OBJECT_TYPE, NULL_TYPE):
                 args.append(Cov(t))
                 args.append(Con(t))
         fresh = [GroundType(c, a) for c in generics for a in args]
@@ -176,7 +174,7 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
     # The types up to rank k are the vertices of the k-th approximation.
-    for k, n in enumerate(islice(predicted_sizes(table), max_rank), start=1):
+    for k, n in zip(range(1, max_rank + 1), predicted_sizes(table)):
         if n * n > MAX_PAIRS:
             raise SizeLimitError(
                 f"rank {k} has {n} types, so at least {n * n} ordered pairs, "

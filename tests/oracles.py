@@ -1,10 +1,11 @@
 """Reference graph algebra the tests check the package against.
 
-None of these functions runs in a command.  They restate what the package
-computes directly, the long way: the general Cartesian product and vertex
-merging give `partial_product_via_merge`, closure and restriction give the
-laws the approximations must satisfy, and the two image functions restate
-the corner rule of `wildcards_graph` one vertex at a time.
+None of these functions runs in a command.  The edge lookups read a graph
+in ways no command needs.  The rest restate what the package computes
+directly, the long way: the general Cartesian product and vertex merging
+give `partial_product_via_merge`, closure and restriction give the laws the
+approximations must satisfy, and the two image functions restate the corner
+rule of `wildcards_graph` one vertex at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +30,32 @@ from groundsub.labels import (
     upper_bounded_label,
 )
 from groundsub.product import PartitionedGraph, _product_labels
+
+
+def edge_pairs(g: LabeledDigraph) -> frozenset[tuple[str, str]]:
+    return frozenset(e[:2] for e in g.edges)
+
+
+def has_edge(g: LabeledDigraph, src: str, dst: str) -> bool:
+    return src in g and dst in g.successors(src)
+
+
+def tag_of(g: LabeledDigraph, src: str, dst: str) -> EdgeTag:
+    for tag in EdgeTag:
+        if Edge(src, dst, tag) in g.edges:
+            return tag
+    raise GraphError(f"no edge {src!r} -> {dst!r}")
+
+
+def predecessors(g: LabeledDigraph, label: str) -> tuple[str, ...]:
+    """Sources of the edges into `label`, in label order."""
+    if label not in g:
+        raise GraphError(f"unknown vertex {label!r}")
+    return tuple(e.src for e in g.sorted_edges if e.dst == label)
+
+
+def equals_ignoring_tags(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
+    return g1.vertices == g2.vertices and edge_pairs(g1) == edge_pairs(g2)
 
 
 def _coalesce(candidates: Iterable[tuple[str, str, EdgeTag]]) -> list[Edge]:
@@ -103,7 +130,7 @@ def reflexive_transitive_closure(g: LabeledDigraph) -> LabeledDigraph:
     tags; edges added for longer paths carry no variance provenance and are
     tagged INHERIT.
     """
-    tags = {e.pair: e.tag for e in g.edges}
+    tags = {e[:2]: e.tag for e in g.edges}
     edges = []
     for u in g.sorted_vertices:
         for v in sorted(g.descendants_of(u)):

@@ -200,8 +200,32 @@ class TestCli:
     def test_selfcheck_without_generics_stops_at_the_fixed_point(self, tmp_path, capsys):
         decls = tmp_path / "plain.decls"
         decls.write_text(ALL_PLAIN_SOURCE, encoding="utf-8")
-        assert main(["selfcheck", "--decls", str(decls), "--max-rank", "1000000000"]) == 0
-        assert capsys.readouterr().out.startswith("checked 36 ordered pairs over 6 types")
+        # 10**20 is past sys.maxsize.
+        for max_rank in ("1000000000", "100000000000000000000"):
+            assert main(["selfcheck", "--decls", str(decls), "--max-rank", max_rank]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith("checked 36 ordered pairs over 6 types")
+            assert "Traceback" not in captured.err
+
+    def test_iterations_past_sys_maxsize(self, decls_path, tmp_path, capsys, monkeypatch):
+        import groundsub.builder as builder_module
+
+        huge = "100000000000000000000"
+        plain = tmp_path / "plain.decls"
+        plain.write_text(ALL_PLAIN_SOURCE, encoding="utf-8")
+        assert main(["stats", "--decls", str(plain), "--iterations", huge]) == 0
+        assert capsys.readouterr().out.startswith("1 6 ")
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built a graph although the predicted size is over the limit")
+
+        monkeypatch.setattr(builder_module, "partial_product", refuse)
+        out = str(tmp_path / "graph.json")
+        for command in (["stats"], ["build", "--format", "json", "--out", out]):
+            assert main([*command, "--decls", str(decls_path), "--iterations", huge]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "approximation 12 would have 442868" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_oversized_selfcheck_exits_one_before_building(self, tmp_path, capsys, monkeypatch):
         # Three generic classes have 27,065 types of rank at most 5.
@@ -215,10 +239,17 @@ class TestCli:
         monkeypatch.setattr(rules_module, "enumerate_types", refuse)
         decls = tmp_path / "three.decls"
         decls.write_text("class A<T> {}\nclass B<T> {}\nclass C<T> {}\n", encoding="utf-8")
-        assert main(["selfcheck", "--decls", str(decls), "--max-rank", "5"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "27065 types" in err
-        assert err.count("\n") == 1
+        one = tmp_path / "one.decls"
+        one.write_text("class C<T> {}\n", encoding="utf-8")
+        # 10**20 is past sys.maxsize; one generic class passes the limit at rank 8.
+        for path, max_rank, expected in (
+            (decls, "5", "rank 5 has 27065 types"),
+            (one, "100000000000000000000", "rank 8 has 5468 types"),
+        ):
+            assert main(["selfcheck", "--decls", str(path), "--max-rank", max_rank]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and expected in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1

@@ -14,6 +14,7 @@ import pytest
 
 import groundsub
 from groundsub import (
+    Edge,
     LabeledDigraph,
     builder,
     cli,
@@ -49,7 +50,8 @@ ORACLES = (
     "cartesian_product", "merge_vertices", "_coalesce", "disjoint_union",
     "induced_subgraph", "reflexive_transitive_closure", "order_isomorphic",
     "reversed_graph", "relabeled", "partial_product_via_merge", "covariant_image",
-    "contravariant_image",
+    "contravariant_image", "has_edge", "tag_of", "predecessors", "edge_pairs",
+    "equals_ignoring_tags",
 )
 
 
@@ -71,6 +73,11 @@ def test_oracles_are_not_in_the_package(name):
     modules = (builder, cli, digraph, errors, export, labels, product, rules, typelang, wildcards)
     for owner in (groundsub, *modules, LabeledDigraph):
         assert not hasattr(owner, name), (owner, name)
+
+
+def test_edges_are_plain_tuples():
+    assert issubclass(Edge, tuple)
+    assert not hasattr(Edge, "pair")
 
 
 def test_graphs_store_no_test_only_index():
