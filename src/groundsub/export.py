@@ -12,8 +12,6 @@ from xml.sax.saxutils import escape
 
 from .digraph import EdgeTag, LabeledDigraph
 
-FORMATS = ("dot", "graphml", "json")
-
 _DOT_COLORS = {EdgeTag.COVARIANT: "green", EdgeTag.CONTRAVARIANT: "red"}
 
 
@@ -64,11 +62,11 @@ def to_graphml(g: LabeledDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RENDERERS = {"dot": to_dot, "graphml": to_graphml, "json": to_json}
+FORMATS = tuple(_RENDERERS)
+
+
 def render(g: LabeledDigraph, fmt: str) -> str:
-    if fmt == "dot":
-        return to_dot(g)
-    if fmt == "graphml":
-        return to_graphml(g)
-    if fmt == "json":
-        return to_json(g)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _RENDERERS[fmt](g)

@@ -25,9 +25,10 @@ bound of `N` are the default wildcard, a lower bound of `O` is invariant
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, NoReturn, Union
 
 from .digraph import BipointedGraph, EdgeTag, LabeledDigraph
 from .errors import DeclarationError, ParseError
@@ -242,76 +243,44 @@ class ClassTable:
 # Tokenizer shared by both parsers
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name", "punct", "end"
     text: str
     line: int
     column: int
 
 
-_PUNCT_CHARS = {"<", ">", "{", "}", "?"}
-
-
-def _is_name_start(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
-
-
-def _is_name_char(ch: str) -> bool:
-    return _is_name_start(ch) or "0" <= ch <= "9" or ch == "_"
+_TOKEN_PATTERN = re.compile(
+    r"(?P<newline>\n)|(?P<skip>[^\S\n]+|//[^\n]*)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<punct><:|:>|[<>{}?])"
+)
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if _is_name_start(ch):
-            start = i
-            while i < n and _is_name_char(source[i]):
-                i += 1
-            text = source[start:i]
-            tokens.append(_Token("name", text, line, col))
-            col += len(text)
-            continue
-        if ch == "<" and source.startswith("<:", i):
-            tokens.append(_Token("punct", "<:", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch == ":":
-            if source.startswith(":>", i):
-                tokens.append(_Token("punct", ":>", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("unexpected character ':'", line, col)
-        if ch in _PUNCT_CHARS:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        match = _TOKEN_PATTERN.match(source, pos)
+        if match is None:
+            raise ParseError(
+                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
+            )
+        kind, pos = match.lastgroup, match.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind != "skip":
+            tokens.append(_Token(kind, match.group(), line, match.start() - line_start + 1))
+    tokens.append(_Token("end", "", line, pos - line_start + 1))
     return tokens
 
 
+def _error_at(token: _Token, message: str) -> ParseError:
+    return ParseError(message, token.line, token.column)
+
+
 class _TokenStream:
+    """Tokens of one source; a token's text alone tells names from punctuation."""
+
     def __init__(self, source: str):
         self._tokens = _tokenize(source)
         self._pos = 0
@@ -326,16 +295,11 @@ class _TokenStream:
             self._pos += 1
         return token
 
-    def at_punct(self, text: str) -> bool:
-        return self.current.kind == "punct" and self.current.text == text
+    def at(self, text: str) -> bool:
+        return self.current.text == text
 
-    def at_name(self, text: str | None = None) -> bool:
-        if self.current.kind != "name":
-            return False
-        return text is None or self.current.text == text
-
-    def expect_punct(self, text: str) -> _Token:
-        if not self.at_punct(text):
+    def expect(self, text: str) -> _Token:
+        if not self.at(text):
             self.fail(f"expected {text!r}")
         return self.advance()
 
@@ -346,12 +310,12 @@ class _TokenStream:
 
     def expect_end(self) -> None:
         if self.current.kind != "end":
-            self.fail(f"unexpected trailing input {self.current.text!r}")
+            self.fail("unexpected trailing input")
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         token = self.current
         found = repr(token.text) if token.kind != "end" else "end of input"
-        raise ParseError(f"{message}, found {found}", token.line, token.column)
+        raise _error_at(token, f"{message}, found {found}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +328,15 @@ class _RawDecl:
     parameter: str | None
     superclass: str | None
     passthrough: str | None
-    line: int
 
 
 def parse_declarations(source: str) -> ClassTable:
     """Parse a program of class declarations into a validated table."""
     stream = _TokenStream(source)
     decls: list[_RawDecl] = []
-    while not stream.at_name("class") and stream.current.kind != "end":
+    if not stream.at("class") and stream.current.kind != "end":
         stream.fail("expected 'class'")
-    while stream.at_name("class"):
+    while stream.at("class"):
         decls.append(_parse_decl(stream))
     stream.expect_end()
     return _build_table(decls)
@@ -384,45 +347,34 @@ def _parse_decl(stream: _TokenStream) -> _RawDecl:
     name_tok = stream.expect_name()
     name = name_tok.text
     if name in _KEYWORDS:
-        raise ParseError(f"{name!r} is a keyword", name_tok.line, name_tok.column)
+        raise _error_at(name_tok, f"{name!r} is a keyword")
     if name in _RESERVED:
-        raise ParseError(
-            f"{name!r} is reserved and cannot be declared", name_tok.line, name_tok.column
-        )
+        raise _error_at(name_tok, f"{name!r} is reserved and cannot be declared")
     parameter = None
-    if stream.at_punct("<"):
+    if stream.at("<"):
         stream.advance()
         param_tok = stream.expect_name()
         if param_tok.text in _KEYWORDS or param_tok.text in _RESERVED:
-            raise ParseError(
-                f"{param_tok.text!r} cannot be a type parameter",
-                param_tok.line,
-                param_tok.column,
-            )
+            raise _error_at(param_tok, f"{param_tok.text!r} cannot be a type parameter")
         parameter = param_tok.text
-        stream.expect_punct(">")
+        stream.expect(">")
     superclass = None
     passthrough = None
-    if stream.at_name("extends"):
+    if stream.at("extends"):
         stream.advance()
         super_tok = stream.expect_name()
         if super_tok.text in _KEYWORDS:
-            raise ParseError(
-                f"{super_tok.text!r} is a keyword", super_tok.line, super_tok.column
-            )
+            raise _error_at(super_tok, f"{super_tok.text!r} is a keyword")
         superclass = _ALIASES.get(super_tok.text, super_tok.text)
         if superclass == BOTTOM_CLASS:
-            raise ParseError(
-                "no class may extend the bottom class", super_tok.line, super_tok.column
-            )
-        if stream.at_punct("<"):
+            raise _error_at(super_tok, "no class may extend the bottom class")
+        if stream.at("<"):
             stream.advance()
-            pass_tok = stream.expect_name()
-            passthrough = pass_tok.text
-            stream.expect_punct(">")
-    stream.expect_punct("{")
-    stream.expect_punct("}")
-    return _RawDecl(name, parameter, superclass, passthrough, name_tok.line)
+            passthrough = stream.expect_name().text
+            stream.expect(">")
+    stream.expect("{")
+    stream.expect("}")
+    return _RawDecl(name, parameter, superclass, passthrough)
 
 
 def _build_table(decls: list[_RawDecl]) -> ClassTable:
@@ -484,14 +436,18 @@ def _build_table(decls: list[_RawDecl]) -> ClassTable:
 
 
 def _reject_cycles(declared: dict[str, _RawDecl]) -> None:
+    # Each walk stops at a class already known to reach the top, so every
+    # class is looked up at most twice: once as a start, once on a walk.
+    reaches_top: set[str] = set()
     for start in declared:
-        seen = {start}
+        path = {start}
         current: str | None = declared[start].superclass
-        while current is not None and current != TOP_CLASS:
-            if current in seen:
+        while current is not None and current != TOP_CLASS and current not in reaches_top:
+            if current in path:
                 raise DeclarationError(f"inheritance cycle through {current!r}")
-            seen.add(current)
+            path.add(current)
             current = declared[current].superclass
+        reaches_top |= path
 
 
 # ---------------------------------------------------------------------------
@@ -509,45 +465,33 @@ def parse_ground_type(text: str, table: ClassTable) -> GroundType:
 def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundType:
     name_tok = stream.expect_name()
     if name_tok.text in _KEYWORDS:
-        raise ParseError(
-            f"{name_tok.text!r} is a keyword", name_tok.line, name_tok.column
-        )
+        raise _error_at(name_tok, f"{name_tok.text!r} is a keyword")
     name = _ALIASES.get(name_tok.text, name_tok.text)
     if name not in table.classes:
-        raise ParseError(f"unknown class {name!r}", name_tok.line, name_tok.column)
-    if stream.at_punct("<"):
+        raise _error_at(name_tok, f"unknown class {name!r}")
+    if stream.at("<"):
         open_tok = stream.advance()
         if not table.is_generic(name):
-            raise ParseError(
-                f"{name!r} is not generic and takes no argument",
-                open_tok.line,
-                open_tok.column,
-            )
+            raise _error_at(open_tok, f"{name!r} is not generic and takes no argument")
         if depth == MAX_TYPE_NESTING:
-            raise ParseError(
-                f"type arguments nested deeper than {MAX_TYPE_NESTING} levels",
-                open_tok.line,
-                open_tok.column,
+            raise _error_at(
+                open_tok, f"type arguments nested deeper than {MAX_TYPE_NESTING} levels"
             )
         arg = _parse_argument(stream, table, depth + 1)
-        stream.expect_punct(">")
+        stream.expect(">")
         return GroundType(name, arg)
     if table.is_generic(name):
-        raise ParseError(
-            f"generic class {name!r} needs a type argument",
-            name_tok.line,
-            name_tok.column,
-        )
+        raise _error_at(name_tok, f"generic class {name!r} needs a type argument")
     return GroundType(name)
 
 
 def _parse_argument(stream: _TokenStream, table: ClassTable, depth: int) -> TypeArg:
-    if stream.at_punct("?"):
+    if stream.at("?"):
         stream.advance()
-        if stream.at_punct("<:") or stream.at_name("extends"):
+        if stream.at("<:") or stream.at("extends"):
             stream.advance()
             return Cov(_parse_type(stream, table, depth))
-        if stream.at_punct(":>") or stream.at_name("super"):
+        if stream.at(":>") or stream.at("super"):
             stream.advance()
             return Con(_parse_type(stream, table, depth))
         return WILD

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -115,6 +117,30 @@ class TestParseDeclarations:
         with pytest.raises(DeclarationError, match="cycle"):
             parse_declarations("class A extends B {} class B extends A {}")
 
+    def test_long_chain_into_a_two_cycle_names_the_cycle_entry(self):
+        chain = "".join(f"class C{i} extends C{i - 1} {{}}\n" for i in range(2000, 1, -1))
+        source = chain + "class C1 extends C0 {}\nclass C0 extends C1 {}"
+        with pytest.raises(DeclarationError, match="^inheritance cycle through 'C1'$"):
+            parse_declarations(source)
+
+    @pytest.mark.parametrize("deepest_first", [False, True])
+    def test_cycle_check_looks_each_class_up_at_most_twice(self, deepest_first):
+        class CountingDict(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                self.lookups += 1
+                return super().__getitem__(key)
+
+        n = 2000
+        order = range(n - 1, -1, -1) if deepest_first else range(n)
+        declared = CountingDict(
+            (f"C{i}", typelang._RawDecl(f"C{i}", None, f"C{i - 1}" if i else None, None))
+            for i in order
+        )
+        typelang._reject_cycles(declared)
+        assert declared.lookups <= 2 * n
+
 
 class TestParseGroundType:
     def test_wildcard_spellings_normalize(self, one_generic):
@@ -150,7 +176,8 @@ class TestParseGroundType:
             parse_ground_type("C", one_generic)
 
     def test_trailing_input(self, one_generic):
-        with pytest.raises(ParseError, match="trailing"):
+        message = "^line 1, column 3: unexpected trailing input, found 'O'$"
+        with pytest.raises(ParseError, match=message):
             parse_ground_type("N O", one_generic)
 
     def test_nesting_limit(self, one_generic):
@@ -177,6 +204,43 @@ class TestParseGroundType:
         assert len(calls) <= 2 * MAX_TYPE_NESTING
         depth = MAX_TYPE_NESTING - 1
         assert canonical_label(t) == "C<? <: " * depth + "C<?>" + ">" * depth
+
+
+class TestTokenPositions:
+    def test_positions_after_separators(self):
+        source = "class\tA<:B :>\r\n  C\u00a0{ // note\n}"
+        tokens = [(t.kind, t.text, t.line, t.column) for t in typelang._tokenize(source)]
+        assert tokens == [
+            ("name", "class", 1, 1),
+            ("name", "A", 1, 7),
+            ("punct", "<:", 1, 8),
+            ("name", "B", 1, 10),
+            ("punct", ":>", 1, 12),
+            ("name", "C", 2, 3),
+            ("punct", "{", 2, 5),
+            ("punct", "}", 3, 1),
+            ("end", "", 3, 2),
+        ]
+
+    @pytest.mark.parametrize(
+        "source, line, column, char",
+        [
+            ("class A {}\n  :", 2, 3, ":"),
+            ("class A {} :<", 1, 12, ":"),
+            ("class\tA\u00e9 {}", 1, 8, "\u00e9"),
+            ("// x\r\n #", 2, 2, "#"),
+        ],
+    )
+    def test_unexpected_character_location(self, source, line, column, char):
+        message = f"^line {line}, column {column}: unexpected character {char!r}$"
+        with pytest.raises(ParseError, match=message) as info:
+            parse_declarations(source)
+        assert (info.value.line, info.value.column) == (line, column)
+
+    def test_end_of_input_column_counts_a_trailing_comment(self):
+        message = "^line 1, column 18: expected '}', found end of input$"
+        with pytest.raises(ParseError, match=message):
+            parse_declarations("class A { // open")
 
 
 class TestNormalization:
@@ -216,12 +280,31 @@ def ground_types(table, max_depth=3):
     return st.recursive(base, extend, max_leaves=max_depth).map(normalize_type)
 
 
+# Token separators, and the long spellings of the bound operators.
+_SEPARATORS = ["", " ", "\t", "\r\n", "\u00a0", "// c\n"]
+_SPELLINGS = {"<:": ["<:", "extends"], ":>": [":>", "super"]}
+
+
 class TestRoundTrip:
     @given(st.data())
     def test_parse_after_print_is_identity(self, data):
         table = parse_declarations(CORPUS["passthrough"])
         t = data.draw(ground_types(table))
         assert parse_ground_type(canonical_label(t), table) == t
+
+    @given(st.data())
+    def test_separators_never_change_a_parse(self, data):
+        table = parse_declarations(CORPUS["passthrough"])
+        t = data.draw(ground_types(table))
+        tokens = [
+            data.draw(st.sampled_from(_SPELLINGS.get(token, [token])))
+            for token in re.findall(r"[A-Za-z]\w*|<:|:>|[<>?]", canonical_label(t))
+        ]
+        pieces = [data.draw(st.sampled_from(_SEPARATORS))]
+        for token, following in zip(tokens, tokens[1:] + [""]):
+            glued = token[0].isalpha() and following[:1].isalpha()
+            pieces += [token, data.draw(st.sampled_from(_SEPARATORS[1:] if glued else _SEPARATORS))]
+        assert parse_ground_type("".join(pieces), table) == t
 
     @given(st.data())
     def test_normalization_is_idempotent(self, data):
