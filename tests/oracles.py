@@ -5,7 +5,9 @@ in ways no command needs.  The rest restate what the package computes
 directly, the long way: the general Cartesian product and vertex merging
 give `partial_product_via_merge`, closure and restriction give the laws the
 approximations must satisfy, and the two image functions restate the corner
-rule of `wildcards_graph` one vertex at a time.
+rule of `wildcards_graph` one vertex at a time.  `reference_is_subtype` is
+the rules decider with its equality tests first, as it was written before
+they were replaced by cheaper name tests.
 """
 
 from __future__ import annotations
@@ -30,6 +32,18 @@ from groundsub.labels import (
     upper_bounded_label,
 )
 from groundsub.product import PartitionedGraph, _product_labels
+from groundsub.rules import _inherits
+from groundsub.typelang import (
+    NULL_TYPE,
+    OBJECT_TYPE,
+    ClassTable,
+    Con,
+    Cov,
+    GroundType,
+    Inv,
+    TypeArg,
+    Wild,
+)
 
 
 def edge_pairs(g: LabeledDigraph) -> frozenset[tuple[str, str]]:
@@ -244,3 +258,44 @@ def contravariant_image(class_name: str, label: str) -> str:
     if label == TOP_CLASS:
         return instantiation_label(class_name, TOP_CLASS)
     return instantiation_label(class_name, lower_bounded_label(label))
+
+
+def reference_contains_argument(inner: TypeArg, outer: TypeArg, table: ClassTable) -> bool:
+    """Argument containment, deciding bounds with `reference_is_subtype`."""
+    if inner == outer:
+        return True
+    match outer:
+        case Wild():
+            return True
+        case Cov(bound):
+            match inner:
+                case Cov(other) | Inv(other):
+                    return reference_is_subtype(other, bound, table)
+            return False
+        case Con(bound):
+            match inner:
+                case Con(other) | Inv(other):
+                    return reference_is_subtype(bound, other, table)
+            return False
+        case Inv(_):
+            return False
+    raise TypeError(f"not a type argument: {outer!r}")
+
+
+def reference_is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
+    """Ground subtyping with whole-type equality tests for the reflexive,
+    bottom and top cases."""
+    if t1 == t2:
+        return True
+    if t1 == NULL_TYPE:
+        return True
+    if t2 == OBJECT_TYPE:
+        return True
+    if not _inherits(table, t1.name, t2.name):
+        return False
+    if not table.is_generic(t2.name):
+        return True
+    if not table.is_generic(t1.name):
+        return False
+    assert t1.arg is not None and t2.arg is not None
+    return reference_contains_argument(t1.arg, t2.arg, table)

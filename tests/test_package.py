@@ -51,7 +51,7 @@ ORACLES = (
     "induced_subgraph", "reflexive_transitive_closure", "order_isomorphic",
     "reversed_graph", "relabeled", "partial_product_via_merge", "covariant_image",
     "contravariant_image", "has_edge", "tag_of", "predecessors", "edge_pairs",
-    "equals_ignoring_tags",
+    "equals_ignoring_tags", "reference_is_subtype", "reference_contains_argument",
 )
 
 

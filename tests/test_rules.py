@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from groundsub import (
@@ -10,6 +13,8 @@ from groundsub import (
     Cov,
     GroundType,
     Inv,
+    LabeledDigraph,
+    Mismatch,
     SizeLimitError,
     canonical_label,
     contains_argument,
@@ -18,10 +23,12 @@ from groundsub import (
     is_subtype,
     parse_declarations,
     parse_ground_type,
+    run,
 )
-from groundsub import rules
+from groundsub import builder, rules
 
 from conftest import ALL_PLAIN_SOURCE
+from oracles import reference_is_subtype
 
 
 @pytest.fixture
@@ -120,6 +127,15 @@ class TestSubtype:
                 rhs = is_subtype(GroundType("C", a), GroundType("C", b), table)
                 assert lhs == rhs
 
+    def test_name_guards_agree_with_equality_guards(self, tables):
+        for name, table in tables.items():
+            universe = enumerate_types(table, 3)
+            for a in universe:
+                for b in universe:
+                    assert is_subtype(a, b, table) == reference_is_subtype(a, b, table), (
+                        name, canonical_label(a), canonical_label(b)
+                    )
+
     def test_unrelated_heads(self, tables):
         table = tables["two_generics"]
         c = GroundType("C", WILD)
@@ -180,3 +196,68 @@ class TestDifferentialCheck:
     def test_minimum_rank_is_enforced(self, one_generic):
         with pytest.raises(ValueError):
             differential_check(one_generic, 0)
+
+    def test_each_pair_is_read_from_its_own_approximation(self, one_generic, monkeypatch):
+        # Drop the cover N -> C<?> from S_1 only.  The pairs of rank at most 1
+        # that went through it lose their path; every other pair is read
+        # from the intact S_2, so reading S_2 for all would report nothing.
+        real = run(one_generic, 2)
+        first = real.graphs[0].graph
+        kept = [e for e in first.edges if e[:2] != ("N", "C<?>")]
+        damaged = SimpleNamespace(graph=LabeledDigraph.from_edges(kept, vertices=first.vertices))
+        trace = dataclasses.replace(real, graphs=(damaged, *real.graphs[1:]))
+        monkeypatch.setattr(builder, "run", lambda table, iterations: trace)
+        report = differential_check(one_generic, 2)
+        assert report.mismatches == (
+            Mismatch("N", "O", graph_verdict=False, rule_verdict=True),
+            Mismatch("N", "C<?>", graph_verdict=False, rule_verdict=True),
+        )
+
+    def test_swapped_contravariant_rule_is_caught(self, one_generic, monkeypatch):
+        real = rules.contains_argument
+
+        def swapped(inner, outer, table):
+            if isinstance(outer, Con) and isinstance(inner, (Con, Inv)) and inner != outer:
+                return rules.is_subtype(inner.bound, outer.bound, table)
+            return real(inner, outer, table)
+
+        monkeypatch.setattr(rules, "contains_argument", swapped)
+        assert not differential_check(one_generic, 3).ok
+
+    def test_one_flipped_rule_verdict_is_the_one_mismatch(self, one_generic, monkeypatch):
+        # A rank-3 type is never the bound of an argument at rank 3, so the
+        # flip reaches no other pair through the recursion.
+        left = parse_ground_type("C<C<N>>", one_generic)
+        right = parse_ground_type("C<?>", one_generic)
+        real = rules.is_subtype
+
+        def flipped(t1, t2, table):
+            verdict = real(t1, t2, table)
+            return not verdict if (t1, t2) == (left, right) else verdict
+
+        monkeypatch.setattr(rules, "is_subtype", flipped)
+        report = differential_check(one_generic, 3)
+        assert report.mismatches == (
+            Mismatch("C<C<N>>", "C<?>", graph_verdict=True, rule_verdict=False),
+        )
+
+    def test_graph_side_fetches_one_descendant_set_per_row_and_depth(
+        self, tables, monkeypatch
+    ):
+        def forbidden(*args):
+            raise AssertionError("per-pair graph query in differential_check")
+
+        monkeypatch.setattr(builder, "subtype_by_graph", forbidden)
+        monkeypatch.setattr(builder, "reachable", forbidden)
+        calls = 0
+        real = LabeledDigraph.descendants_of
+
+        def counted(self, label):
+            nonlocal calls
+            calls += 1
+            return real(self, label)
+
+        monkeypatch.setattr(LabeledDigraph, "descendants_of", counted)
+        report = differential_check(tables["two_generics"], 3)
+        assert report.ok
+        assert 0 < calls <= report.type_count * 3
