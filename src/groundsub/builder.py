@@ -1,26 +1,43 @@
-"""Iterated construction of the ground subtyping relation.
+"""Iterated construction of the ground subtyping relation, and queries on it.
 
 Each step multiplies the subclassing graph, partitioned at its generic
 classes, with the containment graph of the wildcard arguments over the
 previous approximation.  The sequence of results grows monotonically toward
 the (infinite, for any program with a generic class) full relation, so the
 number of iterations is always an explicit input.
+
+`InfiniteGraph` answers questions about the same approximations one vertex
+at a time, from the rules the construction applies, without building any of
+them; `subtype_by_graph` decides subtyping with it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .digraph import BipointedGraph, LabeledDigraph, reachable
-from .errors import QueryError, SizeLimitError
+from .digraph import BipointedGraph, LabeledDigraph
+from .digraph import reachable  # noqa: F401 - unused here; kept for bench/tracer.py only
+from .errors import GraphError, SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .product import PartitionedGraph, partial_product
-from .typelang import ClassTable, GroundType, canonical_label, rank
+from .typelang import (
+    WILD,
+    ClassTable,
+    Con,
+    Cov,
+    GroundType,
+    Inv,
+    Wild,
+    canonical_label,
+    rank,
+)
 from .wildcards import wildcards_graph, wildcards_size
 
-# Most vertices one approximation may have.  `run` predicts every size from
-# the vertex recurrence and refuses before it builds anything.
+# Most vertices one approximation may have, and most vertices one query may
+# visit.  `run` and `InfiniteGraph` predict every size from the vertex
+# recurrence and refuse before they build or enumerate anything.
 MAX_VERTICES = 200_000
 
 
@@ -99,10 +116,7 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     for k, n in zip(range(1, iterations + 1), predicted_sizes(table)):
-        if n > MAX_VERTICES:
-            raise SizeLimitError(
-                f"approximation {k} would have {n} vertices, over the limit of {MAX_VERTICES}"
-            )
+        _refuse_oversized(k, n)
     graphs = [initial_approximation(table)]
     while len(graphs) < iterations and table.generic:
         graphs.append(step(table, graphs[-1]))
@@ -110,17 +124,248 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
     return IterationTrace(table, tuple(graphs), reached_fixed_point=fixed)
 
 
+def _refuse_oversized(k: int, n: int) -> None:
+    if n > MAX_VERTICES:
+        raise SizeLimitError(
+            f"approximation {k} would have {n} vertices, over the limit of {MAX_VERTICES}"
+        )
+
+
 def sufficient_depth(t1: GroundType, t2: GroundType) -> int:
     """Smallest iteration count whose graph contains both types."""
     return max(rank(t1), rank(t2), 1)
 
 
-def subtype_by_graph(trace: IterationTrace, t1: GroundType, t2: GroundType) -> bool:
-    """Decide subtyping by reachability in the smallest sufficient graph."""
-    k = sufficient_depth(t1, t2)
-    if k > trace.depth and not trace.reached_fixed_point:
-        raise QueryError(
-            f"types need {k} iterations but the trace holds {trace.depth}; rerun deeper"
-        )
-    s = trace.graphs[min(k, trace.depth) - 1]
-    return reachable(s.graph, canonical_label(t1), canonical_label(t2))
+class InfiniteGraph:
+    """The ground subtyping graph of a table, one vertex at a time.
+
+    Every approximation S_k is a finite restriction of this infinite graph.
+    `covers_up` and `covers_down` give the Hasse covers of a vertex in S_k,
+    derived from the rules `partial_product` and `wildcards_graph` build
+    S_k with; nothing is materialised.  Covers depend on k (`N -> C<?>` is
+    a cover in S_1 but not in S_2), so k is always explicit.  Results are
+    memoised per (type, k) for the lifetime of the instance.
+
+    Inside, a type is an int: one id per (class, argument kind, bound id),
+    so hashing and comparing never recurse into the type.  The argument
+    kind is `None` for a plain class, else the class of the argument, and
+    an argument of W(S_j) is a (kind, bound id) pair, with bound -1 for `?`.
+    """
+
+    def __init__(self, table: ClassTable):
+        self.table = table
+        self._parents: dict[str, list[str]] = defaultdict(list)
+        self._children: dict[str, list[str]] = defaultdict(list)
+        for sub, sup in sorted(table.extends_edges):
+            self._parents[sub].append(sup)
+            self._children[sup].append(sub)
+        self._ids: dict[tuple, int] = {}
+        self._shapes: list[tuple] = []
+        self._top = self._id(TOP_CLASS)
+        self._bottom = self._id(BOTTOM_CLASS)
+        self._up: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._down: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._vertices: dict[int, tuple[int, ...]] = {}
+
+    def covers_up(self, t: GroundType, k: int) -> tuple[GroundType, ...]:
+        """The successors of `t` in S_k."""
+        return tuple(map(self._ground, self._covers_up(self._vertex(t, k), k)))
+
+    def covers_down(self, t: GroundType, k: int) -> tuple[GroundType, ...]:
+        """The predecessors of `t` in S_k."""
+        return tuple(map(self._ground, self._covers_down(self._vertex(t, k), k)))
+
+    def vertices(self, k: int) -> tuple[GroundType, ...]:
+        """V(S_k): the plain classes, and C<a> for every generic class C and
+        every argument a of W(S_{k-1}) (only `?` when k = 1).
+
+        Raises `SizeLimitError`, before enumerating anything, when S_k would
+        have more than `MAX_VERTICES` vertices.
+        """
+        return tuple(map(self._ground, self._vertex_ids(k)))
+
+    def reaches(self, t1: GroundType, t2: GroundType, k: int) -> bool:
+        """True when `t2` is `t1` or lies above it in S_k.
+
+        Searches upward from `t1`.  Raises `SizeLimitError` when the search
+        would visit more than `MAX_VERTICES` vertices.
+        """
+        start, goal = self._vertex(t1, k), self._vertex(t2, k)
+        if start == goal:
+            return True
+        seen = {start}
+        todo = [start]
+        while todo:
+            for w in self._covers_up(todo.pop(), k):
+                if w == goal:
+                    return True
+                if w not in seen:
+                    if len(seen) == MAX_VERTICES:
+                        raise SizeLimitError(
+                            f"the search above {canonical_label(t1)} in approximation {k} "
+                            f"passed the limit of {MAX_VERTICES} vertices"
+                        )
+                    seen.add(w)
+                    todo.append(w)
+        return False
+
+    # -- types and ids
+
+    def _id(self, name: str, kind: type | None = None, bound: int = -1) -> int:
+        key = (name, kind, bound)
+        v = self._ids.setdefault(key, len(self._shapes))
+        if v == len(self._shapes):
+            self._shapes.append(key)
+        return v
+
+    def _vertex(self, t: GroundType, k: int) -> int:
+        """The id of `t`, which must be a vertex of S_k."""
+        if not (self._is_type(t) and sufficient_depth(t, t) <= k):
+            raise GraphError(f"{canonical_label(t)!r} is not a vertex of approximation {k}")
+        return self._intern(t)
+
+    def _is_type(self, t: GroundType) -> bool:
+        """True for a normalised ground type over the table."""
+        classes, generic = self.table.classes, self.table.generic
+        while t.name in classes and (t.arg is None) != (t.name in generic):
+            match t.arg:
+                case None | Wild():
+                    return True
+                case Inv(t):
+                    pass
+                case Cov(t) | Con(t) if t.name not in (TOP_CLASS, BOTTOM_CLASS):
+                    pass
+                case _:
+                    return False
+        return False
+
+    def _intern(self, t: GroundType) -> int:
+        if t.arg is None:
+            return self._id(t.name)
+        if isinstance(t.arg, Wild):
+            return self._id(t.name, Wild)
+        return self._id(t.name, type(t.arg), self._intern(t.arg.bound))
+
+    def _ground(self, v: int) -> GroundType:
+        name, kind, bound = self._shapes[v]
+        if kind is None:
+            return GroundType(name)
+        if kind is Wild:
+            return GroundType(name, WILD)
+        return GroundType(name, kind(self._ground(bound)))
+
+    # -- the rules
+
+    def _vertex_ids(self, k: int) -> tuple[int, ...]:
+        if k not in self._vertices:
+            for j, n in zip(range(1, k + 1), predicted_sizes(self.table)):
+                _refuse_oversized(j, n)
+            arguments: list[tuple] = [(Wild, -1)]
+            if k > 1:
+                for v in self._vertex_ids(k - 1):
+                    arguments.append((Inv, v))
+                    if v not in (self._top, self._bottom):
+                        arguments += ((Cov, v), (Con, v))
+            generic = self.table.generic
+            plain = [self._id(c) for c in self.table.classes if c not in generic]
+            self._vertices[k] = (
+                *plain,
+                *(self._id(c, *a) for c in sorted(generic) for a in arguments),
+            )
+        return self._vertices[k]
+
+    def _sources(self, k: int) -> list[tuple]:
+        # The sources of W(S_{k-1}): the lone `?` for k = 1, and after that
+        # every exact argument.
+        if k == 1:
+            return [(Wild, -1)]
+        return [(Inv, v) for v in self._vertex_ids(k - 1)]
+
+    def _covers_up(self, v: int, k: int) -> tuple[int, ...]:
+        key = (v, k)
+        if key in self._up:
+            return self._up[key]
+        name, kind, bound = self._shapes[v]
+        generic = self.table.generic
+        covers: list[int] = []
+        for p in self._parents[name]:
+            if kind is None:
+                if p in generic:  # np: into the copies at the sources
+                    covers += [self._id(p, *a) for a in self._sources(k)]
+                else:  # nn
+                    covers.append(self._id(p))
+            elif p in generic:  # pp
+                covers.append(self._id(p, kind, bound))
+            elif kind is Wild:  # pn: out of the copy at the sink `?`
+                covers.append(self._id(p))
+        if kind is not None:
+            covers += [self._id(name, *a) for a in self._argument_up(kind, bound, k - 1)]
+        self._up[key] = result = tuple(covers)
+        return result
+
+    def _covers_down(self, v: int, k: int) -> tuple[int, ...]:
+        key = (v, k)
+        if key in self._down:
+            return self._down[key]
+        name, kind, bound = self._shapes[v]
+        generic = self.table.generic
+        covers: list[int] = []
+        for c in self._children[name]:
+            if kind is None:  # pn into the copy at the sink `?`, or nn
+                covers.append(self._id(c, Wild) if c in generic else self._id(c))
+            elif c in generic:  # pp
+                covers.append(self._id(c, kind, bound))
+            elif k == 1 or kind is Inv:  # np: out of the sources
+                covers.append(self._id(c))
+        if kind is not None:
+            covers += [self._id(name, *a) for a in self._argument_down(kind, bound, k - 1)]
+        self._down[key] = result = tuple(covers)
+        return result
+
+    def _upper(self, v: int) -> tuple:
+        """`? <: v`, with the corners of `wildcards_graph` coalesced."""
+        if v == self._top:
+            return (Wild, -1)
+        return (Inv if v == self._bottom else Cov, v)
+
+    def _lower(self, v: int) -> tuple:
+        """`? :> v`, with the corners of `wildcards_graph` coalesced."""
+        if v == self._bottom:
+            return (Wild, -1)
+        return (Inv if v == self._top else Con, v)
+
+    def _argument_up(self, kind: type, bound: int, j: int) -> list[tuple]:
+        """Successors of an argument in W(S_j); W(S_0) is the lone `?`."""
+        if j == 0 or kind is Wild:
+            return []
+        if kind is Inv and bound not in (self._top, self._bottom):
+            return [(Cov, bound), (Con, bound)]
+        # The exact N is the upper-bounded copy of N, the exact O the
+        # lower-bounded copy of O.
+        if kind is Cov or bound == self._bottom:
+            return [self._upper(w) for w in self._covers_up(bound, j)]
+        return [self._lower(w) for w in self._covers_down(bound, j)]
+
+    def _argument_down(self, kind: type, bound: int, j: int) -> list[tuple]:
+        """Predecessors of an argument in W(S_j); exact arguments are its sources."""
+        if j == 0 or kind is Inv:
+            return []
+        if kind is Wild:  # both the upper-bounded O and the lower-bounded N
+            return [self._upper(w) for w in self._covers_down(self._top, j)] + [
+                self._lower(w) for w in self._covers_up(self._bottom, j)
+            ]
+        if kind is Cov:
+            return [self._upper(w) for w in self._covers_down(bound, j)] + [(Inv, bound)]
+        return [self._lower(w) for w in self._covers_up(bound, j)] + [(Inv, bound)]
+
+
+def subtype_by_graph(table: ClassTable, t1: GroundType, t2: GroundType) -> bool:
+    """Decide subtyping by reachability in the smallest sufficient graph.
+
+    True when `t2` is `t1` or lies above it in S_k, with k =
+    `sufficient_depth(t1, t2)`.  The search goes upward from `t1` through
+    covers worked out on demand, so no approximation is built.  Raises
+    `SizeLimitError` when it would visit more than `MAX_VERTICES` vertices,
+    or enumerate an approximation larger than that.
+    """
+    return InfiniteGraph(table).reaches(t1, t2, sufficient_depth(t1, t2))

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .builder import run, subtype_by_graph, sufficient_depth
+from .builder import run, subtype_by_graph
 from .errors import GroundsubError, ParseError
 from .export import FORMATS, render
 from .rules import differential_check, is_subtype
@@ -81,8 +81,7 @@ def _cmd_query(args) -> int:
     table = _load_table(args.decls)
     t1 = parse_ground_type(args.type1, table)
     t2 = parse_ground_type(args.type2, table)
-    trace = run(table, sufficient_depth(t1, t2))
-    by_graph = subtype_by_graph(trace, t1, t2)
+    by_graph = subtype_by_graph(table, t1, t2)
     by_rules = is_subtype(t1, t2, table)
     print(f"graph: {str(by_graph).lower()}")
     print(f"oracle: {str(by_rules).lower()}")

@@ -26,9 +26,5 @@ class DeclarationError(GroundsubError):
     """A set of class declarations is inconsistent."""
 
 
-class QueryError(GroundsubError):
-    """A query needs a deeper construction than the one it was given."""
-
-
 class SizeLimitError(GroundsubError):
-    """A construction would exceed the vertex budget of the builder."""
+    """A construction or a query would exceed the vertex budget of the builder."""

@@ -165,11 +165,12 @@ class DifferentialReport:
 def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     """Compare both deciders over every ordered pair of enumerated types.
 
-    The graph decides a pair (t1, t2) as `builder.subtype_by_graph` does: in
-    S_k, with k = `sufficient_depth(t1, t2)`, t2 is t1 itself or one of t1's
-    descendants.  The label and rank of each type are computed once, and
-    each row t1 fetches its descendant set once for every k from its own
-    rank up; a cell then costs one set lookup.  The last graph is not read
+    The graph decides a pair (t1, t2) by the rule `builder.subtype_by_graph`
+    applies: in S_k, with k = `sufficient_depth(t1, t2)`, t2 is t1 itself or
+    one of t1's descendants.  Here the S_k are built by `run`, not searched
+    on demand.  The label and rank of each type are computed once, and each
+    row t1 fetches its descendant set once for every k from its own rank
+    up; a cell then costs one set lookup.  The last graph is not read
     in place of S_k: that S_k is the restriction of every later graph is a
     law of the construction, and the check is there to test it.
 

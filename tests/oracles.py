@@ -7,13 +7,16 @@ give `partial_product_via_merge`, closure and restriction give the laws the
 approximations must satisfy, and the two image functions restate the corner
 rule of `wildcards_graph` one vertex at a time.  `reference_is_subtype` is
 the rules decider with its equality tests first, as it was written before
-they were replaced by cheaper name tests.
+they were replaced by cheaper name tests.  `subtype_by_trace` is the graph
+decider as it was before it searched covers on demand: reachability in a
+materialised approximation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 
+from groundsub.builder import IterationTrace, sufficient_depth
 from groundsub.digraph import (
     Edge,
     EdgeTag,
@@ -43,6 +46,7 @@ from groundsub.typelang import (
     Inv,
     TypeArg,
     Wild,
+    canonical_label,
 )
 
 
@@ -299,3 +303,12 @@ def reference_is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> b
         return False
     assert t1.arg is not None and t2.arg is not None
     return reference_contains_argument(t1.arg, t2.arg, table)
+
+
+def subtype_by_trace(trace: IterationTrace, t1: GroundType, t2: GroundType) -> bool:
+    """Reachability in the materialised S_k, k = `sufficient_depth(t1, t2)`."""
+    k = sufficient_depth(t1, t2)
+    if k > trace.depth and not trace.reached_fixed_point:
+        raise ValueError(f"types need {k} iterations but the trace holds {trace.depth}")
+    s = trace.graphs[min(k, trace.depth) - 1]
+    return reachable(s.graph, canonical_label(t1), canonical_label(t2))

@@ -37,6 +37,7 @@ from oracles import (
     partial_product_via_merge,
     reflexive_transitive_closure,
     relabeled,
+    subtype_by_trace,
 )
 
 
@@ -168,7 +169,7 @@ def test_criterion_09_self_similar_embeddings(tables, traces):
 def test_criterion_10_variance_rule_triples_both_paths():
     with criterion(10, "variance rule triples via both deciders"):
         table = parse_declarations(NUMBERS_SOURCE)
-        trace = run(table, 2)
+        trace = run(table, 2)  # the materialised reference
         cases = [
             ("List<? extends Integer>", "List<? extends Number>", True),
             ("List<? super Number>", "List<? super Integer>", True),
@@ -178,7 +179,8 @@ def test_criterion_10_variance_rule_triples_both_paths():
         for left, right, expected in cases:
             t1 = parse_ground_type(left, table)
             t2 = parse_ground_type(right, table)
-            assert subtype_by_graph(trace, t1, t2) is expected, (left, right)
+            assert subtype_by_graph(table, t1, t2) is expected, (left, right)
+            assert subtype_by_trace(trace, t1, t2) is expected, (left, right)
             assert is_subtype(t1, t2, table) is expected, (left, right)
 
 

@@ -1,13 +1,21 @@
-"""The iterated construction and its reachability queries."""
+"""The iterated construction, the covers of its graphs worked out on
+demand, and the subtyping queries on them."""
 
 from __future__ import annotations
 
 import pytest
 
 from groundsub import (
+    WILD,
+    Cov,
+    GraphError,
+    GroundType,
+    InfiniteGraph,
+    Inv,
     PartitionedGraph,
-    QueryError,
     SizeLimitError,
+    canonical_label,
+    enumerate_types,
     initial_approximation,
     initial_wildcards,
     parse_declarations,
@@ -17,6 +25,7 @@ from groundsub import (
     run,
     step,
     subtype_by_graph,
+    sufficient_depth,
     transitive_reduction,
     wildcards_graph,
     wildcards_size,
@@ -33,6 +42,8 @@ from oracles import (
     induced_subgraph,
     reflexive_transitive_closure,
     relabeled,
+    reversed_graph,
+    subtype_by_trace,
 )
 
 
@@ -159,49 +170,136 @@ class TestVertexQueries:
 
 
 class TestSubtypeByGraph:
-    def test_bottom_below_everything(self, tables, traces):
+    def test_bottom_below_everything(self, tables):
         table = tables["one_generic"]
-        trace = traces["one_generic"]
         bottom = parse_ground_type("N", table)
         for text in ("O", "C<?>", "C<? <: C<?>>", "C<N>"):
-            assert subtype_by_graph(trace, bottom, parse_ground_type(text, table))
+            assert subtype_by_graph(table, bottom, parse_ground_type(text, table))
 
     def test_invariant_arguments_unrelated(self, numbers_table):
-        trace = run(numbers_table, 2)
         t1 = parse_ground_type("List<Integer>", numbers_table)
         t2 = parse_ground_type("List<Number>", numbers_table)
-        assert not subtype_by_graph(trace, t1, t2)
-        assert not subtype_by_graph(trace, t2, t1)
+        assert not subtype_by_graph(numbers_table, t1, t2)
+        assert not subtype_by_graph(numbers_table, t2, t1)
 
-    def test_wildcard_instantiation_below_top(self, tables, traces):
+    def test_wildcard_instantiation_below_top(self, tables):
         table = tables["one_generic"]
         t = parse_ground_type("C<?>", table)
-        assert subtype_by_graph(traces["one_generic"], t, parse_ground_type("O", table))
+        assert subtype_by_graph(table, t, parse_ground_type("O", table))
 
-    def test_depth_from_ranks(self, tables):
+    def test_reflexive_transitive_antisymmetric(self, tables):
         table = tables["one_generic"]
-        shallow = run(table, 1)
-        t = parse_ground_type("C<? <: C<?>>", table)
-        with pytest.raises(QueryError, match="rerun"):
-            subtype_by_graph(shallow, t, t)
-
-    def test_reflexive_transitive_antisymmetric(self, tables, traces):
-        from groundsub import enumerate_types
-
-        table = tables["one_generic"]
-        trace = traces["one_generic"]
         universe = enumerate_types(table, 2)
         for t in universe:
-            assert subtype_by_graph(trace, t, t)
+            assert subtype_by_graph(table, t, t)
         for a in universe:
             for b in universe:
-                if a != b and subtype_by_graph(trace, a, b):
-                    assert not subtype_by_graph(trace, b, a)
+                if a != b and subtype_by_graph(table, a, b):
+                    assert not subtype_by_graph(table, b, a)
         for a in universe:
             for b in universe:
                 for c in universe:
-                    if subtype_by_graph(trace, a, b) and subtype_by_graph(trace, b, c):
-                        assert subtype_by_graph(trace, a, c)
+                    if subtype_by_graph(table, a, b) and subtype_by_graph(table, b, c):
+                        assert subtype_by_graph(table, a, c)
+
+    def test_search_agrees_with_reachable_on_every_pair(self, tables, traces):
+        # Every ordered pair of S_3, each read from the materialised S_k of
+        # its own depth.  One graph per program shares its covers across
+        # the searches; `subtype_by_graph` makes a fresh one per call.
+        for name, table in tables.items():
+            trace, graph = traces[name], InfiniteGraph(table)
+            types = [parse_ground_type(v, table) for v in trace.last.graph.sorted_vertices]
+            for a in types:
+                for b in types:
+                    expected = subtype_by_trace(trace, a, b)
+                    assert graph.reaches(a, b, sufficient_depth(a, b)) == expected, (name, a, b)
+
+    def test_search_budget_at_the_boundary(self, tables, monkeypatch):
+        # Above C<N> in S_2 lie C<? <: C<?>>, C<?> and O: four vertices.
+        table = tables["one_generic"]
+        t1, t2 = parse_ground_type("C<N>", table), parse_ground_type("C<O>", table)
+        monkeypatch.setattr(builder, "MAX_VERTICES", 4)
+        assert not subtype_by_graph(table, t1, t2)
+        monkeypatch.setattr(builder, "MAX_VERTICES", 3)
+        with pytest.raises(SizeLimitError, match="above C<N> in approximation 2 passed the limit of 3"):
+            subtype_by_graph(table, t1, t2)
+
+    def test_enumeration_refused_before_it_starts(self, tables, monkeypatch):
+        # N's covers in S_3 are C<t> for every t of S_2, which has 8 vertices.
+        table = tables["one_generic"]
+        monkeypatch.setattr(builder, "MAX_VERTICES", 7)
+        graph = InfiniteGraph(table)
+        bottom, deep = parse_ground_type("N", table), parse_ground_type("C<C<C<?>>>", table)
+        with pytest.raises(SizeLimitError, match="approximation 2 would have 8 vertices"):
+            graph.reaches(bottom, deep, 3)
+        monkeypatch.setattr(builder, "MAX_VERTICES", 8)
+        assert len(graph.vertices(2)) == 8
+
+    def test_rank_twenty_answers_without_building(self, tables, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("built an approximation to answer a query")
+
+        for name in ("run", "partial_product", "wildcards_graph"):
+            monkeypatch.setattr(builder, name, refuse)
+        table = tables["one_generic"]
+        deep = parse_ground_type("C<" * 20 + "?" + ">" * 20, table)
+        assert subtype_by_graph(table, deep, parse_ground_type("C<? <: C<?>>", table))
+        assert not subtype_by_graph(table, parse_ground_type("C<?>", table), deep)
+
+
+GATE_DEPTH = 4
+
+
+@pytest.fixture(scope="module")
+def gate_traces(tables, numbers_table):
+    """S_1 to S_4 of every corpus program and the numbers table."""
+    programs = dict(tables, numbers=numbers_table)
+    return {name: (table, run(table, GATE_DEPTH)) for name, table in programs.items()}
+
+
+def labels(types):
+    return sorted(map(canonical_label, types))
+
+
+class TestInfiniteGraph:
+    def test_covers_match_the_materialised_graphs(self, gate_traces):
+        for name, (table, trace) in gate_traces.items():
+            graph = InfiniteGraph(table)
+            for k, s in enumerate(trace.graphs, start=1):
+                below = reversed_graph(s.graph)
+                for v in s.graph.sorted_vertices:
+                    t = parse_ground_type(v, table)
+                    assert labels(graph.covers_up(t, k)) == list(s.graph.successors(v)), (name, k, v)
+                    assert labels(graph.covers_down(t, k)) == list(below.successors(v)), (name, k, v)
+
+    def test_vertices_match_the_materialised_graphs(self, gate_traces):
+        for name, (table, trace) in gate_traces.items():
+            graph = InfiniteGraph(table)
+            for k, s in enumerate(trace.graphs, start=1):
+                assert labels(graph.vertices(k)) == list(s.graph.sorted_vertices), (name, k)
+
+    def test_covers_depend_on_depth(self, tables):
+        table = tables["one_generic"]
+        graph = InfiniteGraph(table)
+        bottom, wild = parse_ground_type("N", table), parse_ground_type("C<?>", table)
+        assert wild in graph.covers_up(bottom, 1)
+        assert wild not in graph.covers_up(bottom, 2)
+
+    def test_only_vertices_of_the_approximation_have_covers(self, tables):
+        table = tables["one_generic"]
+        graph = InfiniteGraph(table)
+        nested = parse_ground_type("C<C<?>>", table)
+        for t in (
+            nested,  # rank 2
+            GroundType("C"),  # a generic class needs an argument
+            GroundType("O", WILD),  # a plain class takes none
+            GroundType("D"),  # not a class of the table
+            GroundType("C", Cov(parse_ground_type("O", table))),  # spelled `C<?>`
+            GroundType("C", Inv(GroundType("C"))),
+        ):
+            with pytest.raises(GraphError, match="is not a vertex of approximation 1"):
+                graph.covers_up(t, 1)
+        assert graph.covers_down(nested, 2)
 
 
 class TestSelfSimilarity:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
+import sys
+import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from groundsub import parse_declarations, render, run, to_dot, to_graphml, to_js
 from groundsub.cli import main
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 @pytest.fixture
@@ -184,18 +190,71 @@ class TestCli:
         assert err.count("\n") == 1
 
     def test_oversized_query_exits_one_before_building(self, decls_path, capsys, monkeypatch):
-        # A rank-12 query on one generic class needs 442,868 vertices.
+        # In S_13 of one generic class, N's covers are C<t> for every t of
+        # S_12, which has 442,868 vertices.
         import groundsub.builder as builder_module
 
         def refuse(*args, **kwargs):
             pytest.fail("built a graph although the predicted size is over the limit")
 
         monkeypatch.setattr(builder_module, "partial_product", refuse)
-        deep = "C<" * 12 + "?" + ">" * 12
-        assert main(["query", "--decls", str(decls_path), deep, "O"]) == 1
+        deep = "C<? :> " + "C<" * 12 + "?" + ">" * 13
+        assert main(["query", "--decls", str(decls_path), "N", deep]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "442868 vertices" in err
         assert err.count("\n") == 1
+
+    def test_query_past_the_search_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Most of S_8 of two generic classes lies above C<? :> C<?>> in S_9.
+        import groundsub.builder as builder_module
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built an approximation to answer a query")
+
+        monkeypatch.setattr(builder_module, "partial_product", refuse)
+        decls = tmp_path / "two.decls"
+        decls.write_text(CORPUS["two_generics"], encoding="utf-8")
+        deep = "D<" * 8 + "C<?>" + ">" * 8
+        started = time.perf_counter()
+        assert main(["query", "--decls", str(decls), "C<? :> C<?>>", deep]) == 1
+        assert time.perf_counter() - started < 60
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: ") and "passed the limit of 200000 vertices" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_rank_twenty_query_answers(self, decls_path, capsys):
+        deep = "C<" * 20 + "?" + ">" * 20
+        bound = "C<? extends " + "C<" * 19 + "?" + ">" * 20
+        assert main(["query", "--decls", str(decls_path), deep, bound]) == 0
+        assert capsys.readouterr().out.splitlines() == ["graph: true", "oracle: true"]
+
+    def test_query_builds_nothing(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's query streams for seeds 1-3 cover every corpus
+        # program; each query must print exactly the verdicts it expects.
+        import groundsub.builder as builder_module
+
+        spec = importlib.util.spec_from_file_location("groundsub_bench_workloads", WORKLOADS_PATH)
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up by name.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built an approximation to answer a query")
+
+        for name in ("run", "partial_product", "wildcards_graph"):
+            monkeypatch.setattr(builder_module, name, refuse)
+        workloads.write_declarations(tmp_path, workloads.QUERY_PROGRAMS)
+        for seed in (1, 2, 3):
+            ops = workloads.make_ops("query-stream", seed)
+            assert {op.program for op in ops} == set(CORPUS)
+            for op in ops:
+                code = main(op.argv(tmp_path))
+                captured = capsys.readouterr()
+                assert op.check(code, captured.out, tmp_path) == [], (seed, op)
+                assert captured.err == ""
 
     def test_selfcheck_without_generics_stops_at_the_fixed_point(self, tmp_path, capsys):
         decls = tmp_path / "plain.decls"

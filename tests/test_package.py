@@ -35,8 +35,8 @@ TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 EXPORTED = {
     "BOTTOM_CLASS", "BipointedGraph", "ClassTable", "Con", "Cov", "DeclarationError",
     "DifferentialReport", "Edge", "EdgePartition", "EdgeTag", "FORMATS", "GraphError",
-    "GroundType", "GroundsubError", "Inv", "IterationTrace", "LabeledDigraph", "Mismatch",
-    "ParseError", "PartitionedGraph", "QueryError", "SizeLimitError", "TOP_CLASS",
+    "GroundType", "GroundsubError", "InfiniteGraph", "Inv", "IterationTrace",
+    "LabeledDigraph", "Mismatch", "ParseError", "PartitionedGraph", "SizeLimitError", "TOP_CLASS",
     "TypeArg", "WILD", "WILDCARD", "Wild", "argument_label", "canonical_label",
     "contains_argument", "differential_check", "enumerate_types", "initial_approximation",
     "initial_wildcards", "is_subtype", "normalize_argument", "normalize_type", "pair_label",
@@ -52,6 +52,7 @@ ORACLES = (
     "reversed_graph", "relabeled", "partial_product_via_merge", "covariant_image",
     "contravariant_image", "has_edge", "tag_of", "predecessors", "edge_pairs",
     "equals_ignoring_tags", "reference_is_subtype", "reference_contains_argument",
+    "subtype_by_trace",
 )
 
 
