@@ -7,9 +7,10 @@ give `partial_product_via_merge`, closure and restriction give the laws the
 approximations must satisfy, and the two image functions restate the corner
 rule of `wildcards_graph` one vertex at a time.  `reference_is_subtype` is
 the rules decider with its equality tests first, as it was written before
-they were replaced by cheaper name tests.  `subtype_by_trace` is the graph
-decider as it was before it searched covers on demand: reachability in a
-materialised approximation.
+they were replaced by cheaper name tests, on whole types rather than
+interned ids, with its own walk up the superclass chain.
+`subtype_by_trace` is the graph decider as it was before it searched covers
+on demand: reachability in a materialised approximation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from groundsub.labels import (
     upper_bounded_label,
 )
 from groundsub.product import PartitionedGraph, _product_labels
-from groundsub.rules import _inherits
 from groundsub.typelang import (
     NULL_TYPE,
     OBJECT_TYPE,
@@ -264,6 +264,21 @@ def contravariant_image(class_name: str, label: str) -> str:
     return instantiation_label(class_name, lower_bounded_label(label))
 
 
+def reference_inherits(table: ClassTable, sub: str, sup: str) -> bool:
+    """Reflexive reachability in the declared superclass chains, walking
+    parent pointers one class at a time."""
+    if sub == sup or sub == BOTTOM_CLASS:
+        return True
+    if sup == BOTTOM_CLASS:
+        return False
+    current = sub
+    while current != TOP_CLASS:
+        current = table.superclass_of(current)
+        if current == sup:
+            return True
+    return False
+
+
 def reference_contains_argument(inner: TypeArg, outer: TypeArg, table: ClassTable) -> bool:
     """Argument containment, deciding bounds with `reference_is_subtype`."""
     if inner == outer:
@@ -295,7 +310,7 @@ def reference_is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> b
         return True
     if t2 == OBJECT_TYPE:
         return True
-    if not _inherits(table, t1.name, t2.name):
+    if not reference_inherits(table, t1.name, t2.name):
         return False
     if not table.is_generic(t2.name):
         return True

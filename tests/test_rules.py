@@ -6,9 +6,12 @@ import dataclasses
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groundsub import (
     WILD,
+    ClassTable,
     Con,
     Cov,
     GroundType,
@@ -21,14 +24,22 @@ from groundsub import (
     differential_check,
     enumerate_types,
     is_subtype,
+    normalize_type,
     parse_declarations,
     parse_ground_type,
     run,
 )
 from groundsub import builder, rules
+from groundsub.cli import main
 
-from conftest import ALL_PLAIN_SOURCE
+from conftest import ALL_PLAIN_SOURCE, CORPUS, NUMBERS_SOURCE
 from oracles import reference_is_subtype
+
+# Tables whose types `test_deep_types_agree_with_equality_guards` nests.
+DEEP_TABLES = {
+    "one_generic": parse_declarations(CORPUS["one_generic"]),
+    "numbers": parse_declarations(NUMBERS_SOURCE),
+}
 
 
 @pytest.fixture
@@ -45,6 +56,28 @@ def args_universe(table, max_rank=2):
             out.append(Cov(t))
             out.append(Con(t))
     return out
+
+
+@st.composite
+def nested_types(draw, table, max_depth=8):
+    """A normalised type over `table`: a plain class or `C<?>` inside up to
+    `max_depth` generic classes, each with an exact or a bounded argument."""
+    plain = [GroundType(c) for c in table.classes if not table.is_generic(c)]
+    generics = sorted(table.generic)
+    t = draw(st.sampled_from(plain + [GroundType(c, WILD) for c in generics]))
+    for _ in range(draw(st.integers(min_value=0, max_value=max_depth))):
+        kind = draw(st.sampled_from([Inv, Cov, Con]))
+        t = GroundType(draw(st.sampled_from(generics)), kind(t))
+    return normalize_type(t)
+
+
+def deep_pairs():
+    """A table of `DEEP_TABLES` with two nested types over it."""
+    return st.sampled_from(sorted(DEEP_TABLES)).flatmap(
+        lambda name: st.tuples(
+            st.just(name), nested_types(DEEP_TABLES[name]), nested_types(DEEP_TABLES[name])
+        )
+    )
 
 
 class TestContains:
@@ -127,8 +160,8 @@ class TestSubtype:
                 rhs = is_subtype(GroundType("C", a), GroundType("C", b), table)
                 assert lhs == rhs
 
-    def test_name_guards_agree_with_equality_guards(self, tables):
-        for name, table in tables.items():
+    def test_name_guards_agree_with_equality_guards(self, tables, numbers_table):
+        for name, table in [*tables.items(), ("numbers", numbers_table)]:
             universe = enumerate_types(table, 3)
             for a in universe:
                 for b in universe:
@@ -136,12 +169,64 @@ class TestSubtype:
                         name, canonical_label(a), canonical_label(b)
                     )
 
+    @given(deep_pairs())
+    def test_deep_types_agree_with_equality_guards(self, case):
+        # `query` decides types nested deeper than `selfcheck` enumerates.
+        name, a, b = case
+        table = DEEP_TABLES[name]
+        for t1, t2 in ((a, b), (b, a), (a, a)):
+            assert is_subtype(t1, t2, table) == reference_is_subtype(t1, t2, table), (
+                name, canonical_label(t1), canonical_label(t2)
+            )
+
     def test_unrelated_heads(self, tables):
         table = tables["two_generics"]
         c = GroundType("C", WILD)
         d = GroundType("D", WILD)
         assert not is_subtype(c, d, table)
         assert not is_subtype(d, c, table)
+
+
+class TestInterning:
+    def test_equal_types_built_separately_share_an_id(self, tables):
+        table = tables["two_generics"]
+        decider = rules._Rules(table)
+        text = "C<? <: D<? :> C<C<?>>>>"
+        built = GroundType("C", Cov(GroundType("D", Con(GroundType("C", Inv(GroundType("C", WILD)))))))
+        first = decider.intern(parse_ground_type(text, table))
+        assert decider.intern(parse_ground_type(text, table)) == first
+        assert decider.intern(built) == first
+        assert decider.intern(parse_ground_type("C<? <: D<? :> C<D<?>>>>", table)) != first
+
+    def test_one_id_per_type_of_every_corpus_program(self, tables):
+        for name, table in tables.items():
+            decider = rules._Rules(table)
+            types = enumerate_types(table, 4)
+            ids = {decider.intern(t) for t in types}
+            assert len(ids) == len(types), name
+            # Every bound is itself an enumerated type, so no other id exists.
+            assert ids == set(range(len(types))), name
+
+    def test_query_on_a_long_chain_walks_each_class_once(self, tmp_path, capsys, monkeypatch):
+        # Working out every class's superclass set up front would walk
+        # about n * n / 2 parent pointers here.
+        n = 2000
+        chain = "".join(f"class C{i} extends C{i - 1} {{}}\n" for i in range(1, n))
+        decls = tmp_path / "chain.decls"
+        decls.write_text("class G<T> {}\nclass C0 {}\n" + chain, encoding="utf-8")
+        calls = 0
+        real = ClassTable.superclass_of
+
+        def counted(self, name):
+            nonlocal calls
+            calls += 1
+            return real(self, name)
+
+        monkeypatch.setattr(ClassTable, "superclass_of", counted)
+        lowest = f"G<? extends C{n - 1}>"
+        assert main(["query", "--decls", str(decls), lowest, "G<? extends C0>"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["graph: true", "oracle: true"]
+        assert 0 < calls <= 2 * n
 
 
 class TestEnumerateTypes:
@@ -214,14 +299,14 @@ class TestDifferentialCheck:
         )
 
     def test_swapped_contravariant_rule_is_caught(self, one_generic, monkeypatch):
-        real = rules.contains_argument
+        real = rules._Rules.contains
 
-        def swapped(inner, outer, table):
-            if isinstance(outer, Con) and isinstance(inner, (Con, Inv)) and inner != outer:
-                return rules.is_subtype(inner.bound, outer.bound, table)
-            return real(inner, outer, table)
+        def swapped(self, kind1, bound1, kind2, bound2):
+            if kind2 is Con and kind1 in (Con, Inv) and (kind1, bound1) != (kind2, bound2):
+                return self.subtype(bound1, bound2)
+            return real(self, kind1, bound1, kind2, bound2)
 
-        monkeypatch.setattr(rules, "contains_argument", swapped)
+        monkeypatch.setattr(rules._Rules, "contains", swapped)
         assert not differential_check(one_generic, 3).ok
 
     def test_one_flipped_rule_verdict_is_the_one_mismatch(self, one_generic, monkeypatch):
@@ -229,13 +314,13 @@ class TestDifferentialCheck:
         # flip reaches no other pair through the recursion.
         left = parse_ground_type("C<C<N>>", one_generic)
         right = parse_ground_type("C<?>", one_generic)
-        real = rules.is_subtype
+        real = rules._Rules.subtype
 
-        def flipped(t1, t2, table):
-            verdict = real(t1, t2, table)
-            return not verdict if (t1, t2) == (left, right) else verdict
+        def flipped(self, i, j):
+            verdict = real(self, i, j)
+            return not verdict if (i, j) == (self.intern(left), self.intern(right)) else verdict
 
-        monkeypatch.setattr(rules, "is_subtype", flipped)
+        monkeypatch.setattr(rules._Rules, "subtype", flipped)
         report = differential_check(one_generic, 3)
         assert report.mismatches == (
             Mismatch("C<C<N>>", "C<?>", graph_verdict=True, rule_verdict=False),
