@@ -111,17 +111,34 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
     A table without generic classes stops at its first graph, which every
     further step would reproduce, and records the fixed point.  Raises
     `SizeLimitError`, before building anything, when an approximation would
-    have more than `MAX_VERTICES` vertices.
+    have more than `MAX_VERTICES` vertices.  After each step it checks the
+    paper's size laws, |S_k| = n_k and |W(S_k)| = 3(n_k - 1) with n_k from
+    `predicted_sizes`, and raises `GraphError` naming the law that fails.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    sizes = []
     for k, n in zip(range(1, iterations + 1), predicted_sizes(table)):
         _refuse_oversized(k, n)
+        sizes.append(n)
     graphs = [initial_approximation(table)]
-    while len(graphs) < iterations and table.generic:
-        graphs.append(step(table, graphs[-1]))
+    _check_size_law("|S_k| = n_k", 1, len(graphs[0].vertices), sizes[0])
+    for k in range(1, len(sizes)):
+        arguments = wildcards_graph(graphs[-1])
+        _check_size_law(
+            "|W(S_k)| = 3(n_k - 1)", k, len(arguments.vertices), wildcards_size(sizes[k - 1])
+        )
+        graphs.append(_product_with_arguments(table, arguments))
+        _check_size_law("|S_k| = n_k", k + 1, len(graphs[-1].vertices), sizes[k])
     fixed = not table.generic and iterations > 1
     return IterationTrace(table, tuple(graphs), reached_fixed_point=fixed)
+
+
+def _check_size_law(law: str, k: int, actual: int, predicted: int) -> None:
+    if actual != predicted:
+        raise GraphError(
+            f"size law {law} fails at k = {k}: {actual} vertices, predicted {predicted}"
+        )
 
 
 def _refuse_oversized(k: int, n: int) -> None:

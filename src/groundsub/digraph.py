@@ -42,6 +42,9 @@ class Edge(NamedTuple):
     tag: EdgeTag
 
 
+_target = itemgetter(1)
+
+
 @dataclass(frozen=True, repr=False)
 class LabeledDigraph:
     """Finite DAG over label strings with at most one tagged edge per pair."""
@@ -55,17 +58,18 @@ class LabeledDigraph:
         # One pass over the sorted edges validates them and builds the
         # successor index, so successor tuples come out in label order.
         # Sorting puts parallel edges next to each other.
-        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
-        indegree = dict.fromkeys(self.vertices, 0)
-        last = None
+        vertices = self.vertices
+        succ: dict[str, list[str]] = {v: [] for v in vertices}
+        indegree = dict.fromkeys(vertices, 0)
+        last_src = last_dst = None
         for src, dst, _ in self.sorted_edges:
             if src == dst:
                 raise GraphError(f"self-loop on {src!r}")
-            if src not in self.vertices or dst not in self.vertices:
+            if src not in vertices or dst not in vertices:
                 raise GraphError(f"edge {src!r} -> {dst!r} leaves the vertex set")
-            if (src, dst) == last:
+            if dst == last_dst and src == last_src:
                 raise GraphError(f"parallel edges between {src!r} and {dst!r}")
-            last = (src, dst)
+            last_src, last_dst = src, dst
             succ[src].append(dst)
             indegree[dst] += 1
         object.__setattr__(self, "_succ", {v: tuple(ns) for v, ns in succ.items()})
@@ -109,8 +113,18 @@ class LabeledDigraph:
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        # By endpoints only, so parallel edges never compare their tags.
-        return tuple(sorted(self.edges, key=itemgetter(0, 1)))
+        # In (src, dst) order, the order validation reports defects in.
+        # The distinct sources are sorted once and then each source's short
+        # out-list by target, which compares far fewer long labels than
+        # sorting every edge by its endpoints.  Parallel edges never compare
+        # their tags and keep their relative order.
+        out: dict[str, list[Edge]] = {}
+        for edge in self.edges:
+            out.setdefault(edge[0], []).append(edge)
+        ordered: list[Edge] = []
+        for src in sorted(out):
+            ordered += sorted(out[src], key=_target)
+        return tuple(ordered)
 
     def successors(self, label: str) -> tuple[str, ...]:
         self._require_vertex(label)

@@ -3,26 +3,38 @@
 All three formats list vertices and edges in lexicographic order, so
 re-rendering the same graph always produces identical bytes.  Layout is the
 renderer's job; the DOT output only hints that the order grows bottom-up.
+
+The JSON bytes equal `json.dumps(payload, indent=2) + "\\n"` for the payload
+`{"vertices": [...], "edges": [{"from": ..., "to": ..., "tag": ...}, ...]}`,
+but the writer does not call `json.dumps`: with `indent` set, that takes
+the pure-Python encoder.  It formats the layout by hand and quotes each
+label once with the C string encoder `json.dumps` itself uses.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _json_quote
 from xml.sax.saxutils import escape
 
 from .digraph import EdgeTag, LabeledDigraph
 
 _DOT_COLORS = {EdgeTag.COVARIANT: "green", EdgeTag.CONTRAVARIANT: "red"}
+_JSON_TAGS = {tag: _json_quote(tag.value) for tag in EdgeTag}
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def to_json(g: LabeledDigraph) -> str:
-    payload = {
-        "vertices": list(g.sorted_vertices),
-        "edges": [
-            {"from": e.src, "to": e.dst, "tag": e.tag.value} for e in g.sorted_edges
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    quoted = {v: _json_quote(v) for v in g.sorted_vertices}
+    vertices = [f"    {q}" for q in quoted.values()]
+    edges = [
+        f'    {{\n      "from": {quoted[src]},\n      "to": {quoted[dst]},'
+        f'\n      "tag": {_JSON_TAGS[tag]}\n    }}'
+        for src, dst, tag in g.sorted_edges
+    ]
+    return f'{{\n  "vertices": {_json_list(vertices)},\n  "edges": {_json_list(edges)}\n}}\n'
 
 
 def _dot_quote(label: str) -> str:

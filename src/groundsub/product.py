@@ -79,11 +79,13 @@ def _product_labels(
     pg: PartitionedGraph,
     g2: LabeledDigraph,
     combine: Callable[[str, str], str],
-) -> dict[tuple[str, str], str]:
+) -> dict[str, dict[str, str]]:
+    """One row per product vertex u: the label of (u, v) for every v of `g2`."""
     plain = pg.nonproduct_vertices
-    labels: dict[tuple[str, str], str] = {}
+    rows: dict[str, dict[str, str]] = {}
     owners: dict[str, tuple[str, str]] = {}
     for u in sorted(pg.product_vertices):
+        row = rows[u] = {}
         for v in g2.sorted_vertices:
             name = combine(u, v)
             if name in owners:
@@ -95,14 +97,14 @@ def _product_labels(
                     f"label collision: {name!r} already names a non-product vertex"
                 )
             owners[name] = (u, v)
-            labels[(u, v)] = name
-    return labels
+            row[v] = name
+    return rows
 
 
 def _cover_edges(
     pg: PartitionedGraph,
     g2: LabeledDigraph,
-    labels: dict[tuple[str, str], str],
+    rows: dict[str, dict[str, str]],
 ) -> list[Edge]:
     """Edges of the product: its covers when both factors are in Hasse form.
 
@@ -112,20 +114,19 @@ def _cover_edges(
     the first factor unchanged).
     """
     pp, pn, np, nn = pg.classify_edges()
-    sinks, sources = g2.sinks, g2.sources
+    second, sinks, sources = g2.sorted_vertices, g2.sinks, g2.sources
     edges: list[Edge] = []
-    for edge in pp:
-        for v in g2.sorted_vertices:
-            edges.append(Edge(labels[(edge.src, v)], labels[(edge.dst, v)], edge.tag))
-    for u in sorted(pg.product_vertices):
-        for edge in g2.sorted_edges:
-            edges.append(Edge(labels[(u, edge.src)], labels[(u, edge.dst)], edge.tag))
-    for edge in pn:
-        for v in sinks:
-            edges.append(Edge(labels[(edge.src, v)], edge.dst, EdgeTag.INHERIT))
-    for edge in np:
-        for v in sources:
-            edges.append(Edge(edge.src, labels[(edge.dst, v)], EdgeTag.INHERIT))
+    for src, dst, tag in pp:
+        lower, upper = rows[src], rows[dst]
+        edges += [Edge(lower[v], upper[v], tag) for v in second]
+    for row in rows.values():
+        edges += [Edge(row[src], row[dst], tag) for src, dst, tag in g2.sorted_edges]
+    for src, dst, _ in pn:
+        row = rows[src]
+        edges += [Edge(row[v], dst, EdgeTag.INHERIT) for v in sinks]
+    for src, dst, _ in np:
+        row = rows[dst]
+        edges += [Edge(src, row[v], EdgeTag.INHERIT) for v in sources]
     edges.extend(nn)
     return edges
 
@@ -142,6 +143,6 @@ def partial_product(
     """
     if not g2.vertices:
         raise GraphError("second factor must be nonempty")
-    labels = _product_labels(pg, g2, combine)
-    vertices = frozenset(labels.values()) | pg.nonproduct_vertices
-    return LabeledDigraph(vertices, frozenset(_cover_edges(pg, g2, labels)))
+    rows = _product_labels(pg, g2, combine)
+    vertices = frozenset(name for row in rows.values() for name in row.values())
+    return LabeledDigraph(vertices | pg.nonproduct_vertices, frozenset(_cover_edges(pg, g2, rows)))

@@ -35,32 +35,22 @@ def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
     if g.top == g.bottom:
         raise GraphError("input graph must contain distinct top and bottom vertices")
     top, bottom = g.top, g.bottom
-
-    def upper(t: str) -> str:
-        # The whole upper-bounded copy of `top` is the default argument, and
-        # nothing lies strictly below `bottom`, so both corners coalesce.
-        if t == top:
-            return WILDCARD
-        if t == bottom:
-            return bottom
-        return upper_bounded_label(t)
-
-    def lower(t: str) -> str:
-        if t == bottom:
-            return WILDCARD
-        if t == top:
-            return top
-        return lower_bounded_label(t)
+    inner = g.vertices - {top, bottom}
+    # Each vertex's two bounded forms, computed once.  The whole
+    # upper-bounded copy of `top` is the default argument, and nothing lies
+    # strictly below `bottom`, so both corners coalesce.
+    upper = {t: upper_bounded_label(t) for t in inner}
+    upper.update({top: WILDCARD, bottom: bottom})
+    lower = {t: lower_bounded_label(t) for t in inner}
+    lower.update({top: top, bottom: WILDCARD})
 
     # `upper` and `lower` are injective and the three families share no pair.
     edges: list[Edge] = []
-    for edge in g.graph.edges:
-        edges.append(Edge(upper(edge.src), upper(edge.dst), EdgeTag.COVARIANT))
-        edges.append(Edge(lower(edge.dst), lower(edge.src), EdgeTag.CONTRAVARIANT))
-    vertices = {WILDCARD, top, bottom}
-    for t in g.vertices:
-        if t not in (top, bottom):
-            vertices.update((t, upper(t), lower(t)))
-            edges.append(Edge(t, upper(t), EdgeTag.INV_LINK))
-            edges.append(Edge(t, lower(t), EdgeTag.INV_LINK))
-    return LabeledDigraph(frozenset(vertices), frozenset(edges))
+    for src, dst, _ in g.graph.edges:
+        edges.append(Edge(upper[src], upper[dst], EdgeTag.COVARIANT))
+        edges.append(Edge(lower[dst], lower[src], EdgeTag.CONTRAVARIANT))
+    for t in inner:
+        edges.append(Edge(t, upper[t], EdgeTag.INV_LINK))
+        edges.append(Edge(t, lower[t], EdgeTag.INV_LINK))
+    vertices = frozenset((*inner, *upper.values(), *lower.values()))
+    return LabeledDigraph(vertices, frozenset(edges))

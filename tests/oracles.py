@@ -10,11 +10,13 @@ the rules decider with its equality tests first, as it was written before
 they were replaced by cheaper name tests, on whole types rather than
 interned ids, with its own walk up the superclass chain.
 `subtype_by_trace` is the graph decider as it was before it searched covers
-on demand: reachability in a materialised approximation.
+on demand: reachability in a materialised approximation.  `reference_json`
+is the JSON export as `json.dumps` writes it.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable, Iterable, Mapping
 
 from groundsub.builder import IterationTrace, sufficient_depth
@@ -74,6 +76,17 @@ def predecessors(g: LabeledDigraph, label: str) -> tuple[str, ...]:
 
 def equals_ignoring_tags(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
     return g1.vertices == g2.vertices and edge_pairs(g1) == edge_pairs(g2)
+
+
+def reference_json(g: LabeledDigraph) -> str:
+    """The JSON export through `json.dumps(indent=2)`."""
+    payload = {
+        "vertices": list(g.sorted_vertices),
+        "edges": [
+            {"from": e.src, "to": e.dst, "tag": e.tag.value} for e in g.sorted_edges
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _coalesce(candidates: Iterable[tuple[str, str, EdgeTag]]) -> list[Edge]:
@@ -236,7 +249,7 @@ def partial_product_via_merge(
         merged = merge_vertices(merged, cluster, cluster[0])
 
     final = _product_labels(pg, g2, combine)
-    names = {pair_label(u, v): lab for (u, v), lab in final.items()}
+    names = {pair_label(u, v): lab for u, row in final.items() for v, lab in row.items()}
     for w in pg.nonproduct_vertices:
         names[pair_label(w, second[0])] = w
     return transitive_reduction(relabeled(merged, lambda v: names[v]))

@@ -3,6 +3,8 @@ demand, and the subtyping queries on them."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from groundsub import (
@@ -12,6 +14,7 @@ from groundsub import (
     GroundType,
     InfiniteGraph,
     Inv,
+    LabeledDigraph,
     PartitionedGraph,
     SizeLimitError,
     canonical_label,
@@ -30,7 +33,7 @@ from groundsub import (
     wildcards_graph,
     wildcards_size,
 )
-from groundsub import builder
+from groundsub import builder, cli
 from groundsub.labels import instantiation_label
 
 from conftest import ALL_PLAIN_SOURCE
@@ -116,6 +119,43 @@ class TestRun:
             run(tables["one_generic"], 4)
         # Without generics the sizes never grow, however deep the run.
         assert run(parse_declarations(ALL_PLAIN_SOURCE), 10**9).reached_fixed_point
+
+    def test_size_law_of_the_argument_graph_is_checked(self, tables, tmp_path, capsys, monkeypatch):
+        def one_argument_too_many(g):
+            w = wildcards_graph(g)
+            return LabeledDigraph(w.vertices | {"? <: extra"}, w.edges)
+
+        monkeypatch.setattr(builder, "wildcards_graph", one_argument_too_many)
+        # One generic class predicts n_1 = 3, so W(S_1) must have 6 vertices.
+        law = r"size law \|W\(S_k\)\| = 3\(n_k - 1\) fails at k = 1: 7 vertices, predicted 6"
+        with pytest.raises(GraphError, match=law):
+            run(tables["one_generic"], 2)
+        assert run(tables["one_generic"], 1).stats == ((3, 2),)
+        decls = tmp_path / "one.decls"
+        decls.write_text("class C<T> {}\n", encoding="utf-8")
+        assert cli.main(["stats", "--decls", str(decls), "--iterations", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {law}\n", captured.err)
+
+    def test_size_law_of_each_step_is_checked(self, tables, tmp_path, capsys, monkeypatch):
+        def product_ignoring_its_arguments(pg, arguments, combine):
+            return partial_product(pg, initial_wildcards(), combine)
+
+        monkeypatch.setattr(builder, "partial_product", product_ignoring_its_arguments)
+        # Two generic classes predict 4 and then 2 * 3(4 - 1) + 2 = 20 vertices.
+        law = r"size law \|S_k\| = n_k fails at k = 2: 4 vertices, predicted 20"
+        with pytest.raises(GraphError, match=law):
+            run(tables["two_generics"], 3)
+        decls = tmp_path / "two.decls"
+        decls.write_text("class C<T> {}\nclass D<T> {}\n", encoding="utf-8")
+        out = str(tmp_path / "graph.json")
+        argv = ["build", "--decls", str(decls), "--iterations", "2", "--format", "json", "--out", out]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {law}\n", captured.err)
+        assert not (tmp_path / "graph.json").exists()
 
     def test_vertex_count_recurrence(self, tables, traces):
         for name, trace in traces.items():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 from hypothesis import given
 
@@ -32,6 +34,9 @@ from oracles import (
     reversed_graph,
     tag_of,
 )
+
+
+P, C = EdgeTag.PRODUCT, EdgeTag.COVARIANT
 
 
 def chain(*labels: str) -> LabeledDigraph:
@@ -81,6 +86,48 @@ class TestConstruction:
         assert equals_ignoring_tags(
             g1, LabeledDigraph.from_edges([("a", "b", EdgeTag.COVARIANT)])
         )
+
+
+class TestValidationOrder:
+    """With two defects, the message names the one first in (src, dst) order."""
+
+    @staticmethod
+    def message(vertices, edges):
+        built = frozenset(Edge(src, dst, tag) for src, dst, tag in edges)
+        with pytest.raises(GraphError) as info:
+            LabeledDigraph(frozenset(vertices), built)
+        return str(info.value)
+
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            # self-loop and parallel edges
+            ([("a", "a", P), ("b", "c", P), ("b", "c", C)], "self-loop on 'a'"),
+            ([("a", "b", P), ("a", "b", C), ("c", "c", P)], "parallel edges between 'a' and 'b'"),
+            ([("b", "b", P), ("a", "c", P), ("a", "c", C)], "parallel edges between 'a' and 'c'"),
+            ([("a", "c", P), ("a", "c", C), ("a", "b", P), ("b", "b", P)],
+             "parallel edges between 'a' and 'c'"),
+            # dangling edge and parallel edges
+            ([("a", "x", P), ("b", "c", P), ("b", "c", C)], "edge 'a' -> 'x' leaves the vertex set"),
+            ([("x", "c", P), ("a", "b", P), ("a", "b", C)], "parallel edges between 'a' and 'b'"),
+            ([("a", "c", P), ("a", "c", C), ("a", "x", P)], "parallel edges between 'a' and 'c'"),
+            ([("a", "b", P), ("a", "b", C), ("a", "", P)], "edge 'a' -> '' leaves the vertex set"),
+            # dangling edge and self-loop
+            ([("a", "x", P), ("b", "b", P)], "edge 'a' -> 'x' leaves the vertex set"),
+            ([("x", "a", P), ("b", "b", P)], "self-loop on 'b'"),
+            ([("x", "x", P), ("x", "a", P)], "edge 'x' -> 'a' leaves the vertex set"),
+            ([("x", "x", P), ("x", "y", P)], "self-loop on 'x'"),
+            ([("c", "c", P), ("c", "a", P)], "self-loop on 'c'"),
+        ],
+    )
+    def test_first_defect_wins(self, edges, expected):
+        assert self.message({"a", "b", "c"}, edges) == expected
+
+    @given(dags())
+    def test_sorted_edges_and_successors_are_in_label_order(self, g):
+        assert g.sorted_edges == tuple(sorted(g.edges, key=itemgetter(0, 1)))
+        for v in g.vertices:
+            assert list(g.successors(v)) == sorted(e.dst for e in g.edges if e.src == v)
 
 
 class TestCartesianProduct:

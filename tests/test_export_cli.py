@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -12,10 +13,20 @@ from pathlib import Path
 
 import pytest
 
-from groundsub import parse_declarations, render, run, to_dot, to_graphml, to_json
+from groundsub import (
+    EdgeTag,
+    LabeledDigraph,
+    parse_declarations,
+    render,
+    run,
+    to_dot,
+    to_graphml,
+    to_json,
+)
 from groundsub.cli import main
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS
+from oracles import reference_json
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -77,9 +88,57 @@ class TestExports:
         for fmt in ("dot", "graphml", "json"):
             assert render(second_graph, fmt) == render(second_graph, fmt)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            LabeledDigraph(frozenset(), frozenset()),
+            LabeledDigraph.from_edges(vertices=("b", "a", "c")),
+            LabeledDigraph.from_edges(
+                [('say "hi"', "back\\slash", EdgeTag.COVARIANT),
+                 ("tab\there", "Zeilenumbr\u00fcche\n", EdgeTag.CONTRAVARIANT),
+                 ("\x00\x1f\x7f", "\u2203 \U0001d54a\u2096", EdgeTag.INV_LINK),
+                 ('say "hi"', "\u2203 \U0001d54a\u2096", EdgeTag.INHERIT)],
+                vertices=("\ud800 lone surrogate", ""),
+            ),
+        ],
+        ids=["empty", "no-edges", "escapes"],
+    )
+    def test_json_bytes_equal_json_dumps(self, graph):
+        assert to_json(graph).encode("utf-8") == reference_json(graph).encode("utf-8")
+
+    def test_json_bytes_equal_json_dumps_on_the_corpus(self, traces):
+        for trace in traces.values():
+            for s in trace.graphs:
+                assert to_json(s.graph) == reference_json(s.graph)
+
     def test_unknown_format_is_rejected(self, first_graph):
         with pytest.raises(ValueError, match="unknown format"):
             render(first_graph, "svg")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's `bench/workloads.py`, loaded read-only."""
+    spec = importlib.util.spec_from_file_location("groundsub_bench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exports_match_the_benchmark_digests(workloads):
+    # Every build the benchmark checks, run in-process: the same per-step
+    # counts and the same export bytes as its committed expected.json.
+    expected = workloads.load_expected()["build"]
+    assert len(expected) == 9
+    for key, record in expected.items():
+        program, spec = key.split("@")
+        depth, fmt = spec.split(".")
+        trace = run(parse_declarations(workloads.declarations(program)), int(depth))
+        assert [list(s) for s in trace.stats] == record["steps"], key
+        text = render(trace.last.graph, fmt)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == record["sha256"], key
 
 
 @pytest.fixture
@@ -230,16 +289,10 @@ class TestCli:
         assert main(["query", "--decls", str(decls_path), deep, bound]) == 0
         assert capsys.readouterr().out.splitlines() == ["graph: true", "oracle: true"]
 
-    def test_query_builds_nothing(self, tmp_path, capsys, monkeypatch):
+    def test_query_builds_nothing(self, tmp_path, capsys, monkeypatch, workloads):
         # The benchmark's query streams for seeds 1-3 cover every corpus
         # program; each query must print exactly the verdicts it expects.
         import groundsub.builder as builder_module
-
-        spec = importlib.util.spec_from_file_location("groundsub_bench_workloads", WORKLOADS_PATH)
-        workloads = importlib.util.module_from_spec(spec)
-        # Its dataclasses look their module up by name.
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
 
         def refuse(*args, **kwargs):
             pytest.fail("built an approximation to answer a query")

@@ -52,7 +52,7 @@ ORACLES = (
     "reversed_graph", "relabeled", "partial_product_via_merge", "covariant_image",
     "contravariant_image", "has_edge", "tag_of", "predecessors", "edge_pairs",
     "equals_ignoring_tags", "reference_is_subtype", "reference_contains_argument",
-    "subtype_by_trace", "reference_inherits",
+    "subtype_by_trace", "reference_inherits", "reference_json",
 )
 
 
