@@ -1,4 +1,5 @@
-"""Shared fixtures: the corpus of small programs and graph generators."""
+"""Shared fixtures: the corpus of small programs, and generators of graphs
+and of class tables."""
 
 from __future__ import annotations
 
@@ -76,3 +77,29 @@ def dags(draw, max_vertices: int = 7, reduced: bool = False):
                 edges.append((labels[i], labels[j], tag))
     g = LabeledDigraph.from_edges(edges, vertices=labels)
     return transitive_reduction(g) if reduced else g
+
+
+@st.composite
+def class_tables(draw, max_classes: int = 6):
+    """Hypothesis strategy for class tables, rendered as source and parsed.
+
+    Up to `max_classes` user classes in a single-inheritance forest, each
+    extending an earlier class or the top.  A class is generic with
+    probability 1/2, except that a subclass of a generic class must be
+    generic and pass its parameter through.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_classes))
+    names = [f"K{i}" for i in range(n)]
+    generic: set[str] = set()
+    lines = []
+    for i, name in enumerate(names):
+        parent = draw(st.sampled_from([None, *names[:i]]))
+        if parent in generic or draw(st.booleans()):
+            generic.add(name)
+        head = f"class {name}<T>" if name in generic else f"class {name}"
+        if parent is None:
+            extends = draw(st.sampled_from(["", " extends Object"]))
+        else:
+            extends = f" extends {parent}<T>" if parent in generic else f" extends {parent}"
+        lines.append(f"{head}{extends} {{}}")
+    return parse_declarations("\n".join(lines))

@@ -9,6 +9,8 @@ rule of `wildcards_graph` one vertex at a time.  `reference_is_subtype` is
 the rules decider with its equality tests first, as it was written before
 they were replaced by cheaper name tests, on whole types rather than
 interned ids, with its own walk up the superclass chain.
+`reference_hasse` is the Hasse diagram of that decider's order, which
+needs no graph code of the package beyond the transitive reduction.
 `subtype_by_trace` is the graph decider as it was before it searched covers
 on demand: reachability in a materialised approximation.  `reference_json`
 is the JSON export as `json.dumps` writes it.
@@ -38,6 +40,7 @@ from groundsub.labels import (
     upper_bounded_label,
 )
 from groundsub.product import PartitionedGraph, _product_labels
+from groundsub.rules import enumerate_types
 from groundsub.typelang import (
     NULL_TYPE,
     OBJECT_TYPE,
@@ -331,6 +334,20 @@ def reference_is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> b
         return False
     assert t1.arg is not None and t2.arg is not None
     return reference_contains_argument(t1.arg, t2.arg, table)
+
+
+def reference_hasse(table: ClassTable, k: int) -> LabeledDigraph:
+    """The covers of `reference_is_subtype` on the types of rank at most k:
+    the transitive reduction of the order over `enumerate_types(table, k)`."""
+    types = enumerate_types(table, k)
+    names = [canonical_label(t) for t in types]
+    edges = [
+        (l1, l2)
+        for t1, l1 in zip(types, names)
+        for t2, l2 in zip(types, names)
+        if t1 != t2 and reference_is_subtype(t1, t2, table)
+    ]
+    return transitive_reduction(LabeledDigraph.from_edges(edges, vertices=names))
 
 
 def subtype_by_trace(trace: IterationTrace, t1: GroundType, t2: GroundType) -> bool:

@@ -43,6 +43,7 @@ from oracles import (
     edge_pairs,
     equals_ignoring_tags,
     induced_subgraph,
+    reference_hasse,
     reflexive_transitive_closure,
     relabeled,
     reversed_graph,
@@ -310,6 +311,21 @@ class TestInfiniteGraph:
                 for v in s.graph.sorted_vertices:
                     t = parse_ground_type(v, table)
                     assert labels(graph.covers_up(t, k)) == list(s.graph.successors(v)), (name, k, v)
+                    assert labels(graph.covers_down(t, k)) == list(below.successors(v)), (name, k, v)
+
+    def test_graphs_and_covers_match_a_rules_only_reference(self, gate_traces):
+        # The Hasse diagram of the rules decider's order shares no rule
+        # code with `run` or `InfiniteGraph`.
+        for name, (table, trace) in gate_traces.items():
+            graph = InfiniteGraph(table)
+            for k in range(1, 4):
+                reference = reference_hasse(table, k)
+                below = reversed_graph(reference)
+                assert equals_ignoring_tags(trace.graphs[k - 1].graph, reference), (name, k)
+                assert labels(graph.vertices(k)) == list(reference.sorted_vertices), (name, k)
+                for v in reference.sorted_vertices:
+                    t = parse_ground_type(v, table)
+                    assert labels(graph.covers_up(t, k)) == list(reference.successors(v)), (name, k, v)
                     assert labels(graph.covers_down(t, k)) == list(below.successors(v)), (name, k, v)
 
     def test_vertices_match_the_materialised_graphs(self, gate_traces):

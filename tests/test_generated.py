@@ -1,0 +1,107 @@
+"""Generated class tables: the two deciders agree, the covers worked out on
+demand equal the materialised graphs, and the paper's laws hold.
+
+Every table is drawn by `conftest.class_tables`.  Each check runs at the
+largest rank up to `MAX_RANK` whose approximation has at most `PAIR_CAP`
+ordered pairs of vertices, read from `predicted_sizes` before anything is
+built, so the cost of an example is bounded whatever table is drawn.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+
+from hypothesis import given, settings
+
+from groundsub import (
+    InfiniteGraph,
+    canonical_label,
+    differential_check,
+    parse_ground_type,
+    reachable,
+    run,
+    wildcards_graph,
+    wildcards_size,
+)
+from groundsub.builder import predicted_sizes
+
+from conftest import class_tables
+from oracles import (
+    contravariant_image,
+    covariant_image,
+    equals_ignoring_tags,
+    induced_subgraph,
+    reflexive_transitive_closure,
+    reversed_graph,
+)
+
+MAX_RANK = 3
+PAIR_CAP = 250_000
+EXAMPLES = settings(max_examples=60, deadline=None)
+
+
+def checked_rank(table) -> int:
+    """The largest k <= MAX_RANK with n_k * n_k <= PAIR_CAP.
+
+    A table without generic classes has one graph, its fixed point, at
+    every rank.
+    """
+    sizes = list(islice(predicted_sizes(table), MAX_RANK))
+    sizes += sizes[-1:] * (MAX_RANK - len(sizes))
+    return max(k for k, n in enumerate(sizes, start=1) if n * n <= PAIR_CAP)
+
+
+def labels(types):
+    return sorted(map(canonical_label, types))
+
+
+@EXAMPLES
+@given(class_tables())
+def test_deciders_agree(table):
+    report = differential_check(table, checked_rank(table))
+    assert report.ok, report.mismatches[:5]
+
+
+@EXAMPLES
+@given(class_tables())
+def test_infinite_graph_equals_the_materialised_graphs(table):
+    trace = run(table, checked_rank(table))
+    graph = InfiniteGraph(table)
+    for k, s in enumerate(trace.graphs, start=1):
+        assert labels(graph.vertices(k)) == list(s.graph.sorted_vertices)
+        below = reversed_graph(s.graph)
+        for v in s.graph.sorted_vertices:
+            t = parse_ground_type(v, table)
+            assert labels(graph.covers_up(t, k)) == list(s.graph.successors(v)), (k, v)
+            assert labels(graph.covers_down(t, k)) == list(below.successors(v)), (k, v)
+
+
+@EXAMPLES
+@given(class_tables())
+def test_laws(table):
+    trace = run(table, checked_rank(table))
+    plain = len(table.classes) - len(table.generic)
+    n = len(table.classes)
+    for current in trace.graphs:
+        # The vertex recurrence, restated rather than read from
+        # `predicted_sizes`, and the size law of the argument graph.
+        assert len(current.vertices) == n
+        assert len(wildcards_graph(current).vertices) == wildcards_size(n) == 3 * (n - 1)
+        n = plain + len(table.generic) * 3 * (n - 1)
+    for current, nxt in zip(trace.graphs, trace.graphs[1:]):
+        # S_k is the restriction of S_k+1 to its own vertices.
+        restricted = induced_subgraph(
+            reflexive_transitive_closure(nxt.graph), current.graph.vertices
+        )
+        assert equals_ignoring_tags(restricted, reflexive_transitive_closure(current.graph))
+        # Each generic class embeds S_k in S_k+1 covariantly through its
+        # upper-bounded arguments and contravariantly through its
+        # lower-bounded ones.
+        for cls in sorted(table.generic):
+            for u in current.graph.vertices:
+                for v in current.graph.vertices:
+                    expected = reachable(current.graph, u, v)
+                    cov = covariant_image(cls, u), covariant_image(cls, v)
+                    assert reachable(nxt.graph, *cov) == expected
+                    con = contravariant_image(cls, v), contravariant_image(cls, u)
+                    assert reachable(nxt.graph, *con) == expected
