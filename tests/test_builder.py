@@ -334,6 +334,17 @@ class TestInfiniteGraph:
             for k, s in enumerate(trace.graphs, start=1):
                 assert labels(graph.vertices(k)) == list(s.graph.sorted_vertices), (name, k)
 
+    def test_vertices_below_depth_one_are_refused(self, tables, monkeypatch):
+        # Refused before anything is enumerated or cached.
+        def refuse(table):
+            pytest.fail("enumerated an approximation")
+
+        graph = InfiniteGraph(tables["one_generic"])
+        monkeypatch.setattr(builder, "predicted_sizes", refuse)
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                graph.vertices(k)
+
     def test_covers_depend_on_depth(self, tables):
         table = tables["one_generic"]
         graph = InfiniteGraph(table)
