@@ -6,26 +6,22 @@ previous approximation.  The sequence of results grows monotonically toward
 the (infinite, for any program with a generic class) full relation, so the
 number of iterations is always an explicit input.
 
-`run` applies the two rules to whole graphs: `partial_product` enumerates
-the product rule of `product.ProductCovers`, and `wildcards_graph` the
-argument rule of `wildcards.ArgumentGraph`.  `InfiniteGraph` asks the same
-two rules for one vertex at a time, wiring S_k = C ⋉ W(S_k-1) over interned
-ids, so it answers questions about the approximations without building any
-of them; `subtype_by_graph` decides subtyping with it.
+`InfiniteGraph` answers questions about the same approximations one vertex
+at a time, from the rules the construction applies, without building any of
+them; `subtype_by_graph` decides subtyping with it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .digraph import BipointedGraph, EdgeTag, LabeledDigraph
+from .digraph import BipointedGraph, LabeledDigraph
 from .digraph import reachable  # noqa: F401 - unused here; kept for bench/tracer.py only
 from .errors import GraphError, SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
-from .product import PartitionedGraph, ProductCovers, partial_product
+from .product import PartitionedGraph, partial_product
 from .typelang import (
     WILD,
     ClassTable,
@@ -37,11 +33,7 @@ from .typelang import (
     canonical_label,
     rank,
 )
-from .wildcards import ANY, ArgumentGraph, argument_vertices, wildcards_graph, wildcards_size
-
-_INHERIT = EdgeTag.INHERIT
-# A cover as `InfiniteGraph` keeps it: the vertex it leads to.
-_target = itemgetter(1)
+from .wildcards import wildcards_graph, wildcards_size
 
 # Most vertices one approximation may have, and most vertices one query may
 # visit.  `run` and `InfiniteGraph` predict every size from the vertex
@@ -165,42 +157,40 @@ class InfiniteGraph:
     """The ground subtyping graph of a table, one vertex at a time.
 
     Every approximation S_k is a finite restriction of this infinite graph.
-    `covers_up` and `covers_down` give the Hasse covers of a vertex in S_k.
-    They come from the rules `run` builds S_k with, the product rule of
-    `ProductCovers` over the class graph and the argument rule of
-    `ArgumentGraph` over the covers of S_k-1, asked one vertex at a time;
-    nothing is materialised.  The product rule read downward is the same
-    rule over the covers below.  Covers depend on k (`N -> C<?>` is a cover
-    in S_1 but not in S_2), so k is always explicit.  Results are memoised
-    per (type, k) for the lifetime of the instance.
+    `covers_up` and `covers_down` give the Hasse covers of a vertex in S_k,
+    derived from the rules `partial_product` and `wildcards_graph` build
+    S_k with; nothing is materialised.  Covers depend on k (`N -> C<?>` is
+    a cover in S_1 but not in S_2), so k is always explicit.  Results are
+    memoised per (type, k) for the lifetime of the instance.
 
-    Inside, a type is an int id (see `_Ids`).  The wiring of each S_k holds
-    the ids and the wiring of S_k-1 but nothing that holds it, so an
-    instance is freed as soon as it is dropped.
+    Inside, a type is an int: one id per (class, argument kind, bound id),
+    so hashing and comparing never recurse into the type.  The argument
+    kind is `None` for a plain class, else the class of the argument, and
+    an argument of W(S_j) is a (kind, bound id) pair, with bound -1 for `?`.
     """
 
     def __init__(self, table: ClassTable):
         self.table = table
-        self._ids = _Ids(table)
-        # The class graph's covers, below and above: its edges are all
-        # inheritance edges.
-        up: dict[str, list[tuple]] = defaultdict(list)
-        down: dict[str, list[tuple]] = defaultdict(list)
+        self._parents: dict[str, list[str]] = defaultdict(list)
+        self._children: dict[str, list[str]] = defaultdict(list)
         for sub, sup in sorted(table.extends_edges):
-            up[sub].append((sub, sup, _INHERIT))
-            down[sup].append((sup, sub, _INHERIT))
-        self._classes = down.__getitem__, up.__getitem__
-        # `_levels[k][up]` gives the covers of a vertex of S_k above it
-        # (up true) or below it, by id, each worked out once.
-        self._levels: dict[int, tuple[Callable, Callable]] = {}
+            self._parents[sub].append(sup)
+            self._children[sup].append(sub)
+        self._ids: dict[tuple, int] = {}
+        self._shapes: list[tuple] = []
+        self._top = self._id(TOP_CLASS)
+        self._bottom = self._id(BOTTOM_CLASS)
+        self._up: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._down: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._vertices: dict[int, tuple[int, ...]] = {}
 
     def covers_up(self, t: GroundType, k: int) -> tuple[GroundType, ...]:
         """The successors of `t` in S_k."""
-        return tuple(map(self._ids.ground, self._level(k)[True](self._vertex(t, k))))
+        return tuple(map(self._ground, self._covers_up(self._vertex(t, k), k)))
 
     def covers_down(self, t: GroundType, k: int) -> tuple[GroundType, ...]:
         """The predecessors of `t` in S_k."""
-        return tuple(map(self._ids.ground, self._level(k)[False](self._vertex(t, k))))
+        return tuple(map(self._ground, self._covers_down(self._vertex(t, k), k)))
 
     def vertices(self, k: int) -> tuple[GroundType, ...]:
         """V(S_k): the plain classes, and C<a> for every generic class C and
@@ -212,7 +202,7 @@ class InfiniteGraph:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
-        return tuple(map(self._ids.ground, self._ids.vertices(k)))
+        return tuple(map(self._ground, self._vertex_ids(k)))
 
     def reaches(self, t1: GroundType, t2: GroundType, k: int) -> bool:
         """True when `t2` is `t1` or lies above it in S_k.
@@ -223,11 +213,10 @@ class InfiniteGraph:
         start, goal = self._vertex(t1, k), self._vertex(t2, k)
         if start == goal:
             return True
-        above = self._level(k)[True]
         seen = {start}
         todo = [start]
         while todo:
-            for w in above(todo.pop()):
+            for w in self._covers_up(todo.pop(), k):
                 if w == goal:
                     return True
                 if w not in seen:
@@ -240,11 +229,20 @@ class InfiniteGraph:
                     todo.append(w)
         return False
 
+    # -- types and ids
+
+    def _id(self, name: str, kind: type | None = None, bound: int = -1) -> int:
+        key = (name, kind, bound)
+        v = self._ids.setdefault(key, len(self._shapes))
+        if v == len(self._shapes):
+            self._shapes.append(key)
+        return v
+
     def _vertex(self, t: GroundType, k: int) -> int:
         """The id of `t`, which must be a vertex of S_k."""
         if not (self._is_type(t) and sufficient_depth(t, t) <= k):
             raise GraphError(f"{canonical_label(t)!r} is not a vertex of approximation {k}")
-        return self._ids.intern(t)
+        return self._intern(t)
 
     def _is_type(self, t: GroundType) -> bool:
         """True for a normalised ground type over the table."""
@@ -261,125 +259,124 @@ class InfiniteGraph:
                     return False
         return False
 
-    def _level(self, k: int) -> tuple[Callable, Callable]:
-        """The wiring S_k = C ⋉ W(S_k-1), read downward and upward."""
-        level = self._levels.get(k)
-        if level is None:
-            ids = self._ids
-            if k == 1:  # W(S_0) is the lone `?`
-                downs = ups = _no_covers
-                sources = _sink
-            else:
-                j = k - 1
-                below, above = self._level(j)
-                w = ArgumentGraph(ids.top, ids.bottom, above, below)
-                downs, ups = w.covers_down, w.covers_up
-                # Every exact argument is a source of W(S_k-1), and `?` its sink.
-                sources = lambda: [(Inv, v) for v in ids.vertices(j)]  # noqa: E731
-            down, up = self._classes
-            generic, row = self.table.generic, ids.rows.__getitem__
-            level = self._levels[k] = (
-                _memoised(ProductCovers(generic, down, downs, _sink, row, ids.id, _target), ids),
-                _memoised(ProductCovers(generic, up, ups, sources, row, ids.id, _target), ids),
-            )
-        return level
-
-
-class _Ids:
-    """The ids of the types over a table, handed out on first use: one per
-    (class, argument kind, bound id), so hashing and comparing never recurse
-    into a type.  The kind is `None` for a plain class, else the class of
-    the argument, and an argument is a (kind, bound id) pair, as
-    `ArgumentGraph` spells it."""
-
-    def __init__(self, table: ClassTable):
-        self.table = table
-        # A flat key per id: a nested argument pair would keep one more
-        # object alive per vertex for the garbage collector to scan.
-        self.keys: dict[tuple, int] = {}
-        self.shapes: list[tuple] = []
-        # `rows[c]` is the id of class c at an argument, as a function; it
-        # holds the tables of ids but not `self`, which holds it.
-        self.rows = {c: _row(self.keys, self.shapes, c) for c in table.classes}
-        self.top = self.id(TOP_CLASS)
-        self.bottom = self.id(BOTTOM_CLASS)
-        self._vertices: dict[int, tuple[int, ...]] = {}
-
-    def id(self, name: str, kind: type | None = None, bound: int | None = None) -> int:
-        key = (name, kind, bound)
-        v = self.keys.get(key)
-        return _new_id(self.keys, self.shapes, key) if v is None else v
-
-    def intern(self, t: GroundType) -> int:
+    def _intern(self, t: GroundType) -> int:
         if t.arg is None:
-            return self.id(t.name)
+            return self._id(t.name)
         if isinstance(t.arg, Wild):
-            return self.id(t.name, *ANY)
-        return self.id(t.name, type(t.arg), self.intern(t.arg.bound))
+            return self._id(t.name, Wild)
+        return self._id(t.name, type(t.arg), self._intern(t.arg.bound))
 
-    def ground(self, v: int) -> GroundType:
-        name, kind, bound = self.shapes[v]
+    def _ground(self, v: int) -> GroundType:
+        name, kind, bound = self._shapes[v]
         if kind is None:
             return GroundType(name)
         if kind is Wild:
             return GroundType(name, WILD)
-        return GroundType(name, kind(self.ground(bound)))
+        return GroundType(name, kind(self._ground(bound)))
 
-    def vertices(self, k: int) -> tuple[int, ...]:
-        """The ids of V(S_k), after refusing an S_k over `MAX_VERTICES`."""
+    # -- the rules
+
+    def _vertex_ids(self, k: int) -> tuple[int, ...]:
         if k not in self._vertices:
             for j, n in zip(range(1, k + 1), predicted_sizes(self.table)):
                 _refuse_oversized(j, n)
-            if k == 1:
-                found = [ANY]
-            else:
-                found = argument_vertices(self.vertices(k - 1), self.top, self.bottom)
+            arguments: list[tuple] = [(Wild, -1)]
+            if k > 1:
+                for v in self._vertex_ids(k - 1):
+                    arguments.append((Inv, v))
+                    if v not in (self._top, self._bottom):
+                        arguments += ((Cov, v), (Con, v))
             generic = self.table.generic
-            plain = [self.id(c) for c in self.table.classes if c not in generic]
+            plain = [self._id(c) for c in self.table.classes if c not in generic]
             self._vertices[k] = (
                 *plain,
-                *(self.id(c, *a) for c in sorted(generic) for a in found),
+                *(self._id(c, *a) for c in sorted(generic) for a in arguments),
             )
         return self._vertices[k]
 
+    def _sources(self, k: int) -> list[tuple]:
+        # The sources of W(S_{k-1}): the lone `?` for k = 1, and after that
+        # every exact argument.
+        if k == 1:
+            return [(Wild, -1)]
+        return [(Inv, v) for v in self._vertex_ids(k - 1)]
 
-def _new_id(keys: dict[tuple, int], shapes: list[tuple], key: tuple) -> int:
-    keys[key] = v = len(shapes)
-    shapes.append(key)
-    return v
+    def _covers_up(self, v: int, k: int) -> tuple[int, ...]:
+        key = (v, k)
+        if key in self._up:
+            return self._up[key]
+        name, kind, bound = self._shapes[v]
+        generic = self.table.generic
+        covers: list[int] = []
+        for p in self._parents[name]:
+            if kind is None:
+                if p in generic:  # np: into the copies at the sources
+                    covers += [self._id(p, *a) for a in self._sources(k)]
+                else:  # nn
+                    covers.append(self._id(p))
+            elif p in generic:  # pp
+                covers.append(self._id(p, kind, bound))
+            elif kind is Wild:  # pn: out of the copy at the sink `?`
+                covers.append(self._id(p))
+        if kind is not None:
+            covers += [self._id(name, *a) for a in self._argument_up(kind, bound, k - 1)]
+        self._up[key] = result = tuple(covers)
+        return result
 
+    def _covers_down(self, v: int, k: int) -> tuple[int, ...]:
+        key = (v, k)
+        if key in self._down:
+            return self._down[key]
+        name, kind, bound = self._shapes[v]
+        generic = self.table.generic
+        covers: list[int] = []
+        for c in self._children[name]:
+            if kind is None:  # pn into the copy at the sink `?`, or nn
+                covers.append(self._id(c, Wild) if c in generic else self._id(c))
+            elif c in generic:  # pp
+                covers.append(self._id(c, kind, bound))
+            elif k == 1 or kind is Inv:  # np: out of the sources
+                covers.append(self._id(c))
+        if kind is not None:
+            covers += [self._id(name, *a) for a in self._argument_down(kind, bound, k - 1)]
+        self._down[key] = result = tuple(covers)
+        return result
 
-def _row(keys: dict[tuple, int], shapes: list[tuple], name: str) -> Callable[[tuple], int]:
-    def row(argument: tuple) -> int:
-        key = (name, *argument)
-        v = keys.get(key)
-        return _new_id(keys, shapes, key) if v is None else v
+    def _upper(self, v: int) -> tuple:
+        """`? <: v`, with the corners of `wildcards_graph` coalesced."""
+        if v == self._top:
+            return (Wild, -1)
+        return (Inv if v == self._bottom else Cov, v)
 
-    return row
+    def _lower(self, v: int) -> tuple:
+        """`? :> v`, with the corners of `wildcards_graph` coalesced."""
+        if v == self._bottom:
+            return (Wild, -1)
+        return (Inv if v == self._top else Con, v)
 
+    def _argument_up(self, kind: type, bound: int, j: int) -> list[tuple]:
+        """Successors of an argument in W(S_j); W(S_0) is the lone `?`."""
+        if j == 0 or kind is Wild:
+            return []
+        if kind is Inv and bound not in (self._top, self._bottom):
+            return [(Cov, bound), (Con, bound)]
+        # The exact N is the upper-bounded copy of N, the exact O the
+        # lower-bounded copy of O.
+        if kind is Cov or bound == self._bottom:
+            return [self._upper(w) for w in self._covers_up(bound, j)]
+        return [self._lower(w) for w in self._covers_down(bound, j)]
 
-def _memoised(product: ProductCovers, ids: _Ids) -> Callable[[int], tuple[int, ...]]:
-    """The covers of a vertex id under `product`, each worked out once."""
-    memo: dict[int, tuple[int, ...]] = {}
-    shapes = ids.shapes
-
-    def covers(v: int) -> tuple[int, ...]:
-        found = memo.get(v)
-        if found is None:
-            name, kind, bound = shapes[v]
-            edges = product.covers(name, (((kind, bound), v),))
-            found = memo[v] = tuple(edges)
-        return found
-
-    return covers
-
-
-def _no_covers(argument: tuple) -> tuple:
-    return ()
-
-
-def _sink() -> tuple[tuple]:
-    return (ANY,)
+    def _argument_down(self, kind: type, bound: int, j: int) -> list[tuple]:
+        """Predecessors of an argument in W(S_j); exact arguments are its sources."""
+        if j == 0 or kind is Inv:
+            return []
+        if kind is Wild:  # both the upper-bounded O and the lower-bounded N
+            return [self._upper(w) for w in self._covers_down(self._top, j)] + [
+                self._lower(w) for w in self._covers_up(self._bottom, j)
+            ]
+        if kind is Cov:
+            return [self._upper(w) for w in self._covers_down(bound, j)] + [(Inv, bound)]
+        return [self._lower(w) for w in self._covers_up(bound, j)] + [(Inv, bound)]
 
 
 def subtype_by_graph(table: ClassTable, t1: GroundType, t2: GroundType) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -43,10 +43,6 @@ class Edge(NamedTuple):
 
 
 _target = itemgetter(1)
-
-# The edge of a (src, dst, tag) triple, made without a Python call: the
-# product and argument graphs make an edge per cover.
-as_edge = partial(tuple.__new__, Edge)
 
 
 @dataclass(frozen=True, repr=False)

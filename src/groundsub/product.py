@@ -24,20 +24,13 @@ the second factor.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container, Hashable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
-from .digraph import Edge, EdgeTag, LabeledDigraph, as_edge, pair_label
+from .digraph import Edge, EdgeTag, LabeledDigraph, pair_label
 from .digraph import transitive_reduction  # noqa: F401 - unused here; kept for bench/tracer.py only
 from .errors import GraphError
-
-
-# Looked up once: an enum member lookup costs about as much as a cover.
-INHERIT = EdgeTag.INHERIT
-_source = itemgetter(0)
 
 
 class EdgePartition(NamedTuple):
@@ -108,72 +101,34 @@ def _product_labels(
     return rows
 
 
-@dataclass(slots=True)
-class ProductCovers:
-    """The covers of a partial product, one row of the first factor at a time.
+def _cover_edges(
+    pg: PartitionedGraph,
+    g2: LabeledDigraph,
+    rows: dict[str, dict[str, str]],
+) -> list[Edge]:
+    """Edges of the product: its covers when both factors are in Hasse form.
 
-    `inside` holds the multiplied vertices of the first factor; `first(u)`
-    and `second(v)` are the covers out of u in the first factor and out of
-    v in the second, as (source, target, tag) triples; `sources()` are the
-    second factor's sources; `row(u)` maps each v of the second factor to
-    the product vertex (u, v) of a multiplied u, and `plain(u)` is the
-    product vertex of a plain u; `edge` makes one cover of the product,
-    in whatever form the caller keeps them, from its (source, target, tag)
-    triple.
-    Reversing both factors reverses the product with the second factor's
-    sinks and sources swapped, so given the covers below and the sinks
-    instead, the same rule gives the covers below.
+    Product edges keep the tag of their generating factor edge; boundary
+    fan-out edges are plumbing and are tagged INHERIT; edges between plain
+    vertices keep their tags verbatim (so an empty product subset returns
+    the first factor unchanged).
     """
-
-    inside: Container[Hashable]
-    first: Callable[[Hashable], Iterable[tuple]]
-    second: Callable[[Hashable], Iterable[tuple]]
-    sources: Callable[[], Iterable[Hashable]]
-    row: Callable[[Hashable], Callable[[Hashable], Hashable]]
-    plain: Callable[[Hashable], Hashable]
-    edge: Callable[[tuple], Hashable]
-
-    def covers(self, u: Hashable, cells: Iterable[tuple[Hashable, Hashable]]) -> list:
-        """The covers out of row u: out of each product vertex (u, v) given
-        in `cells` as a (v, vertex) pair when u is multiplied, and out of
-        `plain(u)` when it is not.
-
-        Product edges keep the tag of their generating factor edge, boundary
-        edges are plumbing and are tagged INHERIT, and edges between plain
-        vertices keep their tags (so an empty product subset gives the
-        first factor back unchanged).
-        """
-        inside, row, plain, edge = self.inside, self.row, self.plain, self.edge
-        edges = []
-        if u not in inside:
-            here = plain(u)
-            for _, p, tag in self.first(u):
-                if p in inside:  # np: into the copies at the sources
-                    there = row(p)
-                    edges += [edge((here, there(v), INHERIT)) for v in self.sources()]
-                else:  # nn
-                    edges.append(edge((here, plain(p), tag)))
-            return edges
-        # Plain loops: one comprehension costs about as much as a cover.
-        first, second, here = self.first(u), self.second, row(u)
-        for v, a in cells:
-            out = second(v)
-            for _, p, tag in first:
-                if p in inside:  # pp: one copy per vertex of the second factor
-                    edges.append(edge((a, row(p)(v), tag)))
-                elif not out:  # pn: out of the copies at the sinks
-                    edges.append(edge((a, plain(p), INHERIT)))
-            for _, w, tag in out:  # the copy of the second factor
-                edges.append(edge((a, here(w), tag)))
-        return edges
-
-
-def _edges_out(g: LabeledDigraph) -> dict[str, tuple[Edge, ...]]:
-    """Each vertex's out-edges, read off the edges sorted by source."""
-    out: dict[str, tuple[Edge, ...]] = dict.fromkeys(g.vertices, ())
-    for src, edges in groupby(g.sorted_edges, _source):
-        out[src] = tuple(edges)
-    return out
+    pp, pn, np, nn = pg.classify_edges()
+    second, sinks, sources = g2.sorted_vertices, g2.sinks, g2.sources
+    edges: list[Edge] = []
+    for src, dst, tag in pp:
+        lower, upper = rows[src], rows[dst]
+        edges += [Edge(lower[v], upper[v], tag) for v in second]
+    for row in rows.values():
+        edges += [Edge(row[src], row[dst], tag) for src, dst, tag in g2.sorted_edges]
+    for src, dst, _ in pn:
+        row = rows[src]
+        edges += [Edge(row[v], dst, EdgeTag.INHERIT) for v in sinks]
+    for src, dst, _ in np:
+        row = rows[dst]
+        edges += [Edge(src, row[v], EdgeTag.INHERIT) for v in sources]
+    edges.extend(nn)
+    return edges
 
 
 def partial_product(
@@ -189,17 +144,5 @@ def partial_product(
     if not g2.vertices:
         raise GraphError("second factor must be nonempty")
     rows = _product_labels(pg, g2, combine)
-    product = ProductCovers(
-        pg.product_vertices,
-        _edges_out(pg.base).__getitem__,
-        _edges_out(g2).__getitem__,
-        lambda: g2.sources,
-        lambda u: rows[u].__getitem__,
-        lambda u: u,
-        as_edge,
-    )
-    edges: list[Edge] = []
-    for u in pg.base.vertices:
-        edges += product.covers(u, rows[u].items() if u in rows else ())
     vertices = frozenset(name for row in rows.values() for name in row.values())
-    return LabeledDigraph(vertices | pg.nonproduct_vertices, frozenset(edges))
+    return LabeledDigraph(vertices | pg.nonproduct_vertices, frozenset(_cover_edges(pg, g2, rows)))

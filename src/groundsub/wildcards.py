@@ -10,33 +10,14 @@ both the default argument `?`, the lower-bounded top is the top itself, and
 the upper-bounded bottom is the bottom itself.  An edge `u -> v` means the
 argument `u` is contained in the argument `v`.  No edge leaves the copy of
 its source, so the copies of a Hasse input's edges are already the covers.
-
-`ArgumentGraph` states this rule once, one argument at a time: the covers
-above an argument and, beside them, the covers below it, each read off the
-covers of its bound in the input.  An argument is a (kind, bound) pair: the
-kind is one of the argument classes of `typelang` and the bound is a vertex
-of the input, in whatever form the caller keeps vertices; `?` is `ANY`.
-`wildcards_graph` enumerates the rule over a materialised input, and
-`builder.InfiniteGraph` asks it for one argument at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
-from dataclasses import dataclass
-
-from .digraph import BipointedGraph, EdgeTag, LabeledDigraph, as_edge
+from .digraph import BipointedGraph, Edge, EdgeTag, LabeledDigraph
 from .digraph import transitive_reduction  # noqa: F401 - unused here; kept for bench/tracer.py only
 from .errors import GraphError
 from .labels import WILDCARD, lower_bounded_label, upper_bounded_label
-from .typelang import Con, Cov, Inv, Wild
-
-# The default argument `?`: the sink of every argument graph.
-ANY = (Wild, None)
-
-# The rule runs once per cover, and an enum member lookup costs about as
-# much as the rest of a cover, so each tag is looked up once here.
-COVARIANT, CONTRAVARIANT, INV_LINK = EdgeTag.COVARIANT, EdgeTag.CONTRAVARIANT, EdgeTag.INV_LINK
 
 
 def wildcards_size(n: int) -> int:
@@ -46,96 +27,6 @@ def wildcards_size(n: int) -> int:
     return 3 * (n - 1)
 
 
-def argument_vertices(vertices: Iterable[Hashable], top: Hashable, bottom: Hashable) -> list[tuple]:
-    """The vertices of the argument graph over `vertices`: `?`, then each
-    vertex's exact form and, away from the corners, its two bounded forms."""
-    found = [ANY]
-    for t in vertices:
-        found.append((Inv, t))
-        if t != top and t != bottom:
-            found += ((Cov, t), (Con, t))
-    return found
-
-
-@dataclass(slots=True)
-class ArgumentGraph:
-    """The argument graph over an input given by its extremes and covers:
-    `above(t)` and `below(t)` are the vertices just above and just below
-    `t` in the input."""
-
-    top: Hashable
-    bottom: Hashable
-    above: Callable[[Hashable], Iterable[Hashable]]
-    below: Callable[[Hashable], Iterable[Hashable]]
-
-    def upper(self, t: Hashable) -> tuple:
-        """`? <: t`, with the corners coalesced."""
-        if t == self.top:
-            return ANY
-        return (Inv if t == self.bottom else Cov, t)
-
-    def lower(self, t: Hashable) -> tuple:
-        """`? :> t`, with the corners coalesced."""
-        if t == self.bottom:
-            return ANY
-        return (Inv if t == self.top else Con, t)
-
-    # The rules below use plain loops: for the two or three covers of an
-    # argument, a comprehension costs more than the covers themselves.
-
-    def covers_up(self, argument: tuple) -> list[tuple]:
-        """The covers out of `argument`, as (source, target, tag) triples."""
-        kind, t = argument
-        if kind is Wild:
-            return []
-        if kind is Inv and t != self.top and t != self.bottom:
-            return [(argument, (Cov, t), INV_LINK), (argument, (Con, t), INV_LINK)]
-        covers = []
-        # The exact bottom is the upper-bounded bottom, and the exact top
-        # the lower-bounded top.
-        if kind is Cov or t == self.bottom:
-            upper = self.upper
-            for w in self.above(t):
-                covers.append((argument, upper(w), COVARIANT))
-        else:
-            lower = self.lower
-            for w in self.below(t):
-                covers.append((argument, lower(w), CONTRAVARIANT))
-        return covers
-
-    def covers_down(self, argument: tuple) -> list[tuple]:
-        """The covers into `argument`, reversed: (argument, source, tag)
-        triples.  Exact arguments are the sources."""
-        kind, t = argument
-        if kind is Inv:
-            return []
-        covers = []
-        upper, lower = self.upper, self.lower
-        if kind is Wild:  # both the upper-bounded top and the lower-bounded bottom
-            for w in self.below(self.top):
-                covers.append((argument, upper(w), COVARIANT))
-            for w in self.above(self.bottom):
-                covers.append((argument, lower(w), CONTRAVARIANT))
-            return covers
-        if kind is Cov:
-            for w in self.below(t):
-                covers.append((argument, upper(w), COVARIANT))
-        else:
-            for w in self.above(t):
-                covers.append((argument, lower(w), CONTRAVARIANT))
-        covers.append((argument, (Inv, t), INV_LINK))
-        return covers
-
-
-# How each kind of argument over a labelled input is spelled.
-_SPELLING = {
-    Inv: str,
-    Cov: upper_bounded_label,
-    Con: lower_bounded_label,
-    Wild: lambda _: WILDCARD,
-}
-
-
 def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
     """Containment order over all arguments drawn from `g`: 3(|V| - 1)
     vertices, a unique sink `?`, and the Hasse form when `g` is in Hasse form
@@ -143,16 +34,23 @@ def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
     """
     if g.top == g.bottom:
         raise GraphError("input graph must contain distinct top and bottom vertices")
-    below: dict[str, list[str]] = {t: [] for t in g.vertices}
+    top, bottom = g.top, g.bottom
+    inner = g.vertices - {top, bottom}
+    # Each vertex's two bounded forms, computed once.  The whole
+    # upper-bounded copy of `top` is the default argument, and nothing lies
+    # strictly below `bottom`, so both corners coalesce.
+    upper = {t: upper_bounded_label(t) for t in inner}
+    upper.update({top: WILDCARD, bottom: bottom})
+    lower = {t: lower_bounded_label(t) for t in inner}
+    lower.update({top: top, bottom: WILDCARD})
+
+    # `upper` and `lower` are injective and the three families share no pair.
+    edges: list[Edge] = []
     for src, dst, _ in g.graph.edges:
-        below[dst].append(src)
-    w = ArgumentGraph(g.top, g.bottom, g.graph.successors, below.__getitem__)
-    # The labels are distinct: the three copies are spelled apart, and
-    # the corners are coalesced before any label is made.
-    label = {(kind, t): _SPELLING[kind](t) for kind, t in argument_vertices(g.vertices, g.top, g.bottom)}
-    edges = [
-        as_edge((source, label[b], tag))
-        for a, source in label.items()
-        for _, b, tag in w.covers_up(a)
-    ]
-    return LabeledDigraph(frozenset(label.values()), frozenset(edges))
+        edges.append(Edge(upper[src], upper[dst], EdgeTag.COVARIANT))
+        edges.append(Edge(lower[dst], lower[src], EdgeTag.CONTRAVARIANT))
+    for t in inner:
+        edges.append(Edge(t, upper[t], EdgeTag.INV_LINK))
+        edges.append(Edge(t, lower[t], EdgeTag.INV_LINK))
+    vertices = frozenset((*inner, *upper.values(), *lower.values()))
+    return LabeledDigraph(vertices, frozenset(edges))

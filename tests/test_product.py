@@ -17,6 +17,7 @@ from groundsub import (
     wildcards_graph,
 )
 from groundsub.labels import instantiation_label
+from groundsub.product import _cover_edges, _product_labels
 
 from conftest import CORPUS, dags
 from oracles import (
@@ -112,7 +113,8 @@ class TestPartialProduct:
         subset = frozenset(v for v in g1.vertices if rng.random() < 0.5)
         pg = PartitionedGraph(g1, subset)
         parts = pg.classify_edges()
-        edges = partial_product(pg, g2, lambda u, v: f"{u}*{v}").edges
+        labels = _product_labels(pg, g2, lambda u, v: f"{u}*{v}")
+        edges = _cover_edges(pg, g2, labels)
         plain = pg.nonproduct_vertices
         crossing = [e for e in edges if (e.src in plain) != (e.dst in plain)]
         assert len(crossing) == (
