@@ -240,7 +240,7 @@ class InfiniteGraph:
 
     def _vertex(self, t: GroundType, k: int) -> int:
         """The id of `t`, which must be a vertex of S_k."""
-        if not (self._is_type(t) and sufficient_depth(t, t) <= k):
+        if not (self._is_type(t) and max(rank(t), 1) <= k):
             raise GraphError(f"{canonical_label(t)!r} is not a vertex of approximation {k}")
         return self._intern(t)
 

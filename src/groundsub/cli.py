@@ -7,6 +7,7 @@ the two subtyping deciders disagree.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -26,7 +27,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: `parse_args` leaves the parser unchanged, and
+    # building it costs more than a small `query`.
     parser = _Parser(prog="groundsub", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

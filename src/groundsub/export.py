@@ -14,7 +14,6 @@ label once with the C string encoder `json.dumps` itself uses.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _json_quote
-from xml.sax.saxutils import escape
 
 from .digraph import EdgeTag, LabeledDigraph
 
@@ -35,6 +34,12 @@ def to_json(g: LabeledDigraph) -> str:
         for src, dst, tag in g.sorted_edges
     ]
     return f'{{\n  "vertices": {_json_list(vertices)},\n  "edges": {_json_list(edges)}\n}}\n'
+
+
+def _xml_escape(text: str) -> str:
+    # What `xml.sax.saxutils.escape` does, without importing it: that module
+    # pulls in `urllib.request` and with it the network stack.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _dot_quote(label: str) -> str:
@@ -63,7 +68,7 @@ def to_graphml(g: LabeledDigraph) -> str:
         '  <graph id="G" edgedefault="directed">',
     ]
     for v in g.sorted_vertices:
-        lines.append(f'    <node id="{ids[v]}"><data key="label">{escape(v)}</data></node>')
+        lines.append(f'    <node id="{ids[v]}"><data key="label">{_xml_escape(v)}</data></node>')
     for e in g.sorted_edges:
         lines.append(
             f'    <edge source="{ids[e.src]}" target="{ids[e.dst]}">'

@@ -115,6 +115,7 @@ def _cover_edges(
     """
     pp, pn, np, nn = pg.classify_edges()
     second, sinks, sources = g2.sorted_vertices, g2.sinks, g2.sources
+    inherit = EdgeTag.INHERIT
     edges: list[Edge] = []
     for src, dst, tag in pp:
         lower, upper = rows[src], rows[dst]
@@ -123,10 +124,10 @@ def _cover_edges(
         edges += [Edge(row[src], row[dst], tag) for src, dst, tag in g2.sorted_edges]
     for src, dst, _ in pn:
         row = rows[src]
-        edges += [Edge(row[v], dst, EdgeTag.INHERIT) for v in sinks]
+        edges += [Edge(row[v], dst, inherit) for v in sinks]
     for src, dst, _ in np:
         row = rows[dst]
-        edges += [Edge(src, row[v], EdgeTag.INHERIT) for v in sources]
+        edges += [Edge(src, row[v], inherit) for v in sources]
     edges.extend(nn)
     return edges
 

@@ -45,12 +45,13 @@ def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
     lower.update({top: top, bottom: WILDCARD})
 
     # `upper` and `lower` are injective and the three families share no pair.
+    covariant, contravariant, link = EdgeTag.COVARIANT, EdgeTag.CONTRAVARIANT, EdgeTag.INV_LINK
     edges: list[Edge] = []
     for src, dst, _ in g.graph.edges:
-        edges.append(Edge(upper[src], upper[dst], EdgeTag.COVARIANT))
-        edges.append(Edge(lower[dst], lower[src], EdgeTag.CONTRAVARIANT))
+        edges.append(Edge(upper[src], upper[dst], covariant))
+        edges.append(Edge(lower[dst], lower[src], contravariant))
     for t in inner:
-        edges.append(Edge(t, upper[t], EdgeTag.INV_LINK))
-        edges.append(Edge(t, lower[t], EdgeTag.INV_LINK))
+        edges.append(Edge(t, upper[t], link))
+        edges.append(Edge(t, lower[t], link))
     vertices = frozenset((*inner, *upper.values(), *lower.values()))
     return LabeledDigraph(vertices, frozenset(edges))

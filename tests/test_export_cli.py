@@ -5,14 +5,18 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 from pathlib import Path
 
 import pytest
 
+import groundsub
 from groundsub import (
     EdgeTag,
     LabeledDigraph,
@@ -23,7 +27,7 @@ from groundsub import (
     to_graphml,
     to_json,
 )
-from groundsub.cli import main
+from groundsub.cli import _build_parser, main
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS
 from oracles import reference_json
@@ -110,6 +114,17 @@ class TestExports:
         for trace in traces.values():
             for s in trace.graphs:
                 assert to_json(s.graph) == reference_json(s.graph)
+
+    def test_graphml_escapes_like_saxutils(self):
+        labels = ["a & b", "<tag>", "x > y", 'say "hi"', "it's", "&amp; <&>"]
+        pairs = {("a & b", "<tag>"), ("<tag>", "it's")}
+        graph = LabeledDigraph.from_edges(
+            [(a, b, EdgeTag.INHERIT) for a, b in sorted(pairs)], vertices=labels
+        )
+        text = to_graphml(graph)
+        for label in labels:
+            assert f'<data key="label">{escape(label)}</data>' in text
+        assert graphml_multisets(text) == (set(labels), pairs)
 
     def test_unknown_format_is_rejected(self, first_graph):
         with pytest.raises(ValueError, match="unknown format"):
@@ -362,6 +377,34 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and expected in err
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_shared_parser_carries_nothing_between_calls(self, decls_path, tmp_path, capsys):
+        # One process, many commands: each must print and exit as it does
+        # when it is the only command the process runs.
+        assert _build_parser() is _build_parser()
+        query = ["query", "--decls", str(decls_path), "C<? <: C<?>>", "O"]
+        argvs = [
+            ["query", "--decls", str(decls_path), "N"],
+            query,
+            ["stats", "--decls", str(decls_path), "--iterations", "2"],
+            ["build", "--decls", str(decls_path), "--iterations", "2",
+             "--format", "graphml", "--out", str(tmp_path / "graph.graphml")],
+            query,
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(groundsub.__file__).parents[1])}
+        results = []
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+            alone = subprocess.run(
+                [sys.executable, "-m", "groundsub", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert results[-1] == (alone.returncode, alone.stdout, alone.stderr), argv
+        code, out, err = results[0]
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert results[1] == results[4] == (0, "graph: true\noracle: true\n", "")
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1

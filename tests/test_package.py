@@ -8,6 +8,9 @@ this suite instead of only a traced benchmark run.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,25 @@ def test_oracles_are_not_in_the_package(name):
     modules = (builder, cli, digraph, errors, export, labels, product, rules, typelang, wildcards)
     for owner in (groundsub, *modules, LabeledDigraph):
         assert not hasattr(owner, name), (owner, name)
+
+
+def test_import_loads_no_network_stack():
+    # Measured in a fresh interpreter against what it had loaded before the
+    # import, so that modules `site` loads do not count.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import groundsub\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(groundsub.__file__).parents[1])}
+    added = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        check=True, timeout=60,
+    ).stdout.split()
+    assert "groundsub" in added
+    heavy = ("xml", "urllib.request", "http", "email", "ssl")
+    assert [m for m in added if any(m == h or m.startswith(h + ".") for h in heavy)] == []
 
 
 def test_edges_are_plain_tuples():
