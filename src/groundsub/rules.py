@@ -19,6 +19,7 @@ from .labels import BOTTOM_CLASS, TOP_CLASS
 from .typelang import (
     NULL_TYPE,
     OBJECT_TYPE,
+    WILD,
     ClassTable,
     Con,
     Cov,
@@ -156,30 +157,30 @@ def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
     """All normalized ground types over `table` with rank at most `max_rank`.
 
     Returned in deterministic order (by rank, then by label).  The count
-    matches the vertex count of the construction at the same depth.
+    matches the vertex count of the construction at the same depth.  Each
+    rank past 2 takes its bounds from the rank before it alone.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
     plain = [GroundType(c) for c in table.classes if not table.is_generic(c)]
     generics = sorted(table.generic)
-    current: list[GroundType] = sorted(plain, key=canonical_label)
+    types = sorted(plain, key=canonical_label)
     if max_rank == 0:
-        return tuple(current)
-    current = current + [GroundType(c, Wild()) for c in generics]
+        return tuple(types)
+    types += sorted((GroundType(c, WILD) for c in generics), key=canonical_label)
+    bounds = types
     for _ in range(2, max_rank + 1):
         args: list[TypeArg] = []
-        for t in current:
+        for t in bounds:
             args.append(Inv(t))
             if t not in (OBJECT_TYPE, NULL_TYPE):
                 args.append(Cov(t))
                 args.append(Con(t))
-        fresh = [GroundType(c, a) for c in generics for a in args]
-        known = set(current)
-        added = [t for t in fresh if t not in known]
-        if not added:
+        bounds = sorted((GroundType(c, a) for c in generics for a in args), key=canonical_label)
+        if not bounds:
             break
-        current = current + added
-    return tuple(sorted(current, key=lambda t: (rank(t), canonical_label(t))))
+        types = types + bounds
+    return tuple(types)
 
 
 @dataclass(frozen=True)

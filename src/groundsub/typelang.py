@@ -185,9 +185,11 @@ class ClassTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "generic", frozenset(self.generic))
         object.__setattr__(self, "extends_edges", frozenset(self.extends_edges))
-        names = set(self.classes)
-        if len(self.classes) != len(names):
-            raise DeclarationError("duplicate class name in table")
+        names: set[str] = set()
+        for name in self.classes:
+            if name in names:
+                raise DeclarationError(f"duplicate class name {name!r}")
+            names.add(name)
         for special in (TOP_CLASS, BOTTOM_CLASS):
             if special not in names:
                 raise DeclarationError(f"table must contain {special!r}")
@@ -197,15 +199,30 @@ class ClassTable:
             raise DeclarationError("generic set mentions undeclared classes")
         supers: dict[str, list[str]] = {c: [] for c in self.classes}
         for sub, sup in self.extends_edges:
-            if sub not in names or sup not in names:
+            if sub not in names:
                 raise DeclarationError(f"edge ({sub!r}, {sup!r}) mentions unknown class")
             supers[sub].append(sup)
+        # Each user class's superclass, in declaration order, so that every
+        # check below names the same class whatever the order of the edges.
+        parents: dict[str, str] = {}
         for user in self.user_classes:
             if len(supers[user]) != 1:
                 raise DeclarationError(f"{user!r} must have exactly one superclass")
+            parents[user] = supers[user][0]
         if supers[TOP_CLASS]:
             raise DeclarationError(f"{TOP_CLASS!r} has no superclass")
-        # Acyclicity plus unique source and sink are checked by the graph.
+        for user, sup in parents.items():
+            if sup == BOTTOM_CLASS:
+                raise DeclarationError(f"{user!r} cannot extend the bottom class")
+            if sup != TOP_CLASS and sup not in parents:
+                raise DeclarationError(f"{user!r} extends undeclared class {sup!r}")
+            if sup in self.generic and user not in self.generic:
+                raise DeclarationError(
+                    f"non-generic class {user!r} cannot extend generic class {sup!r}"
+                )
+        _reject_cycles(parents)
+        object.__setattr__(self, "_parents", parents)
+        # A unique top and bottom are checked by the graph.
         self.graph  # noqa: B018
 
     @property
@@ -231,12 +248,6 @@ class ClassTable:
             return self._parents[name]
         except KeyError:
             raise DeclarationError(f"{name!r} has no declared superclass") from None
-
-    @cached_property
-    def _parents(self) -> dict[str, str]:
-        return {
-            sub: sup for sub, sup in self.extends_edges if sub != BOTTOM_CLASS
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -378,75 +389,57 @@ def _parse_decl(stream: _TokenStream) -> _RawDecl:
 
 
 def _build_table(decls: list[_RawDecl]) -> ClassTable:
-    declared: dict[str, _RawDecl] = {}
-    for decl in decls:
-        if decl.name in declared:
-            raise DeclarationError(f"duplicate class name {decl.name!r}")
-        declared[decl.name] = decl
-
-    generic = frozenset(d.name for d in decls if d.parameter is not None)
-    for decl in decls:
-        sup = decl.superclass
-        if sup is not None and sup != TOP_CLASS and sup not in declared:
-            raise DeclarationError(
-                f"{decl.name!r} extends undeclared class {sup!r}"
-            )
-        sup_generic = sup in generic
-        if decl.parameter is None:
-            if sup_generic:
-                raise DeclarationError(
-                    f"non-generic class {decl.name!r} cannot extend generic class {sup!r}"
-                )
-            if decl.passthrough is not None:
-                raise DeclarationError(
-                    f"non-generic class {decl.name!r} cannot pass a type argument to {sup!r}"
-                )
-        else:
-            if sup_generic:
-                if decl.passthrough is None:
-                    raise DeclarationError(
-                        f"{decl.name!r} must pass its parameter {decl.parameter!r} "
-                        f"to generic superclass {sup!r}"
-                    )
-                if decl.passthrough != decl.parameter:
-                    raise DeclarationError(
-                        f"{decl.name!r} may only pass its own parameter "
-                        f"{decl.parameter!r} to {sup!r}, got {decl.passthrough!r}"
-                    )
-            elif decl.passthrough is not None:
-                raise DeclarationError(
-                    f"{decl.name!r} cannot pass a type argument to "
-                    f"non-generic superclass {sup!r}"
-                )
-
-    _reject_cycles(declared)
-
-    edges: set[tuple[str, str]] = set()
-    extended = {d.superclass for d in decls if d.superclass is not None}
-    for decl in decls:
-        edges.add((decl.name, decl.superclass or TOP_CLASS))
-    minimal = [d.name for d in decls if d.name not in extended]
-    for name in minimal:
-        edges.add((BOTTOM_CLASS, name))
+    extended = {d.superclass for d in decls}
+    edges = {(d.name, d.superclass or TOP_CLASS) for d in decls}
+    edges.update((BOTTOM_CLASS, d.name) for d in decls if d.name not in extended)
     if not decls:
         edges.add((BOTTOM_CLASS, TOP_CLASS))
 
     classes = (TOP_CLASS, *(d.name for d in decls), BOTTOM_CLASS)
-    return ClassTable(classes, generic, frozenset(edges))
+    generic = frozenset(d.name for d in decls if d.parameter is not None)
+    table = ClassTable(classes, generic, frozenset(edges))
+
+    # The table checks everything but how a declaration passes its parameter.
+    for decl in decls:
+        sup = decl.superclass
+        if decl.parameter is None:
+            if decl.passthrough is not None:
+                raise DeclarationError(
+                    f"non-generic class {decl.name!r} cannot pass a type argument to {sup!r}"
+                )
+        elif sup in generic:
+            if decl.passthrough is None:
+                raise DeclarationError(
+                    f"{decl.name!r} must pass its parameter {decl.parameter!r} "
+                    f"to generic superclass {sup!r}"
+                )
+            if decl.passthrough != decl.parameter:
+                raise DeclarationError(
+                    f"{decl.name!r} may only pass its own parameter "
+                    f"{decl.parameter!r} to {sup!r}, got {decl.passthrough!r}"
+                )
+        elif decl.passthrough is not None:
+            raise DeclarationError(
+                f"{decl.name!r} cannot pass a type argument to "
+                f"non-generic superclass {sup!r}"
+            )
+    return table
 
 
-def _reject_cycles(declared: dict[str, _RawDecl]) -> None:
-    # Each walk stops at a class already known to reach the top, so every
-    # class is looked up at most twice: once as a start, once on a walk.
+def _reject_cycles(parents: dict[str, str]) -> None:
+    # `parents` maps each user class to its superclass, which is the top or
+    # another user class.  Each walk stops at a class already known to reach
+    # the top, so every class is looked up at most twice: once as a start,
+    # once on a walk.
     reaches_top: set[str] = set()
-    for start in declared:
+    for start in parents:
         path = {start}
-        current: str | None = declared[start].superclass
-        while current is not None and current != TOP_CLASS and current not in reaches_top:
+        current = parents[start]
+        while current != TOP_CLASS and current not in reaches_top:
             if current in path:
                 raise DeclarationError(f"inheritance cycle through {current!r}")
             path.add(current)
-            current = declared[current].superclass
+            current = parents[current]
         reaches_top |= path
 
 

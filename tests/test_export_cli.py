@@ -406,6 +406,59 @@ class TestCli:
         assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert results[1] == results[4] == (0, "graph: true\noracle: true\n", "")
 
+    @pytest.mark.parametrize(
+        "source, command, message",
+        [
+            ("klass C {}", ["stats", "--iterations", "1"], "expected 'class', found 'klass'"),
+            ("class extends {}", ["stats", "--iterations", "1"], "'extends' is a keyword"),
+            ("class C<class> {}", ["stats", "--iterations", "1"], "'class' cannot be a type"),
+            ("class C<O> {}", ["stats", "--iterations", "1"], "'O' cannot be a type parameter"),
+            ("class C extends class {}", ["stats", "--iterations", "1"], "'class' is a keyword"),
+            (
+                "class C {} class D extends C<T> {}",
+                ["stats", "--iterations", "1"],
+                "non-generic class 'D' cannot pass a type argument to 'C'",
+            ),
+            (CORPUS["one_generic"], ["query", "extends", "O"], "'extends' is a keyword"),
+            (
+                CORPUS["one_generic"],
+                ["build", "--iterations", "0", "--format", "json", "--out", "unused.json"],
+                "--iterations must be at least 1",
+            ),
+        ],
+    )
+    def test_bad_input_exits_one_with_one_error_line(
+        self, tmp_path, capsys, source, command, message
+    ):
+        decls = tmp_path / "program.decls"
+        decls.write_text(source, encoding="utf-8")
+        assert main([command[0], "--decls", str(decls), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_first_of_several_cycles_is_the_same_under_any_hash_seed(self, tmp_path):
+        # The table keeps its edges in a set; the cycle check must still
+        # walk the classes in declaration order.
+        decls = tmp_path / "cycles.decls"
+        cycles = (f"class A{i} extends B{i} {{}} class B{i} extends A{i} {{}}\n" for i in range(8))
+        decls.write_text("".join(cycles), encoding="utf-8")
+        stderrs = set()
+        for seed in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(Path(groundsub.__file__).parents[1]),
+                "PYTHONHASHSEED": seed,
+            }
+            done = subprocess.run(
+                [sys.executable, "-m", "groundsub", "stats", "--decls", str(decls),
+                 "--iterations", "1"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 1
+            stderrs.add(done.stderr)
+        assert stderrs == {"error: inheritance cycle through 'A0'\n"}
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1
 

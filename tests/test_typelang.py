@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from groundsub import (
     WILD,
     BipointedGraph,
+    ClassTable,
     Con,
     Cov,
     DeclarationError,
+    GraphError,
     GroundType,
     Inv,
     ParseError,
@@ -134,12 +136,63 @@ class TestParseDeclarations:
 
         n = 2000
         order = range(n - 1, -1, -1) if deepest_first else range(n)
-        declared = CountingDict(
-            (f"C{i}", typelang._RawDecl(f"C{i}", None, f"C{i - 1}" if i else None, None))
-            for i in order
-        )
-        typelang._reject_cycles(declared)
-        assert declared.lookups <= 2 * n
+        parents = CountingDict((f"C{i}", f"C{i - 1}" if i else "O") for i in order)
+        typelang._reject_cycles(parents)
+        # Every class is looked up at least once, as the start of a walk.
+        assert n <= parents.lookups <= 2 * n
+
+
+class TestHandBuiltTable:
+    """A table built directly is checked as a parsed one is."""
+
+    @pytest.mark.parametrize(
+        "classes, generic, edges, message",
+        [
+            (("O", "A", "A", "N"), (), {("A", "O"), ("N", "A")}, "duplicate class name 'A'"),
+            (("A", "N"), (), {("N", "A")}, "table must contain 'O'"),
+            (("O", "A"), (), {("A", "O")}, "table must contain 'N'"),
+            (("O", "N"), {"N"}, {("N", "O")}, "'N' is never generic"),
+            (("O", "N"), {"G"}, {("N", "O")}, "generic set mentions undeclared classes"),
+            (("O", "N"), (), {("N", "O"), ("Z", "O")}, "edge ('Z', 'O') mentions unknown class"),
+            (("O", "A", "N"), (), {("N", "A")}, "'A' must have exactly one superclass"),
+            (
+                ("O", "A", "B", "N"),
+                (),
+                {("A", "O"), ("A", "B"), ("B", "O"), ("N", "A")},
+                "'A' must have exactly one superclass",
+            ),
+            (("O", "A", "N"), (), {("A", "O"), ("O", "A"), ("N", "A")}, "'O' has no superclass"),
+            (("O", "A", "N"), (), {("A", "N"), ("N", "O")}, "'A' cannot extend the bottom class"),
+            (("O", "A", "N"), (), {("A", "Z"), ("N", "A")}, "'A' extends undeclared class 'Z'"),
+            (
+                ("O", "A", "B", "N"),
+                (),
+                {("A", "B"), ("B", "A"), ("N", "A")},
+                "inheritance cycle through 'A'",
+            ),
+        ],
+    )
+    def test_bad_table_names_its_fault(self, classes, generic, edges, message):
+        with pytest.raises(DeclarationError, match=f"^{re.escape(message)}$"):
+            ClassTable(classes, generic, edges)
+
+    def test_plain_class_under_generic_is_rejected(self):
+        # Accepted before, when `differential_check(table, 2)` reported 13
+        # mismatches over its 12 types.
+        with pytest.raises(
+            DeclarationError, match="^non-generic class 'D' cannot extend generic class 'C'$"
+        ):
+            ClassTable(("O", "C", "D", "N"), {"C"}, {("C", "O"), ("D", "C"), ("N", "D")})
+
+    def test_bottom_must_sit_under_every_minimal_class(self):
+        with pytest.raises(GraphError, match="not the unique source"):
+            ClassTable(("O", "A", "B", "N"), (), {("A", "O"), ("B", "O"), ("N", "A")})
+
+    def test_equals_the_parsed_table(self, passthrough):
+        edges = {("C", "O"), ("E", "C"), ("N", "E")}
+        table = ClassTable(("O", "C", "E", "N"), {"C", "E"}, edges)
+        assert table == passthrough
+        assert table.superclass_of("E") == "C"
 
 
 class TestParseGroundType:
