@@ -49,7 +49,6 @@ class IterationTrace:
     graph exactly, which happens only for programs without generic classes.
     """
 
-    table: ClassTable
     graphs: tuple[BipointedGraph, ...]
     reached_fixed_point: bool
 
@@ -131,7 +130,7 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
         graphs.append(_product_with_arguments(table, arguments))
         _check_size_law("|S_k| = n_k", k + 1, len(graphs[-1].vertices), sizes[k])
     fixed = not table.generic and iterations > 1
-    return IterationTrace(table, tuple(graphs), reached_fixed_point=fixed)
+    return IterationTrace(tuple(graphs), reached_fixed_point=fixed)
 
 
 def _check_size_law(law: str, k: int, actual: int, predicted: int) -> None:

@@ -26,8 +26,10 @@ bound of `N` are the default wildcard, a lower bound of `O` is invariant
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple, NoReturn, Union
 
 from .digraph import BipointedGraph, EdgeTag, LabeledDigraph
@@ -170,21 +172,20 @@ def rank(t: GroundType) -> int:
 
 @dataclass(frozen=True)
 class ClassTable:
-    """The program's subclassing relation.
+    """The program's subclassing relation, as declared.
 
     `classes` is in declaration order with the implicit top first and the
-    implicit bottom last; `extends_edges` holds (subclass, superclass) pairs
-    including the synthesized edges wiring the bottom under every minimal
-    user class.
+    implicit bottom last; `superclass` maps each user class to the class it
+    extends, the top for a root, and is kept as a read-only copy.  The
+    bottom's edges are not declared: `extends_edges` derives them.
     """
 
     classes: tuple[str, ...]
     generic: frozenset[str]
-    extends_edges: frozenset[tuple[str, str]]
+    superclass: Mapping[str, str] = field(hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generic", frozenset(self.generic))
-        object.__setattr__(self, "extends_edges", frozenset(self.extends_edges))
         names: set[str] = set()
         for name in self.classes:
             if name in names:
@@ -197,20 +198,18 @@ class ClassTable:
                 raise DeclarationError(f"{special!r} is never generic")
         if not self.generic <= names:
             raise DeclarationError("generic set mentions undeclared classes")
-        supers: dict[str, list[str]] = {c: [] for c in self.classes}
-        for sub, sup in self.extends_edges:
-            if sub not in names:
-                raise DeclarationError(f"edge ({sub!r}, {sup!r}) mentions unknown class")
-            supers[sub].append(sup)
+        names -= {TOP_CLASS, BOTTOM_CLASS}
+        for name in self.superclass:
+            if name not in names:
+                raise DeclarationError(f"{name!r} is not a user class")
         # Each user class's superclass, in declaration order, so that every
-        # check below names the same class whatever the order of the edges.
+        # check below names the same class whatever the order of the map.
         parents: dict[str, str] = {}
         for user in self.user_classes:
-            if len(supers[user]) != 1:
-                raise DeclarationError(f"{user!r} must have exactly one superclass")
-            parents[user] = supers[user][0]
-        if supers[TOP_CLASS]:
-            raise DeclarationError(f"{TOP_CLASS!r} has no superclass")
+            if user not in self.superclass:
+                raise DeclarationError(f"{user!r} has no declared superclass")
+            parents[user] = self.superclass[user]
+        object.__setattr__(self, "superclass", MappingProxyType(parents))
         for user, sup in parents.items():
             if sup == BOTTOM_CLASS:
                 raise DeclarationError(f"{user!r} cannot extend the bottom class")
@@ -221,9 +220,6 @@ class ClassTable:
                     f"non-generic class {user!r} cannot extend generic class {sup!r}"
                 )
         _reject_cycles(parents)
-        object.__setattr__(self, "_parents", parents)
-        # A unique top and bottom are checked by the graph.
-        self.graph  # noqa: B018
 
     @property
     def user_classes(self) -> tuple[str, ...]:
@@ -231,6 +227,14 @@ class ClassTable:
 
     def is_generic(self, name: str) -> bool:
         return name in self.generic
+
+    @cached_property
+    def extends_edges(self) -> frozenset[tuple[str, str]]:
+        """(subclass, superclass) pairs: the declared ones, and the bottom
+        under every other class that nothing extends (the top, if no class)."""
+        extended = set(self.superclass.values())
+        minimal = [c for c in self.classes if c != BOTTOM_CLASS and c not in extended]
+        return frozenset([*self.superclass.items(), *((BOTTOM_CLASS, c) for c in minimal)])
 
     @cached_property
     def graph(self) -> BipointedGraph:
@@ -245,7 +249,7 @@ class ClassTable:
     def superclass_of(self, name: str) -> str:
         """Declared superclass of a user class (the top for roots)."""
         try:
-            return self._parents[name]
+            return self.superclass[name]
         except KeyError:
             raise DeclarationError(f"{name!r} has no declared superclass") from None
 
@@ -389,15 +393,9 @@ def _parse_decl(stream: _TokenStream) -> _RawDecl:
 
 
 def _build_table(decls: list[_RawDecl]) -> ClassTable:
-    extended = {d.superclass for d in decls}
-    edges = {(d.name, d.superclass or TOP_CLASS) for d in decls}
-    edges.update((BOTTOM_CLASS, d.name) for d in decls if d.name not in extended)
-    if not decls:
-        edges.add((BOTTOM_CLASS, TOP_CLASS))
-
     classes = (TOP_CLASS, *(d.name for d in decls), BOTTOM_CLASS)
     generic = frozenset(d.name for d in decls if d.parameter is not None)
-    table = ClassTable(classes, generic, frozenset(edges))
+    table = ClassTable(classes, generic, {d.name: d.superclass or TOP_CLASS for d in decls})
 
     # The table checks everything but how a declaration passes its parameter.
     for decl in decls:

@@ -308,12 +308,17 @@ class TestCli:
         # The benchmark's query streams for seeds 1-3 cover every corpus
         # program; each query must print exactly the verdicts it expects.
         import groundsub.builder as builder_module
+        import groundsub.digraph as digraph_module
 
         def refuse(*args, **kwargs):
             pytest.fail("built an approximation to answer a query")
 
+        def refuse_graph(*args, **kwargs):
+            pytest.fail("built a graph, the class graph included, to answer a query")
+
         for name in ("run", "partial_product", "wildcards_graph"):
             monkeypatch.setattr(builder_module, name, refuse)
+        monkeypatch.setattr(digraph_module.LabeledDigraph, "__post_init__", refuse_graph)
         workloads.write_declarations(tmp_path, workloads.QUERY_PROGRAMS)
         for seed in (1, 2, 3):
             ops = workloads.make_ops("query-stream", seed)

@@ -15,8 +15,8 @@ from groundsub import (
     Con,
     Cov,
     DeclarationError,
-    GraphError,
     GroundType,
+    InfiniteGraph,
     Inv,
     ParseError,
     canonical_label,
@@ -25,12 +25,16 @@ from groundsub import (
     parse_declarations,
     parse_ground_type,
     rank,
+    render,
+    run,
 )
 
 from groundsub import typelang
+from groundsub.export import FORMATS
 from groundsub.typelang import MAX_TYPE_NESTING
 
 from conftest import CORPUS
+from oracles import equals_ignoring_tags, reference_hasse
 
 
 @pytest.fixture
@@ -145,31 +149,23 @@ class TestParseDeclarations:
 class TestHandBuiltTable:
     """A table built directly is checked as a parsed one is."""
 
+    # `edges` is the declared superclass map: each user class's one edge up.
     @pytest.mark.parametrize(
         "classes, generic, edges, message",
         [
-            (("O", "A", "A", "N"), (), {("A", "O"), ("N", "A")}, "duplicate class name 'A'"),
-            (("A", "N"), (), {("N", "A")}, "table must contain 'O'"),
-            (("O", "A"), (), {("A", "O")}, "table must contain 'N'"),
-            (("O", "N"), {"N"}, {("N", "O")}, "'N' is never generic"),
-            (("O", "N"), {"G"}, {("N", "O")}, "generic set mentions undeclared classes"),
-            (("O", "N"), (), {("N", "O"), ("Z", "O")}, "edge ('Z', 'O') mentions unknown class"),
-            (("O", "A", "N"), (), {("N", "A")}, "'A' must have exactly one superclass"),
-            (
-                ("O", "A", "B", "N"),
-                (),
-                {("A", "O"), ("A", "B"), ("B", "O"), ("N", "A")},
-                "'A' must have exactly one superclass",
-            ),
-            (("O", "A", "N"), (), {("A", "O"), ("O", "A"), ("N", "A")}, "'O' has no superclass"),
-            (("O", "A", "N"), (), {("A", "N"), ("N", "O")}, "'A' cannot extend the bottom class"),
-            (("O", "A", "N"), (), {("A", "Z"), ("N", "A")}, "'A' extends undeclared class 'Z'"),
-            (
-                ("O", "A", "B", "N"),
-                (),
-                {("A", "B"), ("B", "A"), ("N", "A")},
-                "inheritance cycle through 'A'",
-            ),
+            (("O", "A", "A", "N"), (), {"A": "O"}, "duplicate class name 'A'"),
+            (("A", "N"), (), {"A": "O"}, "table must contain 'O'"),
+            (("O", "A"), (), {"A": "O"}, "table must contain 'N'"),
+            (("O", "N"), {"N"}, {}, "'N' is never generic"),
+            (("O", "N"), {"G"}, {}, "generic set mentions undeclared classes"),
+            (("O", "N"), (), {"Z": "O"}, "'Z' is not a user class"),
+            (("O", "A", "N"), (), {}, "'A' has no declared superclass"),
+            # The bottom's edges are derived, never declared.
+            (("O", "A", "N"), (), {"A": "O", "N": "A"}, "'N' is not a user class"),
+            (("O", "A", "N"), (), {"A": "O", "O": "A"}, "'O' is not a user class"),
+            (("O", "A", "N"), (), {"A": "N"}, "'A' cannot extend the bottom class"),
+            (("O", "A", "N"), (), {"A": "Z"}, "'A' extends undeclared class 'Z'"),
+            (("O", "A", "B", "N"), (), {"A": "B", "B": "A"}, "inheritance cycle through 'A'"),
         ],
     )
     def test_bad_table_names_its_fault(self, classes, generic, edges, message):
@@ -182,17 +178,64 @@ class TestHandBuiltTable:
         with pytest.raises(
             DeclarationError, match="^non-generic class 'D' cannot extend generic class 'C'$"
         ):
-            ClassTable(("O", "C", "D", "N"), {"C"}, {("C", "O"), ("D", "C"), ("N", "D")})
+            ClassTable(("O", "C", "D", "N"), {"C"}, {"C": "O", "D": "C"})
 
     def test_bottom_must_sit_under_every_minimal_class(self):
-        with pytest.raises(GraphError, match="not the unique source"):
-            ClassTable(("O", "A", "B", "N"), (), {("A", "O"), ("B", "O"), ("N", "A")})
+        table = ClassTable(("O", "A", "B", "C", "N"), (), {"B": "A", "A": "O", "C": "O"})
+        assert table.extends_edges == {
+            ("A", "O"), ("B", "A"), ("C", "O"), ("N", "B"), ("N", "C"),
+        }
+
+    @pytest.mark.parametrize(
+        "source, classes, generic, superclass, minimal",
+        [
+            ("", ("O", "N"), (), {}, {"O"}),
+            (
+                "class A {} class B extends A {}",
+                ("O", "A", "B", "N"),
+                (),
+                {"A": "O", "B": "A"},
+                {"B"},
+            ),
+            (
+                "class C<T> {} class D<T> extends C<T> {}",
+                ("O", "C", "D", "N"),
+                {"C", "D"},
+                {"C": "O", "D": "C"},
+                {"D<?>"},
+            ),
+        ],
+    )
+    def test_forest_gives_the_hasse_first_factor(
+        self, source, classes, generic, superclass, minimal
+    ):
+        # A bottom edge into a class with subclasses would be implied by the
+        # others, and every approximation built on it would keep it.
+        table = ClassTable(classes, generic, superclass)
+        parsed = parse_declarations(source)
+        for k in (1, 2, 3):
+            built = run(table, k).last.graph
+            assert equals_ignoring_tags(built, reference_hasse(table, k)), k
+            expected = run(parsed, k).last.graph
+            for fmt in FORMATS:
+                assert render(built, fmt) == render(expected, fmt), (k, fmt)
+        covers = InfiniteGraph(table).covers_up(GroundType("N"), 1)
+        assert {canonical_label(t) for t in covers} == minimal
 
     def test_equals_the_parsed_table(self, passthrough):
-        edges = {("C", "O"), ("E", "C"), ("N", "E")}
-        table = ClassTable(("O", "C", "E", "N"), {"C", "E"}, edges)
+        table = ClassTable(("O", "C", "E", "N"), {"C", "E"}, {"E": "C", "C": "O"})
         assert table == passthrough
+        assert hash(table) == hash(passthrough)
         assert table.superclass_of("E") == "C"
+        assert list(table.superclass) == ["C", "E"]
+
+    def test_is_immutable(self):
+        declared = {"A": "O"}
+        table = ClassTable(("O", "A", "N"), (), declared)
+        declared["A"] = "N"
+        assert table.superclass_of("A") == "O"
+        with pytest.raises(TypeError):
+            table.superclass["A"] = "N"  # type: ignore[index]
 
 
 class TestParseGroundType:
