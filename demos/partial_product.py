@@ -8,7 +8,7 @@ contributes edges of its own shape.  On Hasse factors the rules emit exactly
 the covering edges of the product order, so nothing needs reducing.
 """
 
-from groundsub import LabeledDigraph, PartitionedGraph, partial_product, reachable
+from groundsub import LabeledDigraph, PartitionedGraph, partial_product
 
 # A diamond-shaped first factor; only the middle vertices multiply.
 base = LabeledDigraph.from_edges(
@@ -34,7 +34,7 @@ for e in product.sorted_edges:
 # Fan-out leaves only the copies at the chain's top and fan-in enters only
 # the copies at its bottom, so every edge above is a cover.
 print("bot reaches top only through the copies:",
-      reachable(product, "bot", "top") and "top" not in product.successors("bot"))
+      "top" in product.descendants_of("bot") and "top" not in product.successors("bot"))
 print()
 
 # With an empty partition nothing multiplies and the product returns the

@@ -2,12 +2,12 @@
 
 This module decides subtyping by direct structural recursion over the type
 syntax and the declared superclass chains.  One decider, `_Rules`, works on
-hash-consed types: each structurally distinct type of a table is one int
-id, so the recursion compares ids, never whole types.  `is_subtype` and
-`contains_argument` intern their arguments and ask it.  It deliberately
-shares no graph machinery with the iterated construction so the two can be
-compared against each other: `differential_check` runs both over every
-ordered pair of types up to a rank bound and reports any disagreement.
+type shapes, plain tuples it unpacks and compares.  `is_subtype` and
+`contains_argument` check their arguments against the table and ask it.
+It deliberately shares no graph machinery with the iterated construction so
+the two can be compared against each other: `differential_check` runs both
+over every ordered pair of types up to a rank bound and reports any
+disagreement.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .typelang import (
     Inv,
     TypeArg,
     Wild,
+    argument_label,
     canonical_label,
     rank,
 )
@@ -37,71 +38,61 @@ MAX_PAIRS = 20_000_000
 
 
 class _Rules:
-    """The rules of ground subtyping over the hash-consed types of one table.
+    """The rules of ground subtyping over the types of one table.
 
-    `intern` gives each structurally distinct type one int id, stored once
-    as its shape (class, argument kind, bound id).  The kind is `None` for a
-    plain class, else the class of the argument; the bound id is -1 for a
-    plain class and for `?`.  Hashing and comparing ids never recurses into
-    a type.  The superclass set of a class is worked out when first needed
+    A type is its shape, the tuple (class, argument kind, bound shape).  The
+    kind is `None` for a plain class, else the class of the argument; the
+    bound shape is `None` for a plain class and for `?`.  Equal types have
+    equal shapes, and shapes are compared, never hashed, so no table of them
+    is kept.  The superclass set of a class is worked out when first needed
     and kept for the life of the instance.
     """
 
-    # `builder.InfiniteGraph` interns types the same way, but this table is
-    # kept apart from it: a bug shared by both deciders would be invisible
-    # to `selfcheck` and `query`.
+    # `builder.InfiniteGraph` numbers its types instead, as its search hashes
+    # them.  The deciders share only the type syntax and the class table: a
+    # bug shared by both would be invisible to `selfcheck` and `query`.
 
     def __init__(self, table: ClassTable):
-        self._ids: dict[tuple[str, type | None, int], int] = {}
-        self._shapes: list[tuple[str, type | None, int]] = []
         self._supers = _Superclasses(table)
 
-    def intern(self, t: GroundType) -> int:
-        """The id of `t`; equal types get the same id."""
-        kind, bound = (None, -1) if t.arg is None else self.argument(t.arg)
-        shape = (t.name, kind, bound)
-        i = self._ids.get(shape)
-        if i is None:
-            i = self._ids[shape] = len(self._shapes)
-            self._shapes.append(shape)
-        return i
+    def shape(self, t: GroundType) -> tuple:
+        """The shape of a normalised type; equal types get equal shapes."""
+        if t.arg is None:
+            return t.name, None, None
+        return t.name, *self.argument(t.arg)
 
-    def argument(self, arg: TypeArg) -> tuple[type, int]:
-        """The (kind, bound id) pair of a type argument."""
-        match arg:
-            case Wild():
-                return Wild, -1
-            case Inv(bound) | Cov(bound) | Con(bound):
-                return type(arg), self.intern(bound)
-        raise TypeError(f"not a type argument: {arg!r}")
+    def argument(self, arg: TypeArg) -> tuple:
+        """The (kind, bound shape) pair of a normalised type argument."""
+        if isinstance(arg, Wild):
+            return Wild, None
+        return type(arg), self.shape(arg.bound)
 
-    def subtype(self, i: int, j: int) -> bool:
-        """True when the type with id `i` is a subtype of the one with id `j`.
+    def subtype(self, s1: tuple, s2: tuple) -> bool:
+        """True when the type of shape `s1` is a subtype of the one of shape `s2`.
 
         The bottom type is below everything, the top type above everything,
         and otherwise the head classes must be related by inheritance.  When
         the supertype is generic, the arguments must also be in the
         containment relation; arguments pass through inheritance verbatim,
-        so no substitution is needed along the chain.  The mutual recursion
-        with `contains` terminates because bound ranks strictly decrease.
+        so no substitution is needed along the chain, and a class below a
+        generic one is generic.  The mutual recursion with `contains`
+        terminates because bound ranks strictly decrease.
 
         The cheap name tests come first.  A type is a subtype of itself
         without a test of its own: a class inherits from itself and an
         argument contains itself.
         """
-        name1, kind1, bound1 = self._shapes[i]
-        name2, kind2, bound2 = self._shapes[j]
+        name1, kind1, bound1 = s1
+        name2, kind2, bound2 = s2
         if name1 == BOTTOM_CLASS or name2 == TOP_CLASS:
             return True
         if name2 not in self._supers[name1]:
             return False
         if kind2 is None:
             return True
-        if kind1 is None:
-            return False
         return self.contains(kind1, bound1, kind2, bound2)
 
-    def contains(self, kind1: type, bound1: int, kind2: type, bound2: int) -> bool:
+    def contains(self, kind1: type, bound1: tuple | None, kind2: type, bound2: tuple | None) -> bool:
         """True when the argument (kind1, bound1) is contained in (kind2, bound2).
 
         An argument is contained in itself and in the default wildcard; an
@@ -138,8 +129,12 @@ class _Superclasses(dict):
 def contains_argument(inner: TypeArg, outer: TypeArg, table: ClassTable) -> bool:
     """True when the argument `inner` is contained in the argument `outer`.
 
-    Interns both arguments and asks `_Rules.contains`, which states the rule.
+    Raises `ValueError` unless both are normalised arguments over `table`,
+    then asks `_Rules.contains`, which states the rule.
     """
+    for arg in (inner, outer):
+        if not table.is_argument(arg):
+            raise ValueError(f"{argument_label(arg)!r} is not a normalised argument of the table")
     rules = _Rules(table)
     return rules.contains(*rules.argument(inner), *rules.argument(outer))
 
@@ -147,10 +142,14 @@ def contains_argument(inner: TypeArg, outer: TypeArg, table: ClassTable) -> bool
 def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
     """Ground subtyping over normalized types.
 
-    Interns both types and asks `_Rules.subtype`, which states the rules.
+    Raises `ValueError` unless both are normalised types over `table`, then
+    asks `_Rules.subtype`, which states the rules.
     """
+    for t in (t1, t2):
+        if not table.is_type(t):
+            raise ValueError(f"{canonical_label(t)!r} is not a normalised type of the table")
     rules = _Rules(table)
-    return rules.subtype(rules.intern(t1), rules.intern(t2))
+    return rules.subtype(rules.shape(t1), rules.shape(t2))
 
 
 def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
@@ -222,8 +221,8 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     S_k: that S_k is the restriction of every later graph is a law of the
     construction, and the check is there to test it.
 
-    The rules side interns each type once and decides a cell with
-    `_Rules.subtype` on the two ids.
+    The rules side converts each type to its shape once and decides a cell
+    with `_Rules.subtype` on the two shapes.
 
     Mismatches are report content, not exceptions; an empty mismatch list is
     the expected outcome.  Raises `SizeLimitError`, before building or
@@ -245,18 +244,18 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     decider = _Rules(table)
     subtype = decider.subtype
     # Each type with its label, the index of the smallest graph holding it,
-    # and its id.
-    rows = [(canonical_label(t), max(rank(t), 1), decider.intern(t)) for t in types]
+    # and its shape.
+    rows = [(canonical_label(t), max(rank(t), 1), decider.shape(t)) for t in types]
     mismatches: list[Mismatch] = []
-    for l1, k1, i in rows:
+    for l1, k1, s1 in rows:
         own = trace.graphs[k1 - 1].graph.descendants_of(l1)
         below = [own] * (k1 + 1) + [
             trace.graphs[k - 1].graph.descendants_of(l1)
             for k in range(k1 + 1, trace.depth + 1)
         ]
-        for l2, k2, j in rows:
+        for l2, k2, s2 in rows:
             by_graph = l1 == l2 or l2 in below[k2]
-            by_rules = subtype(i, j)
+            by_rules = subtype(s1, s2)
             if by_graph != by_rules:
                 mismatches.append(Mismatch(l1, l2, by_graph, by_rules))
     return DifferentialReport(max_rank, len(types), tuple(mismatches))

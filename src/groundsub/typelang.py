@@ -228,6 +228,18 @@ class ClassTable:
     def is_generic(self, name: str) -> bool:
         return name in self.generic
 
+    def is_type(self, t: GroundType) -> bool:
+        """True for a normalised ground type over the table."""
+        if t.name not in self.classes or (t.arg is None) == (t.name in self.generic):
+            return False
+        return t.arg is None or self.is_argument(t.arg)
+
+    def is_argument(self, arg: TypeArg) -> bool:
+        """True for a normalised type argument over the table."""
+        if isinstance(arg, Cov | Con):
+            return arg.bound.name not in (TOP_CLASS, BOTTOM_CLASS) and self.is_type(arg.bound)
+        return isinstance(arg, Wild) or isinstance(arg, Inv) and self.is_type(arg.bound)
+
     @cached_property
     def extends_edges(self) -> frozenset[tuple[str, str]]:
         """(subclass, superclass) pairs: the declared ones, and the bottom

@@ -8,7 +8,7 @@ approximations must satisfy, and the two image functions restate the corner
 rule of `wildcards_graph` one vertex at a time.  `reference_is_subtype` is
 the rules decider with its equality tests first, as it was written before
 they were replaced by cheaper name tests, on whole types rather than
-interned ids, with its own walk up the superclass chain.
+shape tuples, with its own walk up the superclass chain.
 `reference_hasse` is the Hasse diagram of that decider's order, which
 needs no graph code of the package beyond the transitive reduction.
 `subtype_by_trace` is the graph decider as it was before it searched covers

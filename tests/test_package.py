@@ -1,4 +1,5 @@
-"""What the package exports, and what the benchmark's tracer looks up in it.
+"""What the package exports and imports, and what the benchmark's tracer
+looks up in it.
 
 `bench/tracer.py` replaces module-level names of the package with timing
 wrappers.  Loading it here, unchanged, makes a renamed or removed name fail
@@ -7,6 +8,7 @@ this suite instead of only a traced benchmark run.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -34,6 +36,7 @@ from groundsub import (
 )
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+SRC = Path(groundsub.__file__).resolve().parent
 
 EXPORTED = {
     "BOTTOM_CLASS", "BipointedGraph", "ClassTable", "Con", "Cov", "DeclarationError",
@@ -124,3 +127,28 @@ def test_tracer_installs_and_uninstalls_cleanly(tracer):
         assert cli.main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1
     assert [getattr(owner, attr) for owner, attr, _ in tracer.WRAPPED] == before
     assert t.calls["cli.main"] == 1
+
+
+def _unread_imports(path: Path) -> set[str]:
+    """Names the module's top-level imports bind that the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bound - read
+
+
+def test_src_imports_only_what_it_uses(tracer):
+    # `__init__.py` only re-exports, which `test_exports_are_pinned` covers.
+    # A name the tracer wraps in a module may be imported there for it alone.
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    for path in modules:
+        module = f"groundsub.{path.stem}"
+        wrapped = {attr for owner, attr, _ in tracer.WRAPPED if owner.__name__ == module}
+        unread = _unread_imports(path) - wrapped
+        assert not unread, (path.name, sorted(unread))

@@ -99,6 +99,12 @@ class TestPartialProduct:
         with pytest.raises(GraphError, match="collision"):
             partial_product(PartitionedGraph(g, frozenset({"a"})), g2, combine=lambda u, v: "b")
 
+    def test_label_collision_between_product_vertices_is_an_error(self):
+        g = LabeledDigraph.from_edges([("a", "b")])
+        g2 = LabeledDigraph.from_edges(vertices=("x",))
+        with pytest.raises(GraphError, match=r"'ax' produced by both \('a', 'x'\) and \('b', 'x'\)"):
+            partial_product(PartitionedGraph(g, frozenset({"a", "b"})), g2, combine=lambda u, v: "ax")
+
     @given(dags(max_vertices=5, reduced=True), dags(max_vertices=4, reduced=True), st.randoms())
     def test_vertex_count_law(self, g1, g2, rng):
         subset = frozenset(v for v in g1.vertices if rng.random() < 0.5)

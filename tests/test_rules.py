@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from groundsub import (
     ClassTable,
     Con,
     Cov,
+    GraphError,
     GroundType,
     Inv,
     LabeledDigraph,
@@ -28,6 +30,7 @@ from groundsub import (
     parse_declarations,
     parse_ground_type,
     run,
+    subtype_by_graph,
 )
 from groundsub import builder, rules
 from groundsub.cli import main
@@ -187,25 +190,58 @@ class TestSubtype:
         assert not is_subtype(d, c, table)
 
 
+# `C<?>` spelled with its default bound, which the parser normalises away.
+SPELLED_WILD = GroundType("C", Cov(GroundType("O")))
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize(
+        "ask_rules, graph_pair, named",
+        [
+            (
+                lambda t: is_subtype(GroundType("X"), GroundType("O"), t),
+                (GroundType("X"), GroundType("O")),
+                "'X'",
+            ),
+            (
+                lambda t: is_subtype(GroundType("C", WILD), SPELLED_WILD, t),
+                (GroundType("C", WILD), SPELLED_WILD),
+                "'C<? <: O>'",
+            ),
+            (
+                lambda t: contains_argument(WILD, Cov(GroundType("O")), t),
+                (GroundType("C", WILD), SPELLED_WILD),
+                "'? <: O'",
+            ),
+        ],
+        ids=["undeclared_class", "unnormalised_type", "unnormalised_argument"],
+    )
+    def test_both_deciders_refuse_what_is_not_normalised_over_the_table(
+        self, one_generic, ask_rules, graph_pair, named
+    ):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ask_rules(one_generic)
+        with pytest.raises(GraphError, match="is not a vertex of approximation"):
+            subtype_by_graph(one_generic, *graph_pair)
+
+
 class TestInterning:
     def test_equal_types_built_separately_share_an_id(self, tables):
         table = tables["two_generics"]
         decider = rules._Rules(table)
         text = "C<? <: D<? :> C<C<?>>>>"
         built = GroundType("C", Cov(GroundType("D", Con(GroundType("C", Inv(GroundType("C", WILD)))))))
-        first = decider.intern(parse_ground_type(text, table))
-        assert decider.intern(parse_ground_type(text, table)) == first
-        assert decider.intern(built) == first
-        assert decider.intern(parse_ground_type("C<? <: D<? :> C<D<?>>>>", table)) != first
+        first = decider.shape(parse_ground_type(text, table))
+        assert decider.shape(parse_ground_type(text, table)) == first
+        assert decider.shape(built) == first
+        assert decider.shape(parse_ground_type("C<? <: D<? :> C<D<?>>>>", table)) != first
 
     def test_one_id_per_type_of_every_corpus_program(self, tables):
         for name, table in tables.items():
             decider = rules._Rules(table)
             types = enumerate_types(table, 4)
-            ids = {decider.intern(t) for t in types}
-            assert len(ids) == len(types), name
-            # Every bound is itself an enumerated type, so no other id exists.
-            assert ids == set(range(len(types))), name
+            shapes = {decider.shape(t) for t in types}
+            assert len(shapes) == len(types), name
 
     def test_query_on_a_long_chain_walks_each_class_once(self, tmp_path, capsys, monkeypatch):
         # Working out every class's superclass set up front would walk
@@ -247,6 +283,10 @@ class TestEnumerateTypes:
 
     def test_order_is_deterministic(self, one_generic):
         assert enumerate_types(one_generic, 3) == enumerate_types(one_generic, 3)
+
+    def test_negative_rank_is_refused(self, one_generic):
+        with pytest.raises(ValueError, match="max_rank must be nonnegative"):
+            enumerate_types(one_generic, -1)
 
 
 class TestDifferentialCheck:
@@ -316,9 +356,9 @@ class TestDifferentialCheck:
         right = parse_ground_type("C<?>", one_generic)
         real = rules._Rules.subtype
 
-        def flipped(self, i, j):
-            verdict = real(self, i, j)
-            return not verdict if (i, j) == (self.intern(left), self.intern(right)) else verdict
+        def flipped(self, s1, s2):
+            verdict = real(self, s1, s2)
+            return not verdict if (s1, s2) == (self.shape(left), self.shape(right)) else verdict
 
         monkeypatch.setattr(rules._Rules, "subtype", flipped)
         report = differential_check(one_generic, 3)

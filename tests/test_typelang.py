@@ -20,6 +20,7 @@ from groundsub import (
     Inv,
     ParseError,
     canonical_label,
+    enumerate_types,
     normalize_argument,
     normalize_type,
     parse_declarations,
@@ -229,6 +230,11 @@ class TestHandBuiltTable:
         assert table.superclass_of("E") == "C"
         assert list(table.superclass) == ["C", "E"]
 
+    def test_only_user_classes_have_a_declared_superclass(self, passthrough):
+        for name in ("O", "N", "X"):
+            with pytest.raises(DeclarationError, match=f"'{name}' has no declared superclass"):
+                passthrough.superclass_of(name)
+
     def test_is_immutable(self):
         declared = {"A": "O"}
         table = ClassTable(("O", "A", "N"), (), declared)
@@ -353,6 +359,27 @@ class TestNormalization:
         assert normalize_argument(Con(c)) == Con(c)
         assert normalize_argument(Inv(c)) == Inv(c)
 
+    @pytest.mark.parametrize(
+        "over_arguments",
+        [normalize_argument, typelang.argument_label, lambda arg: rank(GroundType("C", arg))],
+        ids=["normalize_argument", "argument_label", "rank"],
+    )
+    def test_a_non_argument_is_a_type_error(self, over_arguments):
+        with pytest.raises(TypeError, match="not a type argument: 'C'"):
+            over_arguments("C")
+
+
+class TestIsType:
+    def test_every_enumerated_type_is_a_type(self, tables):
+        for name, table in tables.items():
+            assert all(map(table.is_type, enumerate_types(table, 3))), name
+
+    def test_only_normalised_arguments_over_the_table(self, one_generic):
+        o, n, c = GroundType("O"), GroundType("N"), GroundType("C", WILD)
+        assert all(map(one_generic.is_argument, [WILD, Inv(o), Inv(n), Cov(c), Con(c)]))
+        refused = [Cov(o), Con(o), Cov(n), Con(n), Inv(GroundType("C")), Inv(GroundType("X")), "?"]
+        assert not any(map(one_generic.is_argument, refused))
+
 
 def ground_types(table, max_depth=3):
     """Strategy for normalized ground types over `table`."""
@@ -430,8 +457,6 @@ class TestRank:
     def test_rank_matches_first_appearance(self, tables, traces):
         # A normalized type over the program is a vertex of the k-th
         # approximation exactly when its rank is at most k.
-        from groundsub import enumerate_types
-
         for name, table in tables.items():
             trace = traces[name]
             universe = enumerate_types(table, trace.depth)
