@@ -1,18 +1,19 @@
 """Rule-based decision procedure for ground subtyping and containment.
 
 This module decides subtyping by direct structural recursion over the type
-syntax and the declared superclass chains.  One decider, `_Rules`, works on
-type shapes, plain tuples it unpacks and compares.  `is_subtype` and
-`contains_argument` check their arguments against the table and ask it.
-It deliberately shares no graph machinery with the iterated construction so
-the two can be compared against each other: `differential_check` runs both
-over every ordered pair of types up to a rank bound and reports any
-disagreement.
+syntax and the declared superclass chains.  One method, `_Rules.subtype`,
+states every rule on type shapes, plain tuples it unpacks and compares;
+containment is subtyping under one shared head, as `C<a> <: C<b>` holds
+exactly when `a` is contained in `b`.  It deliberately shares no graph
+machinery with the iterated construction so the two can be compared against
+each other: `differential_check` runs both over every ordered pair of types
+up to a rank bound and reports any disagreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS
@@ -36,6 +37,10 @@ from .typelang import (
 # count from the vertex recurrence and refuses before it builds anything.
 MAX_PAIRS = 20_000_000
 
+# The head `contains_argument` puts both arguments under: a generic class that
+# is its own only superclass.  No class of a table can be this non-string.
+_ARGUMENT_HEAD = object()
+
 
 class _Rules:
     """The rules of ground subtyping over the types of one table.
@@ -53,19 +58,20 @@ class _Rules:
     # bug shared by both would be invisible to `selfcheck` and `query`.
 
     def __init__(self, table: ClassTable):
-        self._supers = _Superclasses(table)
+        self._table = table
+        self._supers = {_ARGUMENT_HEAD: frozenset((_ARGUMENT_HEAD,))}
 
     def shape(self, t: GroundType) -> tuple:
         """The shape of a normalised type; equal types get equal shapes."""
-        if t.arg is None:
-            return t.name, None, None
-        return t.name, *self.argument(t.arg)
+        return self.applied(t.name, t.arg)
 
-    def argument(self, arg: TypeArg) -> tuple:
-        """The (kind, bound shape) pair of a normalised type argument."""
+    def applied(self, head: object, arg: TypeArg | None) -> tuple:
+        """The shape of class `head` applied to the normalised `arg`, if any."""
+        if arg is None:
+            return head, None, None
         if isinstance(arg, Wild):
-            return Wild, None
-        return type(arg), self.shape(arg.bound)
+            return head, Wild, None
+        return head, type(arg), self.shape(arg.bound)
 
     def subtype(self, s1: tuple, s2: tuple) -> bool:
         """True when the type of shape `s1` is a subtype of the one of shape `s2`.
@@ -75,8 +81,15 @@ class _Rules:
         the supertype is generic, the arguments must also be in the
         containment relation; arguments pass through inheritance verbatim,
         so no substitution is needed along the chain, and a class below a
-        generic one is generic.  The mutual recursion with `contains`
-        terminates because bound ranks strictly decrease.
+        generic one is generic.
+
+        An argument is contained in itself and in the default wildcard; an
+        upper-bounded argument contains the upper-bounded and exact
+        arguments whose type is a subtype of its bound; a lower-bounded
+        argument contains the lower-bounded and exact arguments whose type
+        is a supertype of its bound.  Exact arguments contain nothing else.
+        The recursion on the bounds terminates because bound ranks strictly
+        decrease.
 
         The cheap name tests come first.  A type is a subtype of itself
         without a test of its own: a class inherits from itself and an
@@ -86,22 +99,16 @@ class _Rules:
         name2, kind2, bound2 = s2
         if name1 == BOTTOM_CLASS or name2 == TOP_CLASS:
             return True
-        if name2 not in self._supers[name1]:
+        try:
+            supers = self._supers[name1]
+        except KeyError:
+            chain = [name1]
+            while chain[-1] != TOP_CLASS:
+                chain.append(self._table.superclass_of(chain[-1]))
+            supers = self._supers[name1] = frozenset(chain)
+        if name2 not in supers:
             return False
-        if kind2 is None:
-            return True
-        return self.contains(kind1, bound1, kind2, bound2)
-
-    def contains(self, kind1: type, bound1: tuple | None, kind2: type, bound2: tuple | None) -> bool:
-        """True when the argument (kind1, bound1) is contained in (kind2, bound2).
-
-        An argument is contained in itself and in the default wildcard; an
-        upper-bounded argument contains the upper-bounded and exact
-        arguments whose type is a subtype of its bound; a lower-bounded
-        argument contains the lower-bounded and exact arguments whose type
-        is a supertype of its bound.  Exact arguments contain nothing else.
-        """
-        if kind2 is Wild or (kind1 is kind2 and bound1 == bound2):
+        if kind2 is None or kind2 is Wild or (kind1 is kind2 and bound1 == bound2):
             return True
         if kind2 is Cov:
             return (kind1 is Cov or kind1 is Inv) and self.subtype(bound1, bound2)
@@ -110,33 +117,18 @@ class _Rules:
         return False
 
 
-class _Superclasses(dict):
-    """Maps a class to itself and every class above it in the declared
-    chain, walking `table.superclass_of` the first time a class is asked."""
-
-    def __init__(self, table: ClassTable):
-        super().__init__()
-        self._table = table
-
-    def __missing__(self, name: str) -> frozenset[str]:
-        chain = [name]
-        while chain[-1] != TOP_CLASS:
-            chain.append(self._table.superclass_of(chain[-1]))
-        supers = self[name] = frozenset(chain)
-        return supers
-
-
 def contains_argument(inner: TypeArg, outer: TypeArg, table: ClassTable) -> bool:
     """True when the argument `inner` is contained in the argument `outer`.
 
     Raises `ValueError` unless both are normalised arguments over `table`,
-    then asks `_Rules.contains`, which states the rule.
+    then asks `_Rules.subtype` whether `inner` under a private generic head
+    is a subtype of `outer` under the same head.
     """
     for arg in (inner, outer):
         if not table.is_argument(arg):
             raise ValueError(f"{argument_label(arg)!r} is not a normalised argument of the table")
     rules = _Rules(table)
-    return rules.contains(*rules.argument(inner), *rules.argument(outer))
+    return rules.subtype(rules.applied(_ARGUMENT_HEAD, inner), rules.applied(_ARGUMENT_HEAD, outer))
 
 
 def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
@@ -214,12 +206,13 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     applies: in S_k, with k = `sufficient_depth(t1, t2)`, t2 is t1 itself or
     one of t1's descendants.  Here the S_k are built by `run`, not searched
     on demand.  The label and rank of each type are computed once.  Each
-    row t1 fetches its descendant set once for every k from its own rank
-    k1 up, into a list indexed by the column's rank k2, whose entries below
-    k1 repeat the set of S_{k1}; a cell then costs one set lookup in the
-    set of S_k, k = max(k1, k2).  The last graph is not read in place of
-    S_k: that S_k is the restriction of every later graph is a law of the
-    construction, and the check is there to test it.
+    row t1, of rank k1, gathers its graph verdicts into one set, `above`:
+    t1 itself, its descendants in S_{k1} of rank at most k1, and for each
+    k > k1 its descendants in S_k of rank exactly k.  A column t2 of rank
+    k2 is thus read from S_k, k = max(k1, k2), and a cell costs one set
+    lookup.  The last graph is not read in place of S_k: that S_k is the
+    restriction of every later graph is a law of the construction, and the
+    check is there to test it.
 
     The rules side converts each type to its shape once and decides a cell
     with `_Rules.subtype` on the two shapes.
@@ -246,15 +239,19 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     # Each type with its label, the index of the smallest graph holding it,
     # and its shape.
     rows = [(canonical_label(t), max(rank(t), 1), decider.shape(t)) for t in types]
+    # The labels whose smallest graph is S_k, and those held by S_k.
+    of_rank: list[set[str]] = [set() for _ in range(trace.depth + 1)]
+    for label, k, _ in rows:
+        of_rank[k].add(label)
+    up_to = list(accumulate(of_rank, set.union))
     mismatches: list[Mismatch] = []
     for l1, k1, s1 in rows:
-        own = trace.graphs[k1 - 1].graph.descendants_of(l1)
-        below = [own] * (k1 + 1) + [
-            trace.graphs[k - 1].graph.descendants_of(l1)
-            for k in range(k1 + 1, trace.depth + 1)
-        ]
-        for l2, k2, s2 in rows:
-            by_graph = l1 == l2 or l2 in below[k2]
+        above = {l1}
+        for k in range(k1, trace.depth + 1):
+            read = up_to[k1] if k == k1 else of_rank[k]
+            above |= read & trace.graphs[k - 1].graph.descendants_of(l1)
+        for l2, _, s2 in rows:
+            by_graph = l2 in above
             by_rules = subtype(s1, s2)
             if by_graph != by_rules:
                 mismatches.append(Mismatch(l1, l2, by_graph, by_rules))

@@ -21,6 +21,7 @@ from groundsub import (
     LabeledDigraph,
     Mismatch,
     SizeLimitError,
+    argument_label,
     canonical_label,
     contains_argument,
     differential_check,
@@ -36,7 +37,7 @@ from groundsub import builder, rules
 from groundsub.cli import main
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS, NUMBERS_SOURCE
-from oracles import reference_is_subtype
+from oracles import reference_contains_argument, reference_is_subtype
 
 # Tables whose types `test_deep_types_agree_with_equality_guards` nests.
 DEEP_TABLES = {
@@ -119,6 +120,15 @@ class TestContains:
                         b, c, one_generic
                     ):
                         assert contains_argument(a, c, one_generic)
+
+    def test_every_pair_agrees_with_the_reference(self, tables, numbers_table):
+        for name, table in [*tables.items(), ("numbers", numbers_table)]:
+            universe = args_universe(table)
+            for a in universe:
+                for b in universe:
+                    assert contains_argument(a, b, table) == reference_contains_argument(
+                        a, b, table
+                    ), (name, argument_label(a), argument_label(b))
 
 
 class TestSubtype:
@@ -338,16 +348,49 @@ class TestDifferentialCheck:
             Mismatch("N", "C<?>", graph_verdict=False, rule_verdict=True),
         )
 
-    def test_swapped_contravariant_rule_is_caught(self, one_generic, monkeypatch):
-        real = rules._Rules.contains
+    @pytest.mark.parametrize(
+        "rule, count, first",
+        [
+            pytest.param(
+                lambda r, k1, b1, k2, b2: r.subtype(b1, b2)
+                if k2 is Con and k1 in (Con, Inv) and (k1, b1) != (k2, b2) else None,
+                52,
+                Mismatch("C<? :> C<?>>", "C<? :> C<? :> C<?>>>", True, False),
+                id="swapped_con",
+            ),
+            pytest.param(
+                lambda r, k1, b1, k2, b2: r.subtype(b2, b1)
+                if k2 is Cov and k1 in (Cov, Inv) and (k1, b1) != (k2, b2) else None,
+                52,
+                Mismatch("C<? <: C<?>>", "C<? <: C<? :> C<?>>>", False, True),
+                id="swapped_cov",
+            ),
+            pytest.param(
+                lambda r, k1, b1, k2, b2: False if k1 is Inv and k2 in (Cov, Con) else None,
+                50,
+                Mismatch("C<C<?>>", "C<? :> C<?>>", True, False),
+                id="exact_outside_its_bounds",
+            ),
+        ],
+    )
+    def test_rule_mutant_is_caught(self, one_generic, monkeypatch, rule, count, first):
+        # `rule(self, kind1, bound1, kind2, bound2)` decides the containment of
+        # two arguments under related heads wherever it returns a verdict.
+        real = rules._Rules.subtype
 
-        def swapped(self, kind1, bound1, kind2, bound2):
-            if kind2 is Con and kind1 in (Con, Inv) and (kind1, bound1) != (kind2, bound2):
-                return self.subtype(bound1, bound2)
-            return real(self, kind1, bound1, kind2, bound2)
+        def mutant(self, s1, s2):
+            (name1, kind1, bound1), (name2, kind2, bound2) = s1, s2
+            if kind1 is not None and kind2 is not None and real(
+                self, (name1, None, None), (name2, None, None)
+            ):
+                verdict = rule(self, kind1, bound1, kind2, bound2)
+                if verdict is not None:
+                    return verdict
+            return real(self, s1, s2)
 
-        monkeypatch.setattr(rules._Rules, "contains", swapped)
-        assert not differential_check(one_generic, 3).ok
+        monkeypatch.setattr(rules._Rules, "subtype", mutant)
+        mismatches = differential_check(one_generic, 3).mismatches
+        assert (len(mismatches), mismatches[0]) == (count, first)
 
     def test_one_flipped_rule_verdict_is_the_one_mismatch(self, one_generic, monkeypatch):
         # A rank-3 type is never the bound of an argument at rank 3, so the
@@ -386,3 +429,22 @@ class TestDifferentialCheck:
         report = differential_check(tables["two_generics"], 3)
         assert report.ok
         assert 0 < calls <= report.type_count * 3
+
+    def test_rules_decide_every_pair(self, tables, monkeypatch):
+        # Only the outermost call of the recursion decides a pair.
+        real = rules._Rules.subtype
+        depth = top_level = 0
+
+        def counted(self, s1, s2):
+            nonlocal depth, top_level
+            top_level += depth == 0
+            depth += 1
+            try:
+                return real(self, s1, s2)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(rules._Rules, "subtype", counted)
+        report = differential_check(tables["two_generics"], 3)
+        assert report.ok
+        assert top_level == report.pair_count == 13_456
