@@ -58,9 +58,7 @@ class IterationTrace:
 
     @property
     def stats(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (len(s.graph.vertices), len(s.graph.edges)) for s in self.graphs
-        )
+        return tuple((len(s.graph.vertices), s.graph.edge_count) for s in self.graphs)
 
     @property
     def last(self) -> BipointedGraph:

@@ -1,10 +1,13 @@
 """Immutable labeled DAGs and the order algorithms everything else composes.
 
 Vertices are canonical label strings and every edge carries a provenance
-tag.  All graphs here model partial orders: construction rejects cycles,
-self-loops and parallel edges, and the algorithms below preserve those
-invariants.  Values are immutable once built, so they are safe to share
-between any number of readers.
+tag.  Each vertex keeps the `(target, tag)` pairs of its out-edges sorted
+by target; construction, validation, the queries and the exporters read
+these lists, and the `Edge` set is derived only when asked for.  All
+graphs here model partial orders: construction rejects cycles, self-loops
+and parallel edges, and the algorithms below preserve those invariants.
+Values are immutable once built, so they are safe to share between any
+number of readers.
 """
 
 from __future__ import annotations
@@ -42,50 +45,72 @@ class Edge(NamedTuple):
     tag: EdgeTag
 
 
-_target = itemgetter(1)
+_target = itemgetter(0)
 
 
-@dataclass(frozen=True, repr=False)
 class LabeledDigraph:
-    """Finite DAG over label strings with at most one tagged edge per pair."""
+    """Finite DAG over label strings with at most one tagged edge per pair.
 
-    vertices: frozenset[str]
-    edges: frozenset[Edge]
+    `edges` and `sorted_edges` are derived from the successor lists on
+    first use.  Graphs are equal when they have the same vertices and the
+    same tagged edges.
+    """
+
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]) -> None:
+        out: dict[str, list[tuple[str, EdgeTag]]] = {}
+        for src, dst, tag in set(edges):  # a repeated edge is one edge, not two parallel ones
+            out.setdefault(src, []).append((dst, tag))
+        self.vertices, self._out = frozenset(vertices), out
+        self.__post_init__()
+
+    @classmethod
+    def _from_successors(
+        cls, vertices: frozenset[str], out: dict[str, list[tuple[str, EdgeTag]]]
+    ) -> LabeledDigraph:
+        """The graph whose vertex `src` has the out-edges `out[src]`, a list of
+        `(target, tag)` pairs in any order; the lists are taken over."""
+        g = cls.__new__(cls)
+        g.vertices, g._out = vertices, out
+        g.__post_init__()
+        return g
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        # One pass over the sorted edges validates them and builds the
-        # successor index, so successor tuples come out in label order.
-        # Sorting puts parallel edges next to each other.
-        vertices = self.vertices
-        succ: dict[str, list[str]] = {v: [] for v in vertices}
+        # Sorting each source's targets puts parallel edges next to each
+        # other.  Each defect belongs to one source, so the first in (src,
+        # dst) order is the first failing target of the smallest failing
+        # source.
+        vertices, out = self.vertices, self._out
         indegree = dict.fromkeys(vertices, 0)
-        last_src = last_dst = None
-        for src, dst, _ in self.sorted_edges:
-            if src == dst:
-                raise GraphError(f"self-loop on {src!r}")
-            if src not in vertices or dst not in vertices:
-                raise GraphError(f"edge {src!r} -> {dst!r} leaves the vertex set")
-            if dst == last_dst and src == last_src:
-                raise GraphError(f"parallel edges between {src!r} and {dst!r}")
-            last_src, last_dst = src, dst
-            succ[src].append(dst)
-            indegree[dst] += 1
-        object.__setattr__(self, "_succ", {v: tuple(ns) for v, ns in succ.items()})
+        failed = []
+        for src, targets in out.items():
+            targets.sort(key=_target)
+            if src not in vertices and targets:
+                failed.append((src, _defect(src, targets[0][0], None)))
+                continue
+            last = None
+            for dst, _ in targets:
+                if dst == src or dst == last or dst not in vertices:
+                    failed.append((src, _defect(src, dst, last)))
+                    break
+                last = dst
+                indegree[dst] += 1
+            out[src] = tuple(targets)
+        if failed:
+            raise GraphError(min(failed)[1])
+        out.update(dict.fromkeys(vertices - out.keys(), ()))
         # Kahn's algorithm; the topological order doubles as the cycle check.
         sources = [v for v, d in indegree.items() if d == 0]
-        object.__setattr__(self, "_sources", tuple(sorted(sources)))
+        self._sources = tuple(sorted(sources))
         order = sources
         for v in order:
-            for w in succ[v]:
+            for w, _ in out[v]:
                 indegree[w] -= 1
                 if indegree[w] == 0:
                     order.append(w)
-        if len(order) != len(self.vertices):
+        if len(order) != len(vertices):
             stuck = sorted(v for v, d in indegree.items() if d > 0)
             raise GraphError(f"graph contains a cycle through {stuck}")
-        object.__setattr__(self, "_topo_order", tuple(order))
+        self._topo_order = tuple(order)
 
     @classmethod
     def from_edges(
@@ -95,40 +120,46 @@ class LabeledDigraph:
         tag: EdgeTag = EdgeTag.PRODUCT,
     ) -> LabeledDigraph:
         """Build a graph from `(src, dst)` or `(src, dst, tag)` tuples."""
-        built = [Edge(src, dst, rest[0] if rest else tag) for src, dst, *rest in edges]
-        names = set(vertices)
-        names.update(e.src for e in built)
-        names.update(e.dst for e in built)
-        return cls(frozenset(names), frozenset(built))
+        built = [(src, dst, rest[0] if rest else tag) for src, dst, *rest in edges]
+        return cls(set(vertices).union(*(e[:2] for e in built)), built)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LabeledDigraph) and self._out == other._out
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
 
     def __repr__(self) -> str:
-        return f"LabeledDigraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"LabeledDigraph({len(self.vertices)} vertices, {self.edge_count} edges)"
 
     def __contains__(self, label: str) -> bool:
         return label in self.vertices
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self._out.values()))
 
     @cached_property
     def sorted_vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices))
 
     @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.sorted_edges)
+
+    @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        # In (src, dst) order, the order validation reports defects in.
-        # The distinct sources are sorted once and then each source's short
-        # out-list by target, which compares far fewer long labels than
-        # sorting every edge by its endpoints.  Parallel edges never compare
-        # their tags and keep their relative order.
-        out: dict[str, list[Edge]] = {}
-        for edge in self.edges:
-            out.setdefault(edge[0], []).append(edge)
-        ordered: list[Edge] = []
-        for src in sorted(out):
-            ordered += sorted(out[src], key=_target)
-        return tuple(ordered)
+        """The edges in (src, dst) order, the order validation reports defects in."""
+        out = self._out
+        return tuple(Edge(src, dst, tag) for src in self.sorted_vertices for dst, tag in out[src])
+
+    def out_edges(self, label: str) -> tuple[tuple[str, EdgeTag], ...]:
+        """The `(target, tag)` pairs of the edges leaving `label`, in target order."""
+        self._require_vertex(label)
+        return self._out[label]
 
     def successors(self, label: str) -> tuple[str, ...]:
-        self._require_vertex(label)
-        return self._succ[label]
+        return tuple(dst for dst, _ in self.out_edges(label))
 
     @property
     def sources(self) -> tuple[str, ...]:
@@ -136,7 +167,7 @@ class LabeledDigraph:
 
     @property
     def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.sorted_vertices if not self._succ[v])
+        return tuple(v for v in self.sorted_vertices if not self._out[v])
 
     def _require_vertex(self, label: str) -> None:
         if label not in self.vertices:
@@ -148,7 +179,7 @@ class LabeledDigraph:
         desc: dict[str, frozenset[str]] = {}
         for v in reversed(self._topo_order):
             below: set[str] = set()
-            for w in self._succ[v]:
+            for w, _ in self._out[v]:
                 below.add(w)
                 below.update(desc[w])
             desc[v] = frozenset(below)
@@ -157,6 +188,15 @@ class LabeledDigraph:
     def descendants_of(self, label: str) -> frozenset[str]:
         self._require_vertex(label)
         return self._descendants[label]
+
+
+def _defect(src: str, dst: str, last: str | None) -> str:
+    """The defect of `src -> dst`, the first bad edge out of `src`, after `last`."""
+    if dst == src:
+        return f"self-loop on {src!r}"
+    if dst == last:
+        return f"parallel edges between {src!r} and {dst!r}"
+    return f"edge {src!r} -> {dst!r} leaves the vertex set"
 
 
 @dataclass(frozen=True)
@@ -192,16 +232,11 @@ def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
 
     Surviving edges keep their tags.
     """
-    kept = []
-    for edge in g.sorted_edges:
-        implied = any(
-            edge.dst in g.descendants_of(w)
-            for w in g.successors(edge.src)
-            if w != edge.dst
-        )
-        if not implied:
-            kept.append(edge)
-    return LabeledDigraph(g.vertices, frozenset(kept))
+    kept = [
+        e for e in g.sorted_edges
+        if not any(e.dst in g.descendants_of(w) for w in g.successors(e.src) if w != e.dst)
+    ]
+    return LabeledDigraph(g.vertices, kept)
 
 
 def reachable(g: LabeledDigraph, src: str, dst: str) -> bool:

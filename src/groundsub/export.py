@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _json_quote
 
 from .digraph import EdgeTag, LabeledDigraph
 
-_DOT_COLORS = {EdgeTag.COVARIANT: "green", EdgeTag.CONTRAVARIANT: "red"}
+_DOT_ATTRS = {EdgeTag.COVARIANT: " [color=green]", EdgeTag.CONTRAVARIANT: " [color=red]"}
 _JSON_TAGS = {tag: _json_quote(tag.value) for tag in EdgeTag}
 
 
@@ -29,9 +29,10 @@ def to_json(g: LabeledDigraph) -> str:
     quoted = {v: _json_quote(v) for v in g.sorted_vertices}
     vertices = [f"    {q}" for q in quoted.values()]
     edges = [
-        f'    {{\n      "from": {quoted[src]},\n      "to": {quoted[dst]},'
+        f'    {{\n      "from": {q},\n      "to": {quoted[dst]},'
         f'\n      "tag": {_JSON_TAGS[tag]}\n    }}'
-        for src, dst, tag in g.sorted_edges
+        for src, q in quoted.items()
+        for dst, tag in g.out_edges(src)
     ]
     return f'{{\n  "vertices": {_json_list(vertices)},\n  "edges": {_json_list(edges)}\n}}\n'
 
@@ -47,13 +48,13 @@ def _dot_quote(label: str) -> str:
 
 
 def to_dot(g: LabeledDigraph) -> str:
-    lines = ["digraph subtyping {", "  rankdir=BT;"]
-    for v in g.sorted_vertices:
-        lines.append(f"  {_dot_quote(v)};")
-    for e in g.sorted_edges:
-        color = _DOT_COLORS.get(e.tag)
-        attrs = f" [color={color}]" if color else ""
-        lines.append(f"  {_dot_quote(e.src)} -> {_dot_quote(e.dst)}{attrs};")
+    quoted = {v: _dot_quote(v) for v in g.sorted_vertices}
+    lines = ["digraph subtyping {", "  rankdir=BT;", *(f"  {q};" for q in quoted.values())]
+    lines += [
+        f"  {q} -> {quoted[dst]}{_DOT_ATTRS.get(tag, '')};"
+        for src, q in quoted.items()
+        for dst, tag in g.out_edges(src)
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -69,11 +70,11 @@ def to_graphml(g: LabeledDigraph) -> str:
     ]
     for v in g.sorted_vertices:
         lines.append(f'    <node id="{ids[v]}"><data key="label">{_xml_escape(v)}</data></node>')
-    for e in g.sorted_edges:
-        lines.append(
-            f'    <edge source="{ids[e.src]}" target="{ids[e.dst]}">'
-            f'<data key="tag">{e.tag.value}</data></edge>'
-        )
+    lines += [
+        f'    <edge source="{i}" target="{ids[dst]}"><data key="tag">{tag.value}</data></edge>'
+        for src, i in ids.items()
+        for dst, tag in g.out_edges(src)
+    ]
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"

@@ -105,8 +105,9 @@ def _cover_edges(
     pg: PartitionedGraph,
     g2: LabeledDigraph,
     rows: dict[str, dict[str, str]],
-) -> list[Edge]:
-    """Edges of the product: its covers when both factors are in Hasse form.
+) -> dict[str, list[tuple[str, EdgeTag]]]:
+    """Successor lists of the product: its covers when both factors are in
+    Hasse form.
 
     Product edges keep the tag of their generating factor edge; boundary
     fan-out edges are plumbing and are tagged INHERIT; edges between plain
@@ -114,22 +115,26 @@ def _cover_edges(
     the first factor unchanged).
     """
     pp, pn, np, nn = pg.classify_edges()
-    second, sinks, sources = g2.sorted_vertices, g2.sinks, g2.sources
-    inherit = EdgeTag.INHERIT
-    edges: list[Edge] = []
+    second = {v: g2.out_edges(v) for v in g2.sorted_vertices}
+    sinks, sources, inherit = g2.sinks, g2.sources, EdgeTag.INHERIT
+    out: dict[str, list[tuple[str, EdgeTag]]] = {}
+    for row in rows.values():
+        for v, targets in second.items():
+            out[row[v]] = [(row[w], tag) for w, tag in targets]
     for src, dst, tag in pp:
         lower, upper = rows[src], rows[dst]
-        edges += [Edge(lower[v], upper[v], tag) for v in second]
-    for row in rows.values():
-        edges += [Edge(row[src], row[dst], tag) for src, dst, tag in g2.sorted_edges]
+        for v in second:
+            out[lower[v]].append((upper[v], tag))
     for src, dst, _ in pn:
         row = rows[src]
-        edges += [Edge(row[v], dst, inherit) for v in sinks]
+        for v in sinks:
+            out[row[v]].append((dst, inherit))
     for src, dst, _ in np:
         row = rows[dst]
-        edges += [Edge(src, row[v], inherit) for v in sources]
-    edges.extend(nn)
-    return edges
+        out.setdefault(src, []).extend([(row[v], inherit) for v in sources])
+    for src, dst, tag in nn:
+        out.setdefault(src, []).append((dst, tag))
+    return out
 
 
 def partial_product(
@@ -146,4 +151,5 @@ def partial_product(
         raise GraphError("second factor must be nonempty")
     rows = _product_labels(pg, g2, combine)
     vertices = frozenset(name for row in rows.values() for name in row.values())
-    return LabeledDigraph(vertices | pg.nonproduct_vertices, frozenset(_cover_edges(pg, g2, rows)))
+    out = _cover_edges(pg, g2, rows)
+    return LabeledDigraph._from_successors(vertices | pg.nonproduct_vertices, out)

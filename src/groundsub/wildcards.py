@@ -14,7 +14,7 @@ its source, so the copies of a Hasse input's edges are already the covers.
 
 from __future__ import annotations
 
-from .digraph import BipointedGraph, Edge, EdgeTag, LabeledDigraph
+from .digraph import BipointedGraph, EdgeTag, LabeledDigraph
 from .digraph import transitive_reduction  # noqa: F401 - unused here; kept for bench/tracer.py only
 from .errors import GraphError
 from .labels import WILDCARD, lower_bounded_label, upper_bounded_label
@@ -46,12 +46,11 @@ def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
 
     # `upper` and `lower` are injective and the three families share no pair.
     covariant, contravariant, link = EdgeTag.COVARIANT, EdgeTag.CONTRAVARIANT, EdgeTag.INV_LINK
-    edges: list[Edge] = []
-    for src, dst, _ in g.graph.edges:
-        edges.append(Edge(upper[src], upper[dst], covariant))
-        edges.append(Edge(lower[dst], lower[src], contravariant))
-    for t in inner:
-        edges.append(Edge(t, upper[t], link))
-        edges.append(Edge(t, lower[t], link))
+    out = {t: [(upper[t], link), (lower[t], link)] for t in inner}
+    for src in g.vertices:
+        targets = g.graph.out_edges(src)
+        out.setdefault(upper[src], []).extend([(upper[dst], covariant) for dst, _ in targets])
+        for dst, _ in targets:
+            out.setdefault(lower[dst], []).append((lower[src], contravariant))
     vertices = frozenset((*inner, *upper.values(), *lower.values()))
-    return LabeledDigraph(vertices, frozenset(edges))
+    return LabeledDigraph._from_successors(vertices, out)

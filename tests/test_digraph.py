@@ -6,6 +6,7 @@ from operator import itemgetter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from groundsub import (
     BipointedGraph,
@@ -18,7 +19,7 @@ from groundsub import (
     transitive_reduction,
 )
 
-from conftest import dags
+from conftest import CORPUS, dags
 from oracles import (
     cartesian_product,
     disjoint_union,
@@ -34,6 +35,8 @@ from oracles import (
     reversed_graph,
     tag_of,
 )
+from groundsub import parse_declarations, render, run, wildcards_graph
+from groundsub.export import FORMATS
 
 
 P, C = EdgeTag.PRODUCT, EdgeTag.COVARIANT
@@ -58,6 +61,46 @@ def closure_pairs_bruteforce(g: LabeledDigraph) -> set[tuple[str, str]]:
     return pairs
 
 
+def successor_lists(edges) -> dict[str, list[tuple[str, EdgeTag]]]:
+    """What the product and the argument graph hand the private constructor."""
+    out: dict[str, list[tuple[str, EdgeTag]]] = {}
+    for src, dst, tag in edges:
+        out.setdefault(src, []).append((dst, tag))
+    return out
+
+
+def both_ways(vertices, edges) -> list:
+    """The graph, or the validation message, from each constructor."""
+    outcomes = []
+    for build in (
+        lambda: LabeledDigraph(vertices, edges),
+        lambda: LabeledDigraph._from_successors(frozenset(vertices), successor_lists(edges)),
+    ):
+        try:
+            outcomes.append(build())
+        except GraphError as error:
+            outcomes.append(str(error))
+    return outcomes
+
+
+def first_defect(vertices, edges) -> str | None:
+    """The message of the first bad edge, by one pass over all edges in
+    (src, dst) order, as the validator worked before it kept successor lists."""
+    last = None
+    for src, dst, _ in sorted(edges, key=itemgetter(0, 1)):
+        if src == dst:
+            return f"self-loop on {src!r}"
+        if src not in vertices or dst not in vertices:
+            return f"edge {src!r} -> {dst!r} leaves the vertex set"
+        if (src, dst) == last:
+            return f"parallel edges between {src!r} and {dst!r}"
+        last = (src, dst)
+    return None
+
+
+LABELS = ("a", "b", "c", "d", "x", "")
+
+
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -78,6 +121,11 @@ class TestConstruction:
         with pytest.raises(GraphError, match="cycle"):
             LabeledDigraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
 
+    def test_repeated_edge_is_one_edge(self):
+        e = Edge("a", "b", EdgeTag.PRODUCT)
+        assert LabeledDigraph({"a", "b"}, [e, e]) == LabeledDigraph.from_edges([("a", "b")] * 2)
+        assert LabeledDigraph.from_edges([("a", "b")] * 2).sorted_edges == (e,)
+
     def test_value_equality(self):
         g1 = LabeledDigraph.from_edges([("a", "b")])
         g2 = LabeledDigraph.from_edges([("a", "b")])
@@ -89,14 +137,14 @@ class TestConstruction:
 
 
 class TestValidationOrder:
-    """With two defects, the message names the one first in (src, dst) order."""
+    """With two defects, the message names the one first in (src, dst) order,
+    whichever constructor is given the edges and in whatever order."""
 
     @staticmethod
     def message(vertices, edges):
-        built = frozenset(Edge(src, dst, tag) for src, dst, tag in edges)
-        with pytest.raises(GraphError) as info:
-            LabeledDigraph(frozenset(vertices), built)
-        return str(info.value)
+        built, listed = both_ways(frozenset(vertices), edges)
+        assert isinstance(built, str) and built == listed
+        return built
 
     @pytest.mark.parametrize(
         "edges, expected",
@@ -118,6 +166,17 @@ class TestValidationOrder:
             ([("x", "x", P), ("x", "a", P)], "edge 'x' -> 'a' leaves the vertex set"),
             ([("x", "x", P), ("x", "y", P)], "self-loop on 'x'"),
             ([("c", "c", P), ("c", "a", P)], "self-loop on 'c'"),
+            # two failing sources, in either order: the smaller source
+            ([("c", "c", P), ("b", "x", P)], "edge 'b' -> 'x' leaves the vertex set"),
+            ([("b", "x", P), ("c", "c", P)], "edge 'b' -> 'x' leaves the vertex set"),
+            ([("x", "a", P), ("c", "a", P), ("c", "a", C)], "parallel edges between 'c' and 'a'"),
+            # two failing targets of one source: the smaller target
+            ([("a", "y", P), ("a", "x", P)], "edge 'a' -> 'x' leaves the vertex set"),
+            ([("b", "c", P), ("b", "c", C), ("b", "b", P)], "self-loop on 'b'"),
+            ([("b", "y", P), ("b", "c", P), ("b", "c", C)], "parallel edges between 'b' and 'c'"),
+            # no bad edge
+            ([("a", "b", P), ("b", "c", P), ("c", "a", P)],
+             "graph contains a cycle through ['a', 'b', 'c']"),
         ],
     )
     def test_first_defect_wins(self, edges, expected):
@@ -128,6 +187,76 @@ class TestValidationOrder:
         assert g.sorted_edges == tuple(sorted(g.edges, key=itemgetter(0, 1)))
         for v in g.vertices:
             assert list(g.successors(v)) == sorted(e.dst for e in g.edges if e.src == v)
+
+
+class TestSuccessorLists:
+    """Graphs kept as successor lists: both constructors, the derived edge
+    views, and what the build path leaves underived."""
+
+    @given(
+        st.frozensets(st.sampled_from(LABELS[:4])),
+        st.lists(
+            st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS), st.sampled_from(list(EdgeTag)))
+        ),
+    )
+    def test_first_defect_in_edge_order(self, vertices, edges):
+        edges = list(dict.fromkeys(edges))  # distinct, in the drawn order
+        expected = first_defect(vertices, edges)
+        built, listed = both_ways(vertices, edges)
+        if expected is not None:
+            assert built == listed == expected
+        elif isinstance(built, str):
+            assert built == listed and built.startswith("graph contains a cycle through")
+        else:
+            assert built == listed
+            assert built.edges == frozenset(Edge(*e) for e in edges)
+
+    @given(dags())
+    def test_graphs_built_both_ways_are_equal(self, g):
+        listed = LabeledDigraph._from_successors(g.vertices, successor_lists(g.edges))
+        assert listed == g == LabeledDigraph(g.vertices, g.sorted_edges)
+        assert hash(listed) == hash(g)
+        assert listed.edges == g.edges and listed.sorted_edges == g.sorted_edges
+        if g.edges:
+            src, dst, tag = min(g.sorted_edges)
+            other = next(t for t in EdgeTag if t is not tag)
+            retagged = (g.edges - {Edge(src, dst, tag)}) | {Edge(src, dst, other)}
+            assert LabeledDigraph(g.vertices, retagged) != g
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_derived_edges_match_the_successor_lists(self, name):
+        # Every graph `run` builds at depth 3: each S_k and each W(S_k).
+        trace = run(parse_declarations(CORPUS[name]), 3)
+        graphs = [s.graph for s in trace.graphs] + [wildcards_graph(s) for s in trace.graphs]
+        for g in graphs:
+            assert g.sorted_edges == tuple(sorted(g.edges, key=itemgetter(0, 1)))
+            assert g.edge_count == len(g.edges)
+            for v in g.vertices:
+                assert g.successors(v) == tuple(sorted(e.dst for e in g.edges if e.src == v))
+                assert g.out_edges(v) == tuple((e.dst, e.tag) for e in g.sorted_edges if e.src == v)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_build_path_makes_no_edge_set(self, name, monkeypatch):
+        # Every graph made while building and exporting S_3 in each format.
+        built = []
+        validate = LabeledDigraph.__post_init__
+
+        def recorded(g):
+            built.append(g)
+            validate(g)
+
+        monkeypatch.setattr(LabeledDigraph, "__post_init__", recorded)
+        table = parse_declarations(CORPUS[name])
+        trace = run(table, 3)
+        for fmt in FORMATS:
+            render(trace.last.graph, fmt)
+        assert trace.stats
+        assert {id(s.graph) for s in trace.graphs} <= {id(g) for g in built}
+        for g in built:
+            assert "edges" not in vars(g), g
+            # Only the small class graph lists its edges, for the product's
+            # edge classes.
+            assert "sorted_edges" not in vars(g) or g is table.graph.graph, g
 
 
 class TestCartesianProduct:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -113,8 +114,31 @@ def test_graphs_store_no_test_only_index():
 
 
 def test_every_wrapped_name_resolves(tracer):
+    # Tier-1 does not run `bench/tests`, so this is where a refactor of the
+    # package learns that it broke a traced benchmark run.
     for owner, attr, _ in tracer.WRAPPED:
         assert callable(getattr(owner, attr, None)), (owner, attr)
+        source = Path(inspect.getsourcefile(getattr(owner, attr))).resolve()
+        assert source.is_relative_to(SRC), (owner, attr, source)
+
+
+def test_traced_build_counts_the_graphs_it_wraps(tracer, tmp_path):
+    # The tracer's counters read the package's graphs too.
+    decls = tmp_path / "two.decls"
+    decls.write_text("class C<T> {}\nclass D<T> {}\n", encoding="utf-8")
+    out = tmp_path / "s3.json"
+    argv = ["build", "--decls", str(decls), "--iterations", "3", "--format", "json"]
+    argv += ["--out", str(out)]
+    with tracer.Tracer() as t:
+        assert cli.main(argv) == 0
+    metrics = t.metrics()
+    last = run(parse_declarations(decls.read_text(encoding="utf-8")), 3).last.graph
+    assert metrics["builder.steps"] == 3
+    assert metrics["builder.vertices_final"] == len(last.vertices)
+    assert metrics["builder.edges_final"] == last.edge_count
+    assert metrics["export.bytes"] == out.stat().st_size
+    assert metrics["product.edges_out"] > metrics["builder.edges_final"]
+    assert metrics["digraph.graphs_built"] > 3
 
 
 def test_tracer_installs_and_uninstalls_cleanly(tracer):

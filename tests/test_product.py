@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundsub import (
+    Edge,
     GraphError,
     LabeledDigraph,
     PartitionedGraph,
@@ -120,7 +121,8 @@ class TestPartialProduct:
         pg = PartitionedGraph(g1, subset)
         parts = pg.classify_edges()
         labels = _product_labels(pg, g2, lambda u, v: f"{u}*{v}")
-        edges = _cover_edges(pg, g2, labels)
+        out = _cover_edges(pg, g2, labels)
+        edges = [Edge(src, dst, tag) for src, targets in out.items() for dst, tag in targets]
         plain = pg.nonproduct_vertices
         crossing = [e for e in edges if (e.src in plain) != (e.dst in plain)]
         assert len(crossing) == (

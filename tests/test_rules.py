@@ -235,8 +235,8 @@ class TestRefusedInput:
             subtype_by_graph(one_generic, *graph_pair)
 
 
-class TestInterning:
-    def test_equal_types_built_separately_share_an_id(self, tables):
+class TestShapes:
+    def test_equal_types_built_separately_share_a_shape(self, tables):
         table = tables["two_generics"]
         decider = rules._Rules(table)
         text = "C<? <: D<? :> C<C<?>>>>"
@@ -246,7 +246,7 @@ class TestInterning:
         assert decider.shape(built) == first
         assert decider.shape(parse_ground_type("C<? <: D<? :> C<D<?>>>>", table)) != first
 
-    def test_one_id_per_type_of_every_corpus_program(self, tables):
+    def test_one_shape_per_type_of_every_corpus_program(self, tables):
         for name, table in tables.items():
             decider = rules._Rules(table)
             types = enumerate_types(table, 4)
