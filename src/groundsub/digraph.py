@@ -1,13 +1,13 @@
-"""Immutable labeled DAGs and the order algorithms everything else composes.
+"""Labeled DAGs and the order algorithms everything else composes.
 
 Vertices are canonical label strings and every edge carries a provenance
 tag.  Each vertex keeps the `(target, tag)` pairs of its out-edges sorted
-by target; construction, validation, the queries and the exporters read
-these lists, and the `Edge` set is derived only when asked for.  All
-graphs here model partial orders: construction rejects cycles, self-loops
-and parallel edges, and the algorithms below preserve those invariants.
-Values are immutable once built, so they are safe to share between any
-number of readers.
+by target, and the `Edge` set is derived only when asked for.  All graphs
+model partial orders: construction rejects cycles, self-loops and parallel
+edges, and the algorithms below preserve those invariants.  Immutability
+is a rule, not enforced: no code changes a built graph's vertices or
+successor lists, so readers may share one, and validation, the queries,
+`product`, `wildcards` and `export` read the lists in place.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ class LabeledDigraph:
         if failed:
             raise GraphError(min(failed)[1])
         out.update(dict.fromkeys(vertices - out.keys(), ()))
+        if len(out) > len(vertices):  # drop keys outside the vertex set, all without edges
+            out = self._out = {v: out[v] for v in vertices}
         # Kahn's algorithm; the topological order doubles as the cycle check.
         sources = [v for v, d in indegree.items() if d == 0]
         self._sources = tuple(sorted(sources))
@@ -167,7 +169,7 @@ class LabeledDigraph:
 
     @property
     def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.sorted_vertices if not self._out[v])
+        return tuple(sorted(v for v, targets in self._out.items() if not targets))
 
     def _require_vertex(self, label: str) -> None:
         if label not in self.vertices:

@@ -3,6 +3,7 @@
 All three formats list vertices and edges in lexicographic order, so
 re-rendering the same graph always produces identical bytes.  Layout is the
 renderer's job; the DOT output only hints that the order grows bottom-up.
+Writers read successor lists in place and key tags by their `_value_` strings.
 
 The JSON bytes equal `json.dumps(payload, indent=2) + "\\n"` for the payload
 `{"vertices": [...], "edges": [{"from": ..., "to": ..., "tag": ...}, ...]}`,
@@ -17,8 +18,9 @@ from json.encoder import encode_basestring_ascii as _json_quote
 
 from .digraph import EdgeTag, LabeledDigraph
 
-_DOT_ATTRS = {EdgeTag.COVARIANT: " [color=green]", EdgeTag.CONTRAVARIANT: " [color=red]"}
-_JSON_TAGS = {tag: _json_quote(tag.value) for tag in EdgeTag}
+_DOT_ATTRS = {EdgeTag.COVARIANT._value_: " [color=green]",
+              EdgeTag.CONTRAVARIANT._value_: " [color=red]"}
+_JSON_TAGS = {tag._value_: _json_quote(tag._value_) for tag in EdgeTag}
 
 
 def _json_list(items: list[str]) -> str:
@@ -26,13 +28,13 @@ def _json_list(items: list[str]) -> str:
 
 
 def to_json(g: LabeledDigraph) -> str:
-    quoted = {v: _json_quote(v) for v in g.sorted_vertices}
+    out, quoted = g._out, {v: _json_quote(v) for v in g.sorted_vertices}
     vertices = [f"    {q}" for q in quoted.values()]
     edges = [
         f'    {{\n      "from": {q},\n      "to": {quoted[dst]},'
-        f'\n      "tag": {_JSON_TAGS[tag]}\n    }}'
+        f'\n      "tag": {_JSON_TAGS[tag._value_]}\n    }}'
         for src, q in quoted.items()
-        for dst, tag in g.out_edges(src)
+        for dst, tag in out[src]
     ]
     return f'{{\n  "vertices": {_json_list(vertices)},\n  "edges": {_json_list(edges)}\n}}\n'
 
@@ -48,19 +50,18 @@ def _dot_quote(label: str) -> str:
 
 
 def to_dot(g: LabeledDigraph) -> str:
-    quoted = {v: _dot_quote(v) for v in g.sorted_vertices}
+    out, quoted = g._out, {v: _dot_quote(v) for v in g.sorted_vertices}
     lines = ["digraph subtyping {", "  rankdir=BT;", *(f"  {q};" for q in quoted.values())]
     lines += [
-        f"  {q} -> {quoted[dst]}{_DOT_ATTRS.get(tag, '')};"
+        f"  {q} -> {quoted[dst]}{_DOT_ATTRS.get(tag._value_, '')};"
         for src, q in quoted.items()
-        for dst, tag in g.out_edges(src)
+        for dst, tag in out[src]
     ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n}\n"
 
 
 def to_graphml(g: LabeledDigraph) -> str:
-    ids = {v: f"n{i}" for i, v in enumerate(g.sorted_vertices)}
+    out, ids = g._out, {v: f"n{i}" for i, v in enumerate(g.sorted_vertices)}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -71,12 +72,11 @@ def to_graphml(g: LabeledDigraph) -> str:
     for v in g.sorted_vertices:
         lines.append(f'    <node id="{ids[v]}"><data key="label">{_xml_escape(v)}</data></node>')
     lines += [
-        f'    <edge source="{i}" target="{ids[dst]}"><data key="tag">{tag.value}</data></edge>'
+        f'    <edge source="{i}" target="{ids[dst]}"><data key="tag">{tag._value_}</data></edge>'
         for src, i in ids.items()
-        for dst, tag in g.out_edges(src)
+        for dst, tag in out[src]
     ]
-    lines.append("  </graph>")
-    lines.append("</graphml>")
+    lines += ["  </graph>", "</graphml>"]
     return "\n".join(lines) + "\n"
 
 

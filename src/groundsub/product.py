@@ -115,8 +115,7 @@ def _cover_edges(
     the first factor unchanged).
     """
     pp, pn, np, nn = pg.classify_edges()
-    second = {v: g2.out_edges(v) for v in g2.sorted_vertices}
-    sinks, sources, inherit = g2.sinks, g2.sources, EdgeTag.INHERIT
+    second, sinks, sources, inherit = g2._out, g2.sinks, g2.sources, EdgeTag.INHERIT
     out: dict[str, list[tuple[str, EdgeTag]]] = {}
     for row in rows.values():
         for v, targets in second.items():

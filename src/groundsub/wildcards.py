@@ -47,8 +47,7 @@ def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
     # `upper` and `lower` are injective and the three families share no pair.
     covariant, contravariant, link = EdgeTag.COVARIANT, EdgeTag.CONTRAVARIANT, EdgeTag.INV_LINK
     out = {t: [(upper[t], link), (lower[t], link)] for t in inner}
-    for src in g.vertices:
-        targets = g.graph.out_edges(src)
+    for src, targets in g.graph._out.items():
         out.setdefault(upper[src], []).extend([(upper[dst], covariant) for dst, _ in targets])
         for dst, _ in targets:
             out.setdefault(lower[dst], []).append((lower[src], contravariant))

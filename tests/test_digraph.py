@@ -223,6 +223,17 @@ class TestSuccessorLists:
             retagged = (g.edges - {Edge(src, dst, tag)}) | {Edge(src, dst, other)}
             assert LabeledDigraph(g.vertices, retagged) != g
 
+    def test_empty_list_outside_the_vertex_set_is_dropped(self):
+        # A key with edges outside the vertex set is refused; one without
+        # edges names no vertex, so it is no sink and changes no equality.
+        listed = LabeledDigraph._from_successors(
+            frozenset({"a", "b"}), {"a": [("b", EdgeTag.PRODUCT)], "z": []}
+        )
+        expected = LabeledDigraph.from_edges([("a", "b")], vertices=("a", "b"))
+        assert listed == expected
+        assert hash(listed) == hash(expected)
+        assert listed.sinks == ("b",) and listed.sources == ("a",)
+
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_derived_edges_match_the_successor_lists(self, name):
         # Every graph `run` builds at depth 3: each S_k and each W(S_k).
@@ -234,6 +245,9 @@ class TestSuccessorLists:
             for v in g.vertices:
                 assert g.successors(v) == tuple(sorted(e.dst for e in g.edges if e.src == v))
                 assert g.out_edges(v) == tuple((e.dst, e.tag) for e in g.sorted_edges if e.src == v)
+            targets = {w for v in g.vertices for w in g.successors(v)}
+            assert g.sinks == tuple(v for v in g.sorted_vertices if not g.successors(v))
+            assert g.sources == tuple(v for v in g.sorted_vertices if v not in targets)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_build_path_makes_no_edge_set(self, name, monkeypatch):
@@ -257,6 +271,9 @@ class TestSuccessorLists:
             # Only the small class graph lists its edges, for the product's
             # edge classes.
             assert "sorted_edges" not in vars(g) or g is table.graph.graph, g
+        # Only the exported S_k sorts its labels: the sink check sorts none.
+        for s in trace.graphs:
+            assert "sorted_vertices" not in vars(s.graph) or s is trace.last, s.graph
 
 
 class TestCartesianProduct:

@@ -28,6 +28,7 @@ from groundsub import (
     to_json,
 )
 from groundsub.cli import _build_parser, main
+from groundsub.export import FORMATS
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS
 from oracles import reference_json
@@ -125,6 +126,29 @@ class TestExports:
         for label in labels:
             assert f'<data key="label">{escape(label)}</data>' in text
         assert graphml_multisets(text) == (set(labels), pairs)
+
+    def test_rendering_hashes_no_tag_and_reads_no_value(self, traces, monkeypatch):
+        # The writers key tags by their `_value_` strings: with the `EdgeTag`
+        # hash and `value` property raising, every S_3 renders the same bytes.
+        def render_all():
+            return {
+                (name, fmt): render(trace.last.graph, fmt)
+                for name, trace in traces.items()
+                for fmt in FORMATS
+            }
+
+        def refuse(*_):
+            raise AssertionError("an export hashed an EdgeTag or read its value")
+
+        expected = render_all()
+        monkeypatch.setattr(EdgeTag, "__hash__", refuse)
+        # Reading `value` off the class raises, so there is no old value to save.
+        monkeypatch.setattr(EdgeTag, "value", property(refuse), raising=False)
+        with pytest.raises(AssertionError, match="hashed an EdgeTag"):
+            hash(EdgeTag.INHERIT)
+        with pytest.raises(AssertionError, match="read its value"):
+            EdgeTag.INHERIT.value
+        assert render_all() == expected
 
     def test_unknown_format_is_rejected(self, first_graph):
         with pytest.raises(ValueError, match="unknown format"):
