@@ -1,13 +1,15 @@
 """Labeled DAGs and the order algorithms everything else composes.
 
 Vertices are canonical label strings and every edge carries a provenance
-tag.  Each vertex keeps the `(target, tag)` pairs of its out-edges sorted
-by target, and the `Edge` set is derived only when asked for.  All graphs
-model partial orders: construction rejects cycles, self-loops and parallel
-edges, and the algorithms below preserve those invariants.  Immutability
-is a rule, not enforced: no code changes a built graph's vertices or
-successor lists, so readers may share one, and validation, the queries,
-`product`, `wildcards` and `export` read the lists in place.
+tag.  A graph is built from its vertex set and a successor map, which
+gives each source the `(target, tag)` pairs of its out-edges; `from_edges`
+is the edge-list front end to that one constructor.  Each vertex keeps its
+pairs sorted by target, and the `Edge` set is derived only when asked for.
+All graphs model partial orders: construction rejects cycles, self-loops
+and parallel edges, and the algorithms below preserve those invariants.
+Immutability is a rule, not enforced: no code changes a built graph's
+vertices or successor lists, so readers may share one, and validation, the
+queries, `product`, `wildcards` and `export` read the lists in place.
 """
 
 from __future__ import annotations
@@ -51,29 +53,21 @@ _target = itemgetter(0)
 class LabeledDigraph:
     """Finite DAG over label strings with at most one tagged edge per pair.
 
-    `edges` and `sorted_edges` are derived from the successor lists on
-    first use.  Graphs are equal when they have the same vertices and the
-    same tagged edges.
+    `LabeledDigraph(vertices, successors)` takes the map from each source
+    to a list of `(target, tag)` pairs, in any order, and takes the lists
+    over; a key outside the vertex set must have no edges.  `from_edges`
+    builds that map from edge tuples.  `edges` and `sorted_edges` are
+    derived from the successor lists on first use.  Graphs are equal when
+    they have the same vertices and the same tagged edges.
     """
 
-    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]) -> None:
-        out: dict[str, list[tuple[str, EdgeTag]]] = {}
-        for src, dst, tag in set(edges):  # a repeated edge is one edge, not two parallel ones
-            out.setdefault(src, []).append((dst, tag))
-        self.vertices, self._out = frozenset(vertices), out
+    def __init__(
+        self, vertices: Iterable[str], successors: dict[str, list[tuple[str, EdgeTag]]]
+    ) -> None:
+        self.vertices, self._out = frozenset(vertices), successors
         self.__post_init__()
 
-    @classmethod
-    def _from_successors(
-        cls, vertices: frozenset[str], out: dict[str, list[tuple[str, EdgeTag]]]
-    ) -> LabeledDigraph:
-        """The graph whose vertex `src` has the out-edges `out[src]`, a list of
-        `(target, tag)` pairs in any order; the lists are taken over."""
-        g = cls.__new__(cls)
-        g.vertices, g._out = vertices, out
-        g.__post_init__()
-        return g
-
+    # The validator keeps this name because bench/tracer.py wraps it.
     def __post_init__(self) -> None:
         # Sorting each source's targets puts parallel edges next to each
         # other.  Each defect belongs to one source, so the first in (src,
@@ -121,9 +115,14 @@ class LabeledDigraph:
         vertices: Iterable[str] = (),
         tag: EdgeTag = EdgeTag.PRODUCT,
     ) -> LabeledDigraph:
-        """Build a graph from `(src, dst)` or `(src, dst, tag)` tuples."""
-        built = [(src, dst, rest[0] if rest else tag) for src, dst, *rest in edges]
-        return cls(set(vertices).union(*(e[:2] for e in built)), built)
+        """Build a graph from `(src, dst)` or `(src, dst, tag)` tuples, whose
+        endpoints join `vertices`; a repeated edge is one edge."""
+        tagged = {(src, dst, rest[0] if rest else tag) for src, dst, *rest in edges}
+        names, out = set(vertices), {}
+        for src, dst, edge_tag in tagged:
+            out.setdefault(src, []).append((dst, edge_tag))
+            names.update((src, dst))
+        return cls(names, out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LabeledDigraph) and self._out == other._out
@@ -155,13 +154,9 @@ class LabeledDigraph:
         out = self._out
         return tuple(Edge(src, dst, tag) for src in self.sorted_vertices for dst, tag in out[src])
 
-    def out_edges(self, label: str) -> tuple[tuple[str, EdgeTag], ...]:
-        """The `(target, tag)` pairs of the edges leaving `label`, in target order."""
-        self._require_vertex(label)
-        return self._out[label]
-
     def successors(self, label: str) -> tuple[str, ...]:
-        return tuple(dst for dst, _ in self.out_edges(label))
+        self._require_vertex(label)
+        return tuple(dst for dst, _ in self._out[label])
 
     @property
     def sources(self) -> tuple[str, ...]:
@@ -238,7 +233,7 @@ def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
         e for e in g.sorted_edges
         if not any(e.dst in g.descendants_of(w) for w in g.successors(e.src) if w != e.dst)
     ]
-    return LabeledDigraph(g.vertices, kept)
+    return LabeledDigraph.from_edges(kept, g.vertices)
 
 
 def reachable(g: LabeledDigraph, src: str, dst: str) -> bool:

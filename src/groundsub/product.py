@@ -24,7 +24,7 @@ the second factor.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,24 +81,19 @@ def _product_labels(
     combine: Callable[[str, str], str],
 ) -> dict[str, dict[str, str]]:
     """One row per product vertex u: the label of (u, v) for every v of `g2`."""
-    plain = pg.nonproduct_vertices
-    rows: dict[str, dict[str, str]] = {}
+    return {u: {v: combine(u, v) for v in g2.vertices} for u in pg.product_vertices}
+
+
+def _collisions(rows: dict[str, dict[str, str]], plain: frozenset[str]) -> Iterator[str]:
+    """A message for each label that collides, in sorted (u, v) order."""
     owners: dict[str, tuple[str, str]] = {}
-    for u in sorted(pg.product_vertices):
-        row = rows[u] = {}
-        for v in g2.sorted_vertices:
-            name = combine(u, v)
+    for u in sorted(rows):
+        for v, name in sorted(rows[u].items()):
             if name in owners:
-                raise GraphError(
-                    f"label collision: {name!r} produced by both {owners[name]} and {(u, v)}"
-                )
-            if name in plain:
-                raise GraphError(
-                    f"label collision: {name!r} already names a non-product vertex"
-                )
-            owners[name] = (u, v)
-            row[v] = name
-    return rows
+                yield f"label collision: {name!r} produced by both {owners[name]} and {(u, v)}"
+            elif name in plain:
+                yield f"label collision: {name!r} already names a non-product vertex"
+            owners.setdefault(name, (u, v))
 
 
 def _cover_edges(
@@ -148,7 +143,8 @@ def partial_product(
     """
     if not g2.vertices:
         raise GraphError("second factor must be nonempty")
-    rows = _product_labels(pg, g2, combine)
-    vertices = frozenset(name for row in rows.values() for name in row.values())
-    out = _cover_edges(pg, g2, rows)
-    return LabeledDigraph._from_successors(vertices | pg.nonproduct_vertices, out)
+    rows, plain = _product_labels(pg, g2, combine), pg.nonproduct_vertices
+    vertices = frozenset(name for row in rows.values() for name in row.values()) | plain
+    if len(vertices) != len(plain) + len(rows) * len(g2.vertices):
+        raise GraphError(next(_collisions(rows, plain)))
+    return LabeledDigraph(vertices, _cover_edges(pg, g2, rows))

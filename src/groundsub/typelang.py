@@ -251,11 +251,7 @@ class ClassTable:
     @cached_property
     def graph(self) -> BipointedGraph:
         """The subclassing relation as a graph with inheritance-tagged edges."""
-        g = LabeledDigraph.from_edges(
-            ((sub, sup) for sub, sup in sorted(self.extends_edges)),
-            vertices=self.classes,
-            tag=EdgeTag.INHERIT,
-        )
+        g = LabeledDigraph.from_edges(self.extends_edges, self.classes, tag=EdgeTag.INHERIT)
         return BipointedGraph(g, top=TOP_CLASS, bottom=BOTTOM_CLASS)
 
     def superclass_of(self, name: str) -> str:

@@ -52,4 +52,4 @@ def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
         for dst, _ in targets:
             out.setdefault(lower[dst], []).append((lower[src], contravariant))
     vertices = frozenset((*inner, *upper.values(), *lower.values()))
-    return LabeledDigraph._from_successors(vertices, out)
+    return LabeledDigraph(vertices, out)

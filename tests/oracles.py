@@ -3,9 +3,10 @@
 None of these functions runs in a command.  The edge lookups read a graph
 in ways no command needs.  The rest restate what the package computes
 directly, the long way: the general Cartesian product and vertex merging
-give `partial_product_via_merge`, closure and restriction give the laws the
-approximations must satisfy, and the two image functions restate the corner
-rule of `wildcards_graph` one vertex at a time.  `reference_is_subtype` is
+give `partial_product_via_merge`, whose labels `checked_product_labels`
+checks for collisions one pair at a time, closure and restriction give the
+laws the approximations must satisfy, and the two image functions restate
+the corner rule of `wildcards_graph` one vertex at a time.  `reference_is_subtype` is
 the rules decider with its equality tests first, as it was written before
 they were replaced by cheaper name tests, on whole types rather than
 shape tuples, with its own walk up the superclass chain.
@@ -39,7 +40,7 @@ from groundsub.labels import (
     lower_bounded_label,
     upper_bounded_label,
 )
-from groundsub.product import PartitionedGraph, _product_labels
+from groundsub.product import PartitionedGraph
 from groundsub.rules import enumerate_types
 from groundsub.typelang import (
     NULL_TYPE,
@@ -113,7 +114,7 @@ def relabeled(g: LabeledDigraph, rename: Callable[[str], str]) -> LabeledDigraph
         owners[new] = v
         mapping[v] = new
     edges = frozenset(Edge(mapping[e.src], mapping[e.dst], e.tag) for e in g.edges)
-    return LabeledDigraph(frozenset(mapping.values()), edges)
+    return LabeledDigraph.from_edges(edges, mapping.values())
 
 
 def cartesian_product(
@@ -145,7 +146,7 @@ def cartesian_product(
     for u in g1.sorted_vertices:
         for edge in g2.sorted_edges:
             candidates.append((labels[(u, edge.src)], labels[(u, edge.dst)], edge.tag))
-    return LabeledDigraph(frozenset(labels.values()), frozenset(_coalesce(candidates)))
+    return LabeledDigraph.from_edges(_coalesce(candidates), labels.values())
 
 
 def disjoint_union(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
@@ -153,7 +154,7 @@ def disjoint_union(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
     overlap = g1.vertices & g2.vertices
     if overlap:
         raise GraphError(f"vertex labels shared by both graphs: {sorted(overlap)}")
-    return LabeledDigraph(g1.vertices | g2.vertices, g1.edges | g2.edges)
+    return LabeledDigraph.from_edges(g1.edges | g2.edges, g1.vertices | g2.vertices)
 
 
 def reflexive_transitive_closure(g: LabeledDigraph) -> LabeledDigraph:
@@ -169,7 +170,7 @@ def reflexive_transitive_closure(g: LabeledDigraph) -> LabeledDigraph:
     for u in g.sorted_vertices:
         for v in sorted(g.descendants_of(u)):
             edges.append(Edge(u, v, tags.get((u, v), EdgeTag.INHERIT)))
-    return LabeledDigraph(g.vertices, frozenset(edges))
+    return LabeledDigraph.from_edges(edges, g.vertices)
 
 
 def merge_vertices(g: LabeledDigraph, cluster: Iterable[str], kept: str) -> LabeledDigraph:
@@ -194,7 +195,7 @@ def merge_vertices(g: LabeledDigraph, cluster: Iterable[str], kept: str) -> Labe
         if src != dst:
             candidates.append((src, dst, edge.tag))
     vertices = frozenset(target(v) for v in g.vertices)
-    return LabeledDigraph(vertices, frozenset(_coalesce(candidates)))
+    return LabeledDigraph.from_edges(_coalesce(candidates), vertices)
 
 
 def induced_subgraph(g: LabeledDigraph, keep: Iterable[str]) -> LabeledDigraph:
@@ -203,7 +204,7 @@ def induced_subgraph(g: LabeledDigraph, keep: Iterable[str]) -> LabeledDigraph:
     if not names <= g.vertices:
         raise GraphError(f"unknown vertices: {sorted(names - g.vertices)}")
     edges = frozenset(e for e in g.edges if e.src in names and e.dst in names)
-    return LabeledDigraph(names, edges)
+    return LabeledDigraph.from_edges(edges, names)
 
 
 def order_isomorphic(
@@ -226,9 +227,35 @@ def order_isomorphic(
 
 def reversed_graph(g: LabeledDigraph) -> LabeledDigraph:
     """Same vertices with every edge flipped."""
-    return LabeledDigraph(
-        g.vertices, frozenset(Edge(e.dst, e.src, e.tag) for e in g.edges)
-    )
+    return LabeledDigraph.from_edges((Edge(e.dst, e.src, e.tag) for e in g.edges), g.vertices)
+
+
+def checked_product_labels(
+    pg: PartitionedGraph,
+    g2: LabeledDigraph,
+    combine: Callable[[str, str], str],
+) -> dict[str, dict[str, str]]:
+    """The label of (u, v) for each product vertex u and each v of `g2`,
+    checked one pair at a time in sorted (u, v) order: the first label
+    that repeats, or names a plain vertex, is an error."""
+    plain = pg.nonproduct_vertices
+    rows: dict[str, dict[str, str]] = {}
+    owners: dict[str, tuple[str, str]] = {}
+    for u in sorted(pg.product_vertices):
+        row = rows[u] = {}
+        for v in g2.sorted_vertices:
+            name = combine(u, v)
+            if name in owners:
+                raise GraphError(
+                    f"label collision: {name!r} produced by both {owners[name]} and {(u, v)}"
+                )
+            if name in plain:
+                raise GraphError(
+                    f"label collision: {name!r} already names a non-product vertex"
+                )
+            owners[name] = (u, v)
+            row[v] = name
+    return rows
 
 
 def partial_product_via_merge(
@@ -251,7 +278,7 @@ def partial_product_via_merge(
         cluster = [pair_label(w, v) for v in second]
         merged = merge_vertices(merged, cluster, cluster[0])
 
-    final = _product_labels(pg, g2, combine)
+    final = checked_product_labels(pg, g2, combine)
     names = {pair_label(u, v): lab for u, row in final.items() for v, lab in row.items()}
     for w in pg.nonproduct_vertices:
         names[pair_label(w, second[0])] = w

@@ -124,7 +124,7 @@ class TestRun:
     def test_size_law_of_the_argument_graph_is_checked(self, tables, tmp_path, capsys, monkeypatch):
         def one_argument_too_many(g):
             w = wildcards_graph(g)
-            return LabeledDigraph(w.vertices | {"? <: extra"}, w.edges)
+            return LabeledDigraph.from_edges(w.edges, w.vertices | {"? <: extra"})
 
         monkeypatch.setattr(builder, "wildcards_graph", one_argument_too_many)
         # One generic class predicts n_1 = 3, so W(S_1) must have 6 vertices.

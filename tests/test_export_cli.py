@@ -96,7 +96,7 @@ class TestExports:
     @pytest.mark.parametrize(
         "graph",
         [
-            LabeledDigraph(frozenset(), frozenset()),
+            LabeledDigraph.from_edges(),
             LabeledDigraph.from_edges(vertices=("b", "a", "c")),
             LabeledDigraph.from_edges(
                 [('say "hi"', "back\\slash", EdgeTag.COVARIANT),

@@ -59,7 +59,7 @@ ORACLES = (
     "reversed_graph", "relabeled", "partial_product_via_merge", "covariant_image",
     "contravariant_image", "has_edge", "tag_of", "predecessors", "edge_pairs",
     "equals_ignoring_tags", "reference_is_subtype", "reference_contains_argument",
-    "subtype_by_trace", "reference_inherits", "reference_json",
+    "subtype_by_trace", "reference_inherits", "reference_json", "checked_product_labels",
 )
 
 
@@ -111,6 +111,13 @@ def test_graphs_store_no_test_only_index():
     g = run(parse_declarations("class C<T> {}"), 2).last.graph
     assert not hasattr(g, "_tag_by_pair")
     assert not hasattr(g, "_pred")
+
+
+def test_graphs_have_one_constructor_and_one_edge_list_front_end():
+    # `LabeledDigraph(vertices, successors)` and `from_edges`; readers use `_out`.
+    assert not hasattr(LabeledDigraph, "_from_successors")
+    assert not hasattr(LabeledDigraph, "out_edges")
+    assert isinstance(vars(LabeledDigraph)["from_edges"], classmethod)
 
 
 def test_every_wrapped_name_resolves(tracer):

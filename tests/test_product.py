@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groundsub
 from groundsub import (
     Edge,
     GraphError,
@@ -92,7 +98,7 @@ class TestPartialProduct:
     def test_empty_second_factor_is_an_error(self):
         g = LabeledDigraph.from_edges([("a", "b")])
         with pytest.raises(GraphError, match="nonempty"):
-            partial_product(PartitionedGraph(g, frozenset()), LabeledDigraph(frozenset(), frozenset()))
+            partial_product(PartitionedGraph(g, frozenset()), LabeledDigraph.from_edges())
 
     def test_label_collision_with_plain_vertex_is_an_error(self):
         g = LabeledDigraph.from_edges([("a", "b")])
@@ -105,6 +111,58 @@ class TestPartialProduct:
         g2 = LabeledDigraph.from_edges(vertices=("x",))
         with pytest.raises(GraphError, match=r"'ax' produced by both \('a', 'x'\) and \('b', 'x'\)"):
             partial_product(PartitionedGraph(g, frozenset({"a", "b"})), g2, combine=lambda u, v: "ax")
+
+    @given(dags(max_vertices=5, reduced=True), dags(max_vertices=4, reduced=True), st.data())
+    def test_collision_message_matches_the_merge_path(self, g1, g2, data):
+        # Each label is drawn from the plain vertices and two spare names, so
+        # most drawn `combine` functions collide, in one way or the other.
+        subset = data.draw(st.frozensets(st.sampled_from(g1.sorted_vertices)))
+        pg = PartitionedGraph(g1, subset)
+        pairs = [(u, v) for u in sorted(subset) for v in g2.sorted_vertices]
+        pool = [*sorted(pg.nonproduct_vertices), "x", "y"]
+        names = st.lists(st.sampled_from(pool), min_size=len(pairs), max_size=len(pairs))
+        label = dict(zip(pairs, data.draw(names)))
+        outcomes = []
+        for build in (partial_product, partial_product_via_merge):
+            try:
+                outcomes.append(build(pg, g2, combine=lambda u, v: label[u, v]))
+            except GraphError as error:
+                outcomes.append(str(error))
+        direct, merged = outcomes
+        if isinstance(merged, str):
+            assert direct == merged
+        else:
+            assert equals_ignoring_tags(direct, merged)
+
+    def test_collision_message_does_not_depend_on_the_hash_seed(self):
+        # The rows are built in set order; several pairs collide, and only
+        # the rescan in sorted (u, v) order names the same one every run.
+        edges = [("a1", "b1"), ("a2", "b1"), ("b1", "by"), ("b2", "by")]
+        arguments, product_vertices = [("x1", "y"), ("x2", "y")], ["a1", "a2", "b1", "b2"]
+        script = (
+            "from groundsub import GraphError, LabeledDigraph, PartitionedGraph, partial_product\n"
+            f"g, g2 = LabeledDigraph.from_edges({edges!r}), LabeledDigraph.from_edges({arguments!r})\n"
+            f"pg = PartitionedGraph(g, frozenset({product_vertices!r}))\n"
+            "try:\n"
+            "    partial_product(pg, g2, lambda u, v: u[0] + v[0])\n"
+            "except GraphError as error:\n"
+            "    print(error)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(groundsub.__file__).parents[1])}
+        printed = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env={**env, "PYTHONHASHSEED": seed}, check=True, timeout=60,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        pg = PartitionedGraph(LabeledDigraph.from_edges(edges), frozenset(product_vertices))
+        g2 = LabeledDigraph.from_edges(arguments)
+        with pytest.raises(GraphError) as merged:
+            partial_product_via_merge(pg, g2, lambda u, v: u[0] + v[0])
+        expected = "label collision: 'ax' produced by both ('a1', 'x1') and ('a1', 'x2')"
+        assert str(merged.value) == expected
+        assert printed == {expected + "\n"}
 
     @given(dags(max_vertices=5, reduced=True), dags(max_vertices=4, reduced=True), st.randoms())
     def test_vertex_count_law(self, g1, g2, rng):
