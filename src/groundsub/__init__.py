@@ -7,7 +7,6 @@ from .builder import (
     initial_approximation,
     initial_wildcards,
     run,
-    step,
     subtype_by_graph,
     sufficient_depth,
 )
@@ -33,7 +32,6 @@ from .product import EdgePartition, PartitionedGraph, partial_product
 from .rules import (
     DifferentialReport,
     Mismatch,
-    contains_argument,
     differential_check,
     enumerate_types,
     is_subtype,
@@ -89,7 +87,6 @@ __all__ = [
     "Wild",
     "argument_label",
     "canonical_label",
-    "contains_argument",
     "differential_check",
     "enumerate_types",
     "initial_approximation",
@@ -105,7 +102,6 @@ __all__ = [
     "reachable",
     "render",
     "run",
-    "step",
     "subtype_by_graph",
     "sufficient_depth",
     "to_dot",

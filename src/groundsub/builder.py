@@ -82,11 +82,6 @@ def initial_approximation(table: ClassTable) -> BipointedGraph:
     return _product_with_arguments(table, initial_wildcards())
 
 
-def step(table: ClassTable, current: BipointedGraph) -> BipointedGraph:
-    """One iteration: product with the argument graph over `current`."""
-    return _product_with_arguments(table, wildcards_graph(current))
-
-
 def predicted_sizes(table: ClassTable) -> Iterator[int]:
     """Vertex counts of the approximations, from the recurrence
     n_1 = |classes| and n_{k+1} = |plain| + |generic| * 3(n_k - 1).

@@ -2,12 +2,14 @@
 
 This module decides subtyping by direct structural recursion over the type
 syntax and the declared superclass chains.  One method, `_Rules.subtype`,
-states every rule on type shapes, plain tuples it unpacks and compares;
-containment is subtyping under one shared head, as `C<a> <: C<b>` holds
-exactly when `a` is contained in `b`.  It deliberately shares no graph
-machinery with the iterated construction so the two can be compared against
-each other: `differential_check` runs both over every ordered pair of types
-up to a rank bound and reports any disagreement.
+states every rule on type shapes, plain tuples it unpacks and compares.
+Containment is subtyping under one shared head: `a` is contained in `b`
+exactly when `C<a> <: C<b>` for a generic class `C`, so it is asked as
+`is_subtype(C<a>, C<b>)`; a table with no generic class has no type that
+takes an argument.  The module deliberately shares no graph machinery with
+the iterated construction so the two can be compared against each other:
+`differential_check` runs both over every ordered pair of types up to a
+rank bound and reports any disagreement.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .typelang import (
     Inv,
     TypeArg,
     Wild,
-    argument_label,
     canonical_label,
     rank,
 )
@@ -36,10 +37,6 @@ from .typelang import (
 # Most ordered pairs `differential_check` may compare.  It predicts the type
 # count from the vertex recurrence and refuses before it builds anything.
 MAX_PAIRS = 20_000_000
-
-# The head `contains_argument` puts both arguments under: a generic class that
-# is its own only superclass.  No class of a table can be this non-string.
-_ARGUMENT_HEAD = object()
 
 
 class _Rules:
@@ -59,19 +56,15 @@ class _Rules:
 
     def __init__(self, table: ClassTable):
         self._table = table
-        self._supers = {_ARGUMENT_HEAD: frozenset((_ARGUMENT_HEAD,))}
+        self._supers: dict[str, frozenset[str]] = {}
 
     def shape(self, t: GroundType) -> tuple:
         """The shape of a normalised type; equal types get equal shapes."""
-        return self.applied(t.name, t.arg)
-
-    def applied(self, head: object, arg: TypeArg | None) -> tuple:
-        """The shape of class `head` applied to the normalised `arg`, if any."""
-        if arg is None:
-            return head, None, None
-        if isinstance(arg, Wild):
-            return head, Wild, None
-        return head, type(arg), self.shape(arg.bound)
+        if t.arg is None:
+            return t.name, None, None
+        if isinstance(t.arg, Wild):
+            return t.name, Wild, None
+        return t.name, type(t.arg), self.shape(t.arg.bound)
 
     def subtype(self, s1: tuple, s2: tuple) -> bool:
         """True when the type of shape `s1` is a subtype of the one of shape `s2`.
@@ -115,20 +108,6 @@ class _Rules:
         if kind2 is Con:
             return (kind1 is Con or kind1 is Inv) and self.subtype(bound2, bound1)
         return False
-
-
-def contains_argument(inner: TypeArg, outer: TypeArg, table: ClassTable) -> bool:
-    """True when the argument `inner` is contained in the argument `outer`.
-
-    Raises `ValueError` unless both are normalised arguments over `table`,
-    then asks `_Rules.subtype` whether `inner` under a private generic head
-    is a subtype of `outer` under the same head.
-    """
-    for arg in (inner, outer):
-        if not table.is_argument(arg):
-            raise ValueError(f"{argument_label(arg)!r} is not a normalised argument of the table")
-    rules = _Rules(table)
-    return rules.subtype(rules.applied(_ARGUMENT_HEAD, inner), rules.applied(_ARGUMENT_HEAD, outer))
 
 
 def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:

@@ -45,11 +45,11 @@ EXPORTED = {
     "GroundType", "GroundsubError", "InfiniteGraph", "Inv", "IterationTrace",
     "LabeledDigraph", "Mismatch", "ParseError", "PartitionedGraph", "SizeLimitError", "TOP_CLASS",
     "TypeArg", "WILD", "WILDCARD", "Wild", "argument_label", "canonical_label",
-    "contains_argument", "differential_check", "enumerate_types", "initial_approximation",
-    "initial_wildcards", "is_subtype", "normalize_argument", "normalize_type", "pair_label",
-    "parse_declarations", "parse_ground_type", "partial_product", "rank", "reachable",
-    "render", "run", "step", "subtype_by_graph", "sufficient_depth", "to_dot",
-    "to_graphml", "to_json", "transitive_reduction", "wildcards_graph", "wildcards_size",
+    "differential_check", "enumerate_types", "initial_approximation", "initial_wildcards",
+    "is_subtype", "normalize_argument", "normalize_type", "pair_label", "parse_declarations",
+    "parse_ground_type", "partial_product", "rank", "reachable", "render", "run",
+    "subtype_by_graph", "sufficient_depth", "to_dot", "to_graphml", "to_json",
+    "transitive_reduction", "wildcards_graph", "wildcards_size",
 }
 
 # Reference implementations that live in tests/oracles.py, not in the package.
@@ -118,6 +118,15 @@ def test_graphs_have_one_constructor_and_one_edge_list_front_end():
     assert not hasattr(LabeledDigraph, "_from_successors")
     assert not hasattr(LabeledDigraph, "out_edges")
     assert isinstance(vars(LabeledDigraph)["from_edges"], classmethod)
+
+
+def test_containment_is_asked_as_subtyping_and_run_is_the_only_iteration():
+    # `is_subtype(C<a>, C<b>)` decides containment; `run(table, k).graphs`
+    # holds every S_j.
+    assert not hasattr(rules, "contains_argument")
+    assert not hasattr(rules, "_ARGUMENT_HEAD")
+    assert not hasattr(rules._Rules, "applied")
+    assert not hasattr(builder, "step")
 
 
 def test_every_wrapped_name_resolves(tracer):
