@@ -79,6 +79,19 @@ class TestInitialApproximation:
             assert initial_approximation(table).graph == expected
 
 
+class TestStep:
+    def test_one_generic_counts(self, tables):
+        s1, s2, s3 = run(tables["one_generic"], 3).graphs
+        assert len(s1.graph.vertices) == 3
+        assert len(s2.graph.vertices) == 8
+        assert len(s3.graph.vertices) == 23
+
+    def test_two_generics_count(self, tables):
+        s1, s2 = run(tables["two_generics"], 2).graphs
+        assert len(s1.graph.vertices) == 4
+        assert len(s2.graph.vertices) == 2 * 9 + 2
+
+
 class TestRun:
     def test_trace_stats(self, traces):
         assert [v for v, _ in traces["one_generic"].stats] == [3, 8, 23]
