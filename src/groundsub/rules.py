@@ -1,19 +1,19 @@
 """Rule-based decision procedure for ground subtyping and containment.
 
-This module decides subtyping by direct structural recursion over the type
-syntax and the declared superclass chains.  One method, `_Rules.subtype`,
-states every rule on type shapes, plain tuples it unpacks and compares.
-Containment is subtyping under one shared head: `a` is contained in `b`
-exactly when `C<a> <: C<b>` for a generic class `C`, so it is asked as
-`is_subtype(C<a>, C<b>)`; a table with no generic class has no type that
-takes an argument.  The module deliberately shares no graph machinery with
-the iterated construction so the two can be compared against each other:
-`differential_check` runs both over every ordered pair of types up to a
-rank bound and reports any disagreement.
+This module decides subtyping by structural recursion over type shapes and
+the declared superclass chains.  Argument containment, the variance lattice
+of Igarashi and Viroli, is stated once as data, `_CONTAINS`, which
+`_Rules.subtype` reads pair by pair and `_Rules.above` and `below` read
+backwards.  Containment is subtyping under one shared head: `a` is
+contained in `b` exactly when `C<a> <: C<b>` for a generic class `C`.  The
+module shares no graph machinery with the iterated construction, so
+`differential_check` can compare the two over every ordered pair of types
+up to a rank bound and report any disagreement.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -34,9 +34,22 @@ from .typelang import (
     rank,
 )
 
-# Most ordered pairs `differential_check` may compare.  It predicts the type
+# Most ordered pairs `differential_check` may check.  It predicts the type
 # count from the vertex recurrence and refuses before it builds anything.
 MAX_PAIRS = 20_000_000
+
+# Argument containment, stated once.  Each outer argument kind names the
+# inner kinds it contains and how their bounds compare: an upper bound lies
+# above the inner bound (`_UP`), a lower bound below it (`_DOWN`), an exact
+# argument's bound equals it (`_SAME`), and `?` compares none (`None`).
+_UP, _DOWN, _SAME = "up", "down", "same"
+_CONTAINS = {
+    Wild: ((Wild, Cov, Con, Inv), None),
+    Cov: ((Cov, Inv), _UP),
+    Con: ((Con, Inv), _DOWN),
+    Inv: ((Inv,), _SAME),
+}
+_TOP, _BOTTOM = (TOP_CLASS, None, None), (BOTTOM_CLASS, None, None)
 
 
 class _Rules:
@@ -45,18 +58,19 @@ class _Rules:
     A type is its shape, the tuple (class, argument kind, bound shape).  The
     kind is `None` for a plain class, else the class of the argument; the
     bound shape is `None` for a plain class and for `?`.  Equal types have
-    equal shapes, and shapes are compared, never hashed, so no table of them
-    is kept.  The superclass set of a class is worked out when first needed
-    and kept for the life of the instance.
+    equal shapes, which compare and hash as the types do.  A class's
+    superclasses and subclasses are worked out when first needed and kept
+    for the life of the instance; no set of shapes is kept.
     """
 
-    # `builder.InfiniteGraph` numbers its types instead, as its search hashes
-    # them.  The deciders share only the type syntax and the class table: a
-    # bug shared by both would be invisible to `selfcheck` and `query`.
+    # `builder.InfiniteGraph` numbers its types instead.  The deciders share
+    # only the type syntax and the class table: a bug shared by both would
+    # be invisible to `selfcheck` and `query`.
 
     def __init__(self, table: ClassTable):
         self._table = table
         self._supers: dict[str, frozenset[str]] = {}
+        self._subs: dict[str, tuple[str, ...]] = {}
 
     def shape(self, t: GroundType) -> tuple:
         """The shape of a normalised type; equal types get equal shapes."""
@@ -66,23 +80,32 @@ class _Rules:
             return t.name, Wild, None
         return t.name, type(t.arg), self.shape(t.arg.bound)
 
+    def supers(self, name: str) -> frozenset[str]:
+        """The class `name` and every class above it; not for the bottom."""
+        if name not in self._supers:
+            chain = [name]
+            while chain[-1] != TOP_CLASS:
+                chain.append(self._table.superclass_of(chain[-1]))
+            self._supers[name] = frozenset(chain)
+        return self._supers[name]
+
+    def subs(self, name: str) -> tuple[str, ...]:
+        """The class `name` and every class below it but the bottom."""
+        if name not in self._subs:
+            below = (c for c in self._table.classes if c != BOTTOM_CLASS)
+            self._subs[name] = tuple(c for c in below if name in self.supers(c))
+        return self._subs[name]
+
     def subtype(self, s1: tuple, s2: tuple) -> bool:
         """True when the type of shape `s1` is a subtype of the one of shape `s2`.
 
         The bottom type is below everything, the top type above everything,
         and otherwise the head classes must be related by inheritance.  When
-        the supertype is generic, the arguments must also be in the
-        containment relation; arguments pass through inheritance verbatim,
-        so no substitution is needed along the chain, and a class below a
-        generic one is generic.
-
-        An argument is contained in itself and in the default wildcard; an
-        upper-bounded argument contains the upper-bounded and exact
-        arguments whose type is a subtype of its bound; a lower-bounded
-        argument contains the lower-bounded and exact arguments whose type
-        is a supertype of its bound.  Exact arguments contain nothing else.
-        The recursion on the bounds terminates because bound ranks strictly
-        decrease.
+        the supertype is generic, its argument must contain the subtype's,
+        as the row of `_CONTAINS` for its kind says; arguments pass through
+        inheritance verbatim, so no substitution is needed along the chain,
+        and a class below a generic one is generic.  The recursion on the
+        bounds terminates because bound ranks strictly decrease.
 
         The cheap name tests come first.  A type is a subtype of itself
         without a test of its own: a class inherits from itself and an
@@ -92,29 +115,78 @@ class _Rules:
         name2, kind2, bound2 = s2
         if name1 == BOTTOM_CLASS or name2 == TOP_CLASS:
             return True
-        try:
-            supers = self._supers[name1]
-        except KeyError:
-            chain = [name1]
-            while chain[-1] != TOP_CLASS:
-                chain.append(self._table.superclass_of(chain[-1]))
-            supers = self._supers[name1] = frozenset(chain)
-        if name2 not in supers:
+        if name2 not in self.supers(name1):
             return False
-        if kind2 is None or kind2 is Wild or (kind1 is kind2 and bound1 == bound2):
+        if kind2 is None:
             return True
-        if kind2 is Cov:
-            return (kind1 is Cov or kind1 is Inv) and self.subtype(bound1, bound2)
-        if kind2 is Con:
-            return (kind1 is Con or kind1 is Inv) and self.subtype(bound2, bound1)
-        return False
+        kinds, compare = _CONTAINS[kind2]
+        if kind1 not in kinds:
+            return False
+        if compare is _UP:
+            return self.subtype(bound1, bound2)
+        if compare is _DOWN:
+            return self.subtype(bound2, bound1)
+        return compare is None or bound1 == bound2
+
+    def above(self, s: tuple, k: int) -> Iterator[tuple]:
+        """Every shape of rank at most `k` >= 1 above the shape `s`, once each:
+        each superclass of its head, with, for a generic one, each argument
+        whose row of `_CONTAINS` admits the argument of `s`; every shape
+        above the bottom."""
+        name, kind, bound = s
+        if name == BOTTOM_CLASS:
+            yield from self.below(_TOP, k)
+            return
+        for sup in self.supers(name):
+            if sup not in self._table.generic:
+                yield sup, None, None
+                continue
+            for outer, (kinds, compare) in _CONTAINS.items():
+                if kind in kinds:
+                    for b in self._bounds(outer, compare, bound, k, True):
+                        yield sup, outer, b
+
+    def below(self, s: tuple, k: int) -> Iterator[tuple]:
+        """Every shape of rank at most `k` >= 1 below the shape `s`, once each:
+        the bottom, and each subclass of its head, with, for a generic one,
+        each argument the row of `s`'s argument admits.  A plain class admits
+        every argument, as `?` does."""
+        name, kind, bound = s
+        yield _BOTTOM
+        for sub in self.subs(name):
+            if sub not in self._table.generic:
+                yield sub, None, None
+                continue
+            kinds, compare = _CONTAINS[Wild if kind is None else kind]
+            for inner in kinds:
+                for b in self._bounds(inner, compare, bound, k, False):
+                    yield sub, inner, b
+
+    def _bounds(self, kind: type, compare: str | None, bound: tuple, k: int, up: bool) -> Iterable:
+        """The bounds an argument of `kind` takes in a type of rank at most
+        `k` when `compare` relates them to `bound`, seen from the outer
+        argument if `up`, else from the inner one.  Without a comparison any
+        type will do; the top and bottom bound only exact arguments."""
+        if kind is Wild:
+            return (None,)
+        if k < 2:
+            return ()
+        if compare is _SAME:
+            return (bound,)
+        if compare is None:
+            found = self.below(_TOP, k - 1)
+        else:
+            found = (self.above if (compare is _UP) == up else self.below)(bound, k - 1)
+        if kind is Inv:
+            return found
+        return (b for b in found if b[0] not in (TOP_CLASS, BOTTOM_CLASS))
 
 
 def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
     """Ground subtyping over normalized types.
 
     Raises `ValueError` unless both are normalised types over `table`, then
-    asks `_Rules.subtype`, which states the rules.
+    asks `_Rules.subtype`.
     """
     for t in (t1, t2):
         if not table.is_type(t):
@@ -188,13 +260,13 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     row t1, of rank k1, gathers its graph verdicts into one set, `above`:
     t1 itself, its descendants in S_{k1} of rank at most k1, and for each
     k > k1 its descendants in S_k of rank exactly k.  A column t2 of rank
-    k2 is thus read from S_k, k = max(k1, k2), and a cell costs one set
-    lookup.  The last graph is not read in place of S_k: that S_k is the
-    restriction of every later graph is a law of the construction, and the
-    check is there to test it.
+    k2 is thus read from S_k, k = max(k1, k2).  The last graph is not read
+    in place of S_k: that S_k is the restriction of every later graph is a
+    law of the construction, and the check is there to test it.
 
-    The rules side converts each type to its shape once and decides a cell
-    with `_Rules.subtype` on the two shapes.
+    The rules side lists each row's up-set with `_Rules.above`, so the check
+    costs a pass over the types plus a step per true pair.  A row's
+    mismatches are the difference of its two sets, in column order.
 
     Mismatches are report content, not exceptions; an empty mismatch list is
     the expected outcome.  Raises `SizeLimitError`, before building or
@@ -214,10 +286,20 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     trace = run(table, max_rank)
     types = enumerate_types(table, max_rank)
     decider = _Rules(table)
-    subtype = decider.subtype
     # Each type with its label, the index of the smallest graph holding it,
-    # and its shape.
-    rows = [(canonical_label(t), max(rank(t), 1), decider.shape(t)) for t in types]
+    # and its shape.  A bound is one of the types listed before it, so its
+    # shape is shared; it is found by identity, as `Inv(t)`, `Cov(t)` and
+    # `Con(t)` hash alike.
+    shapes: dict[int, tuple] = {}
+    rows = []
+    for t in types:
+        bound = getattr(t.arg, "bound", None)
+        shape = shapes[id(t)] = (
+            decider.shape(t) if bound is None else (t.name, type(t.arg), shapes[id(bound)])
+        )
+        rows.append((canonical_label(t), max(rank(t), 1), shape))
+    label_of = {shape: label for label, _, shape in rows}
+    column = {label: i for i, (label, _, _) in enumerate(rows)}
     # The labels whose smallest graph is S_k, and those held by S_k.
     of_rank: list[set[str]] = [set() for _ in range(trace.depth + 1)]
     for label, k, _ in rows:
@@ -229,9 +311,7 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
         for k in range(k1, trace.depth + 1):
             read = up_to[k1] if k == k1 else of_rank[k]
             above |= read & trace.graphs[k - 1].graph.descendants_of(l1)
-        for l2, _, s2 in rows:
-            by_graph = l2 in above
-            by_rules = subtype(s1, s2)
-            if by_graph != by_rules:
-                mismatches.append(Mismatch(l1, l2, by_graph, by_rules))
+        by_rules = {label_of[s] for s in decider.above(s1, max_rank)}
+        for l2 in sorted(above ^ by_rules, key=column.__getitem__):
+            mismatches.append(Mismatch(l1, l2, l2 in above, l2 in by_rules))
     return DifferentialReport(max_rank, len(types), tuple(mismatches))

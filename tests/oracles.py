@@ -13,14 +13,17 @@ shape tuples, with its own walk up the superclass chain.
 `reference_hasse` is the Hasse diagram of that decider's order, which
 needs no graph code of the package beyond the transitive reduction.
 `subtype_by_trace` is the graph decider as it was before it searched covers
-on demand: reachability in a materialised approximation.  `reference_json`
-is the JSON export as `json.dumps` writes it.
+on demand: reachability in a materialised approximation.
+`reference_differential_check` is the differential comparison as it was
+before the rules listed up-sets: one `_Rules.subtype` call per ordered
+pair.  `reference_json` is the JSON export as `json.dumps` writes it.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Mapping
+from itertools import accumulate
 
 from groundsub.builder import IterationTrace, sufficient_depth
 from groundsub.digraph import (
@@ -31,7 +34,7 @@ from groundsub.digraph import (
     reachable,
     transitive_reduction,
 )
-from groundsub.errors import GraphError
+from groundsub.errors import GraphError, SizeLimitError
 from groundsub.labels import (
     BOTTOM_CLASS,
     TOP_CLASS,
@@ -41,7 +44,13 @@ from groundsub.labels import (
     upper_bounded_label,
 )
 from groundsub.product import PartitionedGraph
-from groundsub.rules import enumerate_types
+from groundsub.rules import (
+    MAX_PAIRS,
+    DifferentialReport,
+    Mismatch,
+    _Rules,
+    enumerate_types,
+)
 from groundsub.typelang import (
     NULL_TYPE,
     OBJECT_TYPE,
@@ -53,6 +62,7 @@ from groundsub.typelang import (
     TypeArg,
     Wild,
     canonical_label,
+    rank,
 )
 
 
@@ -384,3 +394,62 @@ def subtype_by_trace(trace: IterationTrace, t1: GroundType, t2: GroundType) -> b
         raise ValueError(f"types need {k} iterations but the trace holds {trace.depth}")
     s = trace.graphs[min(k, trace.depth) - 1]
     return reachable(s.graph, canonical_label(t1), canonical_label(t2))
+
+
+def reference_differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
+    """Compare both deciders over every ordered pair of enumerated types.
+
+    The graph decides a pair (t1, t2) by the rule `builder.subtype_by_graph`
+    applies: in S_k, with k = `sufficient_depth(t1, t2)`, t2 is t1 itself or
+    one of t1's descendants.  Here the S_k are built by `run`, not searched
+    on demand.  The label and rank of each type are computed once.  Each
+    row t1, of rank k1, gathers its graph verdicts into one set, `above`:
+    t1 itself, its descendants in S_{k1} of rank at most k1, and for each
+    k > k1 its descendants in S_k of rank exactly k.  A column t2 of rank
+    k2 is thus read from S_k, k = max(k1, k2), and a cell costs one set
+    lookup.  The last graph is not read in place of S_k: that S_k is the
+    restriction of every later graph is a law of the construction, and the
+    check is there to test it.
+
+    The rules side converts each type to its shape once and decides a cell
+    with `_Rules.subtype` on the two shapes.
+
+    Mismatches are report content, not exceptions; an empty mismatch list is
+    the expected outcome.  Raises `SizeLimitError`, before building or
+    enumerating anything, when there would be more than `MAX_PAIRS` pairs.
+    """
+    from groundsub.builder import predicted_sizes, run
+
+    if max_rank < 1:
+        raise ValueError("max_rank must be at least 1")
+    # The types up to rank k are the vertices of the k-th approximation.
+    for k, n in zip(range(1, max_rank + 1), predicted_sizes(table)):
+        if n * n > MAX_PAIRS:
+            raise SizeLimitError(
+                f"rank {k} has {n} types, so at least {n * n} ordered pairs, "
+                f"over the limit of {MAX_PAIRS}"
+            )
+    trace = run(table, max_rank)
+    types = enumerate_types(table, max_rank)
+    decider = _Rules(table)
+    subtype = decider.subtype
+    # Each type with its label, the index of the smallest graph holding it,
+    # and its shape.
+    rows = [(canonical_label(t), max(rank(t), 1), decider.shape(t)) for t in types]
+    # The labels whose smallest graph is S_k, and those held by S_k.
+    of_rank: list[set[str]] = [set() for _ in range(trace.depth + 1)]
+    for label, k, _ in rows:
+        of_rank[k].add(label)
+    up_to = list(accumulate(of_rank, set.union))
+    mismatches: list[Mismatch] = []
+    for l1, k1, s1 in rows:
+        above = {l1}
+        for k in range(k1, trace.depth + 1):
+            read = up_to[k1] if k == k1 else of_rank[k]
+            above |= read & trace.graphs[k - 1].graph.descendants_of(l1)
+        for l2, _, s2 in rows:
+            by_graph = l2 in above
+            by_rules = subtype(s1, s2)
+            if by_graph != by_rules:
+                mismatches.append(Mismatch(l1, l2, by_graph, by_rules))
+    return DifferentialReport(max_rank, len(types), tuple(mismatches))

@@ -1,36 +1,44 @@
 """Generated class tables: the two deciders agree, the covers worked out on
 demand equal the materialised graphs, and the paper's laws hold.
 
-Every table is drawn by `conftest.class_tables`.  Each check runs at the
-largest rank up to `MAX_RANK` whose approximation has at most `PAIR_CAP`
-ordered pairs of vertices, read from `predicted_sizes` before anything is
-built, so the cost of an example is bounded whatever table is drawn.
+Every table is drawn by `conftest.class_tables`; the check of the rules'
+up-set and down-set generator runs on the corpus as well.  Each check runs
+at the largest rank up to `MAX_RANK` whose approximation has at most
+`PAIR_CAP` ordered pairs of vertices, read from `predicted_sizes` before
+anything is built, so the cost of an example is bounded whatever table is
+drawn.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 
 from groundsub import (
     InfiniteGraph,
     canonical_label,
     differential_check,
+    enumerate_types,
+    parse_declarations,
     parse_ground_type,
     reachable,
     run,
     wildcards_graph,
     wildcards_size,
 )
+from groundsub import rules
 from groundsub.builder import predicted_sizes
 
-from conftest import class_tables
+from conftest import CORPUS, NUMBERS_SOURCE, class_tables
 from oracles import (
     contravariant_image,
     covariant_image,
     equals_ignoring_tags,
     induced_subgraph,
+    reference_differential_check,
+    reference_is_subtype,
     reflexive_transitive_closure,
     reversed_graph,
 )
@@ -38,6 +46,9 @@ from oracles import (
 MAX_RANK = 3
 PAIR_CAP = 250_000
 EXAMPLES = settings(max_examples=60, deadline=None)
+# Fewer for the generator check, which asks the slower reference decider
+# about every ordered pair.
+FEWER_EXAMPLES = settings(max_examples=20, deadline=None)
 
 
 def checked_rank(table) -> int:
@@ -60,6 +71,47 @@ def labels(types):
 def test_deciders_agree(table):
     report = differential_check(table, checked_rank(table))
     assert report.ok, report.mismatches[:5]
+
+
+@EXAMPLES
+@given(class_tables())
+def test_selfcheck_equals_its_all_pairs_reference(table):
+    k = checked_rank(table)
+    assert differential_check(table, k) == reference_differential_check(table, k)
+
+
+def assert_generator_agrees_with_both_deciders(table, k):
+    """`_Rules.above` and `below` list, once each, exactly the types of rank
+    at most k that `_Rules.subtype` and `reference_is_subtype` put above and
+    below each type, so only types that `enumerate_types` lists."""
+    decider = rules._Rules(table)
+    types = enumerate_types(table, k)
+    shapes = [decider.shape(t) for t in types]
+    by_rules = [(s1, s2) for s1 in shapes for s2 in shapes if decider.subtype(s1, s2)]
+    by_reference = [
+        (s1, s2)
+        for t1, s1 in zip(types, shapes)
+        for t2, s2 in zip(types, shapes)
+        if reference_is_subtype(t1, t2, table)
+    ]
+    assert by_rules == by_reference
+    up = [(s1, s2) for s1 in shapes for s2 in decider.above(s1, k)]
+    down = [(s1, s2) for s2 in shapes for s1 in decider.below(s2, k)]
+    assert len(up) == len(down) == len(by_rules)
+    assert set(up) == set(down) == set(by_rules)
+
+
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_generator_agrees_with_both_deciders_on_the_corpus(source):
+    table = parse_declarations(source)
+    for k in range(1, MAX_RANK + 1):
+        assert_generator_agrees_with_both_deciders(table, k)
+
+
+@FEWER_EXAMPLES
+@given(class_tables())
+def test_generator_agrees_with_both_deciders(table):
+    assert_generator_agrees_with_both_deciders(table, checked_rank(table))
 
 
 @EXAMPLES

@@ -36,7 +36,11 @@ from groundsub import builder, rules
 from groundsub.cli import main
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS, NUMBERS_SOURCE
-from oracles import reference_contains_argument, reference_is_subtype
+from oracles import (
+    reference_contains_argument,
+    reference_differential_check,
+    reference_is_subtype,
+)
 
 # Tables whose types `test_deep_types_agree_with_equality_guards` nests.
 DEEP_TABLES = {
@@ -348,65 +352,66 @@ class TestDifferentialCheck:
         )
 
     @pytest.mark.parametrize(
-        "rule, count, first",
+        "rows, count, first",
         [
             pytest.param(
-                lambda r, k1, b1, k2, b2: r.subtype(b1, b2)
-                if k2 is Con and k1 in (Con, Inv) and (k1, b1) != (k2, b2) else None,
+                {Con: ((Con, Inv), rules._UP)},
                 52,
                 Mismatch("C<? :> C<?>>", "C<? :> C<? :> C<?>>>", True, False),
                 id="swapped_con",
             ),
             pytest.param(
-                lambda r, k1, b1, k2, b2: r.subtype(b2, b1)
-                if k2 is Cov and k1 in (Cov, Inv) and (k1, b1) != (k2, b2) else None,
+                {Cov: ((Cov, Inv), rules._DOWN)},
                 52,
                 Mismatch("C<? <: C<?>>", "C<? <: C<? :> C<?>>>", False, True),
                 id="swapped_cov",
             ),
             pytest.param(
-                lambda r, k1, b1, k2, b2: False if k1 is Inv and k2 in (Cov, Con) else None,
+                {Cov: ((Cov,), rules._UP), Con: ((Con,), rules._DOWN)},
                 50,
                 Mismatch("C<C<?>>", "C<? :> C<?>>", True, False),
                 id="exact_outside_its_bounds",
             ),
         ],
     )
-    def test_rule_mutant_is_caught(self, one_generic, monkeypatch, rule, count, first):
-        # `rule(self, kind1, bound1, kind2, bound2)` decides the containment of
-        # two arguments under related heads wherever it returns a verdict.
-        real = rules._Rules.subtype
-
-        def mutant(self, s1, s2):
-            (name1, kind1, bound1), (name2, kind2, bound2) = s1, s2
-            if kind1 is not None and kind2 is not None and real(
-                self, (name1, None, None), (name2, None, None)
-            ):
-                verdict = rule(self, kind1, bound1, kind2, bound2)
-                if verdict is not None:
-                    return verdict
-            return real(self, s1, s2)
-
-        monkeypatch.setattr(rules._Rules, "subtype", mutant)
-        mismatches = differential_check(one_generic, 3).mismatches
-        assert (len(mismatches), mismatches[0]) == (count, first)
+    def test_rule_mutant_is_caught(self, one_generic, monkeypatch, rows, count, first):
+        # `rows` replace rows of the one statement of containment, which
+        # `subtype` reads pair by pair and the generator reads backwards.
+        monkeypatch.setattr(rules, "_CONTAINS", {**rules._CONTAINS, **rows})
+        report = differential_check(one_generic, 3)
+        assert (len(report.mismatches), report.mismatches[0]) == (count, first)
+        assert report == reference_differential_check(one_generic, 3)
 
     def test_one_flipped_rule_verdict_is_the_one_mismatch(self, one_generic, monkeypatch):
         # A rank-3 type is never the bound of an argument at rank 3, so the
         # flip reaches no other pair through the recursion.
-        left = parse_ground_type("C<C<N>>", one_generic)
-        right = parse_ground_type("C<?>", one_generic)
-        real = rules._Rules.subtype
+        decider = rules._Rules(one_generic)
+        left = decider.shape(parse_ground_type("C<C<N>>", one_generic))
+        right = decider.shape(parse_ground_type("C<?>", one_generic))
+        real = rules._Rules.above
 
-        def flipped(self, s1, s2):
-            verdict = real(self, s1, s2)
-            return not verdict if (s1, s2) == (self.shape(left), self.shape(right)) else verdict
+        def flipped(self, s, k):
+            return (found for found in real(self, s, k) if (s, found) != (left, right))
 
-        monkeypatch.setattr(rules._Rules, "subtype", flipped)
+        monkeypatch.setattr(rules._Rules, "above", flipped)
         report = differential_check(one_generic, 3)
         assert report.mismatches == (
             Mismatch("C<C<N>>", "C<?>", graph_verdict=True, rule_verdict=False),
         )
+
+    @pytest.mark.parametrize(
+        "source, ranks",
+        [
+            *((CORPUS[name], (1, 2, 3)) for name in sorted(CORPUS)),
+            (CORPUS["one_generic"], (4,)),
+            (NUMBERS_SOURCE, (3,)),
+            (ALL_PLAIN_SOURCE, (1, 2, 3, 4)),
+        ],
+    )
+    def test_equals_the_all_pairs_reference(self, source, ranks):
+        table = parse_declarations(source)
+        for k in ranks:
+            assert differential_check(table, k) == reference_differential_check(table, k)
 
     def test_graph_side_fetches_one_descendant_set_per_row_and_depth(
         self, tables, monkeypatch
@@ -430,20 +435,26 @@ class TestDifferentialCheck:
         assert 0 < calls <= report.type_count * 3
 
     def test_rules_decide_every_pair(self, tables, monkeypatch):
-        # Only the outermost call of the recursion decides a pair.
-        real = rules._Rules.subtype
-        depth = top_level = 0
+        # Each row is read from one top-level call of the generator, the only
+        # call at the full rank, and its up-set is the row of `subtype`,
+        # which the check never asks pair by pair.
+        table = tables["two_generics"]
+        decider = rules._Rules(table)
+        shapes = [decider.shape(t) for t in enumerate_types(table, 3)]
+        for s1 in shapes:
+            assert set(decider.above(s1, 3)) == {s2 for s2 in shapes if decider.subtype(s1, s2)}
+        real = rules._Rules.above
+        ranks = []
 
-        def counted(self, s1, s2):
-            nonlocal depth, top_level
-            top_level += depth == 0
-            depth += 1
-            try:
-                return real(self, s1, s2)
-            finally:
-                depth -= 1
+        def counted(self, s, k):
+            ranks.append(k)
+            return real(self, s, k)
 
-        monkeypatch.setattr(rules._Rules, "subtype", counted)
-        report = differential_check(tables["two_generics"], 3)
+        def forbidden(*args):
+            raise AssertionError("per-pair rules query in differential_check")
+
+        monkeypatch.setattr(rules._Rules, "above", counted)
+        monkeypatch.setattr(rules._Rules, "subtype", forbidden)
+        report = differential_check(table, 3)
         assert report.ok
-        assert top_level == report.pair_count == 13_456
+        assert ranks.count(3) == report.type_count == 116
