@@ -1,8 +1,9 @@
 """Generated class tables: the two deciders agree, the covers worked out on
 demand equal the materialised graphs, and the paper's laws hold.
 
-Every table is drawn by `conftest.class_tables`; the check of the rules'
-up-set and down-set generator runs on the corpus as well.  Each check runs
+Every table is drawn by `conftest.class_tables`; the checks of the rules'
+up-set and down-set generator, of the order of `enumerate_types` and of the
+rows `differential_check` makes run on the corpus as well.  Each check runs
 at the largest rank up to `MAX_RANK` whose approximation has at most
 `PAIR_CAP` ordered pairs of vertices, read from `predicted_sizes` before
 anything is built, so the cost of an example is bounded whatever table is
@@ -23,6 +24,7 @@ from groundsub import (
     enumerate_types,
     parse_declarations,
     parse_ground_type,
+    rank,
     reachable,
     run,
     wildcards_graph,
@@ -112,6 +114,49 @@ def test_generator_agrees_with_both_deciders_on_the_corpus(source):
 @given(class_tables())
 def test_generator_agrees_with_both_deciders(table):
     assert_generator_agrees_with_both_deciders(table, checked_rank(table))
+
+
+def assert_types_in_label_order(table, k):
+    """`enumerate_types`, which spells each label from its bound's, lists
+    the types of each rank in the order of their `canonical_label`."""
+    types = enumerate_types(table, k)
+    assert list(types) == sorted(types, key=lambda t: (rank(t), canonical_label(t)))
+    assert len(set(map(canonical_label, types))) == len(types)
+
+
+def assert_rows_read_off_their_bounds(table, k):
+    """The label and rank `differential_check` makes for each type from its
+    bound's row are the type's own."""
+    decider = rules._Rules(table)
+    types = enumerate_types(table, k)
+    expected = [(canonical_label(t), max(rank(t), 1), decider.shape(t)) for t in types]
+    assert rules._rows(decider, types) == expected
+
+
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_types_in_label_order_on_the_corpus(source):
+    table = parse_declarations(source)
+    for k in range(5):
+        assert_types_in_label_order(table, k)
+
+
+@EXAMPLES
+@given(class_tables())
+def test_types_in_label_order(table):
+    assert_types_in_label_order(table, checked_rank(table))
+
+
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_rows_read_off_their_bounds_on_the_corpus(source):
+    table = parse_declarations(source)
+    for k in range(1, 5):
+        assert_rows_read_off_their_bounds(table, k)
+
+
+@EXAMPLES
+@given(class_tables())
+def test_rows_read_off_their_bounds(table):
+    assert_rows_read_off_their_bounds(table, checked_rank(table))
 
 
 @EXAMPLES

@@ -458,3 +458,64 @@ class TestDifferentialCheck:
         report = differential_check(table, 3)
         assert report.ok
         assert ranks.count(3) == report.type_count == 116
+
+    @pytest.mark.parametrize(
+        "name, k, true_pairs, keys, kept",
+        [("two_generics", 3, 857, 49, 312), ("mixed_hierarchy", 4, 2775, 177, 1614)],
+    )
+    def test_each_bound_listing_is_made_once(
+        self, tables, monkeypatch, name, k, true_pairs, keys, kept
+    ):
+        # Each row streams its up-set once, at full rank.  Every other
+        # listing is of a bound, made once into the memo of the one `_Rules`
+        # the check builds, so the shapes listed are the true pairs plus the
+        # memo's entries.
+        listings = []
+        deciders = set()
+        for direction in ("above", "below"):
+            real = getattr(rules._Rules, direction)
+
+            def spy(self, s, j, real=real, direction=direction):
+                deciders.add(self)
+                found = list(real(self, s, j))
+                listings.append((direction, s, j, len(found)))
+                yield from found
+
+            monkeypatch.setattr(rules._Rules, direction, spy)
+        report = differential_check(tables[name], k)
+        assert report.ok
+        rows = [n for d, _, j, n in listings if (d, j) == ("above", k)]
+        assert (len(rows), sum(rows)) == (report.type_count, true_pairs)
+        # No listing but a row's, below full rank or at it, is made twice.
+        made = [(d == "above", s, j) for d, s, j, _ in listings if (d, j) != ("above", k)]
+        assert len(made) == len(set(made))
+        (decider,) = deciders
+        memo = decider._listed
+        assert (len(memo), sum(map(len, memo.values()))) == (keys, kept)
+        assert set(made) == memo.keys()
+        assert sum(n for *_, n in listings) == true_pairs + kept
+
+    def test_a_query_lists_nothing_and_keeps_nothing(
+        self, tables, monkeypatch, tmp_path, capsys
+    ):
+        made = []
+        real_init = rules._Rules.__init__
+
+        def init(self, table):
+            real_init(self, table)
+            made.append(self)
+
+        def forbidden(*args):
+            raise AssertionError("a listing made for one verdict")
+
+        monkeypatch.setattr(rules._Rules, "__init__", init)
+        monkeypatch.setattr(rules._Rules, "above", forbidden)
+        monkeypatch.setattr(rules._Rules, "below", forbidden)
+        table = tables["two_generics"]
+        left, right = "C<C<N>>", "C<? <: C<?>>"
+        assert is_subtype(parse_ground_type(left, table), parse_ground_type(right, table), table)
+        decls = tmp_path / "two_generics.decls"
+        decls.write_text(CORPUS["two_generics"], encoding="utf-8")
+        assert main(["query", "--decls", str(decls), left, right]) == 0
+        assert capsys.readouterr().out.splitlines() == ["graph: true", "oracle: true"]
+        assert [decider._listed for decider in made] == [{}, {}]
