@@ -8,9 +8,11 @@ backwards.  Containment is subtyping under one shared head: `a` is
 contained in `b` exactly when `C<a> <: C<b>` for a generic class `C`.  The
 module shares no graph machinery with the iterated construction, so
 `differential_check` can compare the two over every ordered pair of types
-up to a rank bound and report any disagreement.  It lists each bound's
-up-set or down-set once, so it costs a pass over the types plus a step per
-true pair and per type of a listed bound.
+up to a rank bound and report any disagreement.  The types are listed
+rank by rank, each with its label and shape made from its bound's
+(`_layers`), for `enumerate_types` and the check alike.  The check lists
+each bound's up-set or down-set once, so it costs a pass over the types
+plus a step per true pair and per type of a listed bound.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import SizeLimitError
-from .labels import (
-    BOTTOM_CLASS,
-    TOP_CLASS,
-    instantiation_label,
-    lower_bounded_label,
-    upper_bounded_label,
-)
+from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .typelang import (
-    NULL_TYPE,
-    OBJECT_TYPE,
+    SPELL_BOUND,
     WILD,
     ClassTable,
     Con,
@@ -56,8 +51,6 @@ _CONTAINS = {
     Inv: ((Inv,), _SAME),
 }
 _TOP, _BOTTOM = (TOP_CLASS, None, None), (BOTTOM_CLASS, None, None)
-# How an argument of each bounded kind spells the label of its bound.
-_SPELL = {Inv: lambda label: label, Cov: upper_bounded_label, Con: lower_bounded_label}
 
 
 class _Rules:
@@ -215,38 +208,52 @@ def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
     return rules.subtype(rules.shape(t1), rules.shape(t2))
 
 
+def _layers(table: ClassTable, max_rank: int) -> Iterator[list[tuple[str, GroundType, tuple]]]:
+    """The types of each rank from 0 to `max_rank` >= 0 as (label, type,
+    shape) triples, one list per rank in label order; none past rank 0
+    without a generic class.
+
+    Rank 0 holds the plain classes and rank 1 each generic class applied to
+    `?`.  Rank k >= 2 applies each generic class to the exact,
+    upper-bounded and lower-bounded form of every type of rank k - 1 (of
+    ranks 0 and 1 when k is 2), and to only the exact form of `O` and `N`.
+    Each such triple is made from its bound's.
+    """
+    generics = sorted(table.generic)
+    plain = sorted(
+        (c, GroundType(c), (c, None, None)) for c in table.classes if c not in table.generic
+    )
+    yield plain
+    if max_rank == 0 or not generics:
+        return
+    layer = sorted(
+        (instantiation_label(c, WILDCARD), GroundType(c, WILD), (c, Wild, None)) for c in generics
+    )
+    yield layer
+    layer = plain + layer
+    for _ in range(2, max_rank + 1):
+        args = []
+        for label, t, shape in layer:
+            kinds = (Inv,) if label in (TOP_CLASS, BOTTOM_CLASS) else (Inv, Cov, Con)
+            args += ((SPELL_BOUND[kind](label), kind, kind(t), shape) for kind in kinds)
+        # Labels are unique, so the sort compares nothing past them.
+        layer = sorted(
+            (instantiation_label(c, spelled), GroundType(c, arg), (c, kind, shape))
+            for c in generics
+            for spelled, kind, arg, shape in args
+        )
+        yield layer
+
+
 def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
     """All normalized ground types over `table` with rank at most `max_rank`.
 
     Returned in deterministic order (by rank, then by label).  The count
-    matches the vertex count of the construction at the same depth.  Each
-    rank past 2 takes its bounds from the rank before it alone, and each
-    type's label, its sort key, is spelled from its bound's.
+    matches the vertex count of the construction at the same depth.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
-    plain = [GroundType(c) for c in table.classes if not table.is_generic(c)]
-    generics = sorted(table.generic)
-    types = sorted(plain, key=canonical_label)
-    if max_rank == 0:
-        return tuple(types)
-    types += sorted((GroundType(c, WILD) for c in generics), key=canonical_label)
-    bounds = [(canonical_label(t), t) for t in types]
-    for _ in range(2, max_rank + 1):
-        args = []
-        for label, t in bounds:
-            kinds = (Inv,) if t in (OBJECT_TYPE, NULL_TYPE) else (Inv, Cov, Con)
-            args += ((_SPELL[kind](label), kind(t)) for kind in kinds)
-        # Labels are unique, so the sort never compares two types.
-        bounds = sorted(
-            (instantiation_label(c, label), GroundType(c, arg))
-            for c in generics
-            for label, arg in args
-        )
-        if not bounds:
-            break
-        types += (t for _, t in bounds)
-    return tuple(types)
+    return tuple(t for layer in _layers(table, max_rank) for _, t, _ in layer)
 
 
 @dataclass(frozen=True)
@@ -274,37 +281,20 @@ class DifferentialReport:
         return not self.mismatches
 
 
-def _rows(decider: _Rules, types: Iterable[GroundType]) -> list[tuple[str, int, tuple]]:
-    """Each type's label, the index of the smallest graph holding it, and
-    its shape, made from its bound's row: a bound is listed before its type
-    and found by identity, as `Inv(t)`, `Cov(t)` and `Con(t)` hash alike."""
-    row_of: dict[int, tuple] = {}
-    for t in types:
-        bound = getattr(t.arg, "bound", None)
-        if bound is None:
-            row_of[id(t)] = canonical_label(t), 1, decider.shape(t)
-        else:
-            label, k, shape = row_of[id(bound)]
-            kind = type(t.arg)
-            row_of[id(t)] = (
-                instantiation_label(t.name, _SPELL[kind](label)), k + 1, (t.name, kind, shape)
-            )
-    return list(row_of.values())
-
-
 def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     """Compare both deciders over every ordered pair of enumerated types.
 
     The graph decides a pair (t1, t2) by the rule `builder.subtype_by_graph`
     applies: in S_k, with k = `sufficient_depth(t1, t2)`, t2 is t1 itself or
     one of t1's descendants.  Here the S_k are built by `run`, not searched
-    on demand.  Each type's label and rank are made from its bound's row
-    (`_rows`).  Each row t1, of rank k1, gathers its graph verdicts into one
-    set, `above`: t1 itself, its descendants in S_{k1} of rank at most k1,
-    and for each k > k1 its descendants in S_k of rank exactly k.  A column
-    t2 of rank k2 is thus read from S_k, k = max(k1, k2).  The last graph is
-    not read in place of S_k: that S_k is the restriction of every later
-    graph is a law of the construction, and the check is there to test it.
+    on demand.  The rows are read off `_layers`, which makes each type's
+    label and shape from its bound's.  Each row t1, of rank k1, gathers its
+    graph verdicts into one set, `above`: t1 itself, its descendants in
+    S_{k1} of rank at most k1, and for each k > k1 its descendants in S_k of
+    rank exactly k.  A column t2 of rank k2 is thus read from S_k,
+    k = max(k1, k2).  The last graph is not read in place of S_k: that S_k
+    is the restriction of every later graph is a law of the construction,
+    and the check is there to test it.
 
     The rules side streams each row's up-set from `_Rules.above`.  The
     up-sets and down-sets of bounds that those listings read are each listed
@@ -330,9 +320,14 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
                 f"over the limit of {MAX_PAIRS}"
             )
     trace = run(table, max_rank)
-    types = enumerate_types(table, max_rank)
+    # Each type's label, the index of the smallest graph holding it and its
+    # shape: ranks 0 and 1 are both first held by S_1.
+    rows = [
+        (label, max(r, 1), shape)
+        for r, layer in enumerate(_layers(table, max_rank))
+        for label, _, shape in layer
+    ]
     decider = _Rules(table)
-    rows = _rows(decider, types)
     label_of = {shape: label for label, _, shape in rows}
     column = {label: i for i, (label, _, _) in enumerate(rows)}
     # The labels whose smallest graph is S_k, and those held by S_k.
@@ -349,4 +344,4 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
         by_rules = {label_of[s] for s in decider.above(s1, max_rank)}
         for l2 in sorted(above ^ by_rules, key=column.__getitem__):
             mismatches.append(Mismatch(l1, l2, l2 in above, l2 in by_rules))
-    return DifferentialReport(max_rank, len(types), tuple(mismatches))
+    return DifferentialReport(max_rank, len(rows), tuple(mismatches))

@@ -128,17 +128,17 @@ def normalize_type(t: GroundType) -> GroundType:
     return GroundType(t.name, normalize_argument(t.arg))
 
 
+# How an argument of each bounded kind spells the label of its bound.
+SPELL_BOUND = {Inv: lambda label: label, Cov: upper_bounded_label, Con: lower_bounded_label}
+
+
 def argument_label(arg: TypeArg) -> str:
-    match arg:
-        case Wild():
-            return WILDCARD
-        case Inv(bound):
-            return canonical_label(bound)
-        case Cov(bound):
-            return upper_bounded_label(canonical_label(bound))
-        case Con(bound):
-            return lower_bounded_label(canonical_label(bound))
-    raise TypeError(f"not a type argument: {arg!r}")
+    if isinstance(arg, Wild):
+        return WILDCARD
+    spell = SPELL_BOUND.get(type(arg))
+    if spell is None:
+        raise TypeError(f"not a type argument: {arg!r}")
+    return spell(canonical_label(arg.bound))
 
 
 def canonical_label(t: GroundType) -> str:

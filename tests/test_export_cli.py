@@ -393,6 +393,7 @@ class TestCli:
 
         monkeypatch.setattr(builder_module, "partial_product", refuse)
         monkeypatch.setattr(rules_module, "enumerate_types", refuse)
+        monkeypatch.setattr(rules_module, "_layers", refuse)
         decls = tmp_path / "three.decls"
         decls.write_text("class A<T> {}\nclass B<T> {}\nclass C<T> {}\n", encoding="utf-8")
         one = tmp_path / "one.decls"

@@ -3,7 +3,8 @@ demand equal the materialised graphs, and the paper's laws hold.
 
 Every table is drawn by `conftest.class_tables`; the checks of the rules'
 up-set and down-set generator, of the order of `enumerate_types` and of the
-rows `differential_check` makes run on the corpus as well.  Each check runs
+rows that `rules._layers` makes, rank by rank, for it and for
+`differential_check` run on the corpus as well.  Each check runs
 at the largest rank up to `MAX_RANK` whose approximation has at most
 `PAIR_CAP` ordered pairs of vertices, read from `predicted_sizes` before
 anything is built, so the cost of an example is bounded whatever table is
@@ -125,12 +126,12 @@ def assert_types_in_label_order(table, k):
 
 
 def assert_rows_read_off_their_bounds(table, k):
-    """The label and rank `differential_check` makes for each type from its
-    bound's row are the type's own."""
+    """The label and shape `rules._layers` makes for each type from its
+    bound's row are the type's own, and its layer is the type's rank."""
     decider = rules._Rules(table)
-    types = enumerate_types(table, k)
-    expected = [(canonical_label(t), max(rank(t), 1), decider.shape(t)) for t in types]
-    assert rules._rows(decider, types) == expected
+    rows = [(r, row) for r, layer in enumerate(rules._layers(table, k)) for row in layer]
+    expected = [(rank(t), (canonical_label(t), t, decider.shape(t))) for _, (_, t, _) in rows]
+    assert rows == expected
 
 
 @pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])

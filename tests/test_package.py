@@ -130,6 +130,13 @@ def test_containment_is_asked_as_subtyping_and_run_is_the_only_iteration():
     assert not hasattr(builder, "step")
 
 
+def test_types_are_enumerated_once():
+    # `_layers` makes every type with its label and shape, and
+    # `typelang.SPELL_BOUND` is the one spelling of an argument's bound.
+    assert not hasattr(rules, "_rows")
+    assert not hasattr(rules, "_SPELL")
+
+
 def test_every_wrapped_name_resolves(tracer):
     # Tier-1 does not run `bench/tests`, so this is where a refactor of the
     # package learns that it broke a traced benchmark run.

@@ -382,6 +382,20 @@ class TestDifferentialCheck:
         assert (len(report.mismatches), report.mismatches[0]) == (count, first)
         assert report == reference_differential_check(one_generic, 3)
 
+    def test_builds_each_type_once(self, tables, monkeypatch):
+        # The rows are read off `rules._layers` alone: nothing enumerates the
+        # types, spells a label or makes a shape a second time.
+        cases = [(tables["two_generics"], 3), (tables["mixed_hierarchy"], 4)]
+        expected = [reference_differential_check(table, k) for table, k in cases]
+
+        def again(*args, **kwargs):
+            pytest.fail("the check built a type a second time")
+
+        monkeypatch.setattr(rules, "canonical_label", again)
+        monkeypatch.setattr(rules, "enumerate_types", again)
+        monkeypatch.setattr(rules._Rules, "shape", again)
+        assert [differential_check(table, k) for table, k in cases] == expected
+
     def test_one_flipped_rule_verdict_is_the_one_mismatch(self, one_generic, monkeypatch):
         # A rank-3 type is never the bound of an argument at rank 3, so the
         # flip reaches no other pair through the recursion.
