@@ -2,12 +2,19 @@
 
 Exit codes: 0 on success or agreement, 1 on usage or input errors, 2 when
 the two subtyping deciders disagree.
+
+Each command runs with the cyclic garbage collector paused, and `main`
+restores the caller's setting: the construction, the search, the check and
+the exporters make no reference cycles, so the collector would only scan
+what reference counting frees anyway.  Library callers of `run` or
+`differential_check` get the collector as they set it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -30,8 +37,9 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _Parser:
     # Built once per process: `parse_args` leaves the parser unchanged, and
-    # building it costs more than a small `query`.
-    parser = _Parser(prog="groundsub", description=__doc__)
+    # building it costs more than a small `query`.  `--help` prints the
+    # docstring without its last paragraph, the note on the collector.
+    parser = _Parser(prog="groundsub", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     build = sub.add_parser("build", help="construct and export a subtyping graph")
@@ -122,12 +130,17 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (_UsageError, GroundsubError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ directly, the long way: the general Cartesian product and vertex merging
 give `partial_product_via_merge`, whose labels `checked_product_labels`
 checks for collisions one pair at a time, closure and restriction give the
 laws the approximations must satisfy, and the two image functions restate
-the corner rule of `wildcards_graph` one vertex at a time.  `reference_is_subtype` is
+the corner rule of `wildcards_graph` one vertex at a time; `edge_tag` gives
+the tag of any cover from its two endpoints.  `reference_is_subtype` is
 the rules decider with its equality tests first, as it was written before
 they were replaced by cheaper name tests, on whole types rather than
 shape tuples, with its own walk up the superclass chain.
@@ -315,6 +316,25 @@ def contravariant_image(class_name: str, label: str) -> str:
     if label == TOP_CLASS:
         return instantiation_label(class_name, TOP_CLASS)
     return instantiation_label(class_name, lower_bounded_label(label))
+
+
+def edge_tag(t1: GroundType, t2: GroundType) -> EdgeTag:
+    """The tag of an edge `t1 -> t2` of any S_k, from its endpoints alone.
+
+    An edge between two head classes is inheritance or the boundary.  An
+    edge inside one fibre C<·> is a cover of W(S_j): the link from an exact
+    argument to a bounded form of the same bound, a contravariant step when
+    either end is lower-bounded or the source is the exact `O` (the
+    lower-bounded top), and a covariant step otherwise.
+    """
+    if t1.name != t2.name:
+        return EdgeTag.INHERIT
+    a1, a2 = t1.arg, t2.arg
+    if isinstance(a1, Inv) and isinstance(a2, (Cov, Con)) and a1.bound == a2.bound:
+        return EdgeTag.INV_LINK
+    if isinstance(a1, Con) or isinstance(a2, Con) or a1 == Inv(OBJECT_TYPE):
+        return EdgeTag.CONTRAVARIANT
+    return EdgeTag.COVARIANT
 
 
 def reference_inherits(table: ClassTable, sub: str, sup: str) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -518,3 +519,104 @@ class TestCli:
         monkeypatch.setattr(cli_module, "differential_check", lambda *_: fake)
         assert main(["selfcheck", "--decls", str(decls_path), "--max-rank", "1"]) == 2
         assert "mismatch: N <: O" in capsys.readouterr().out
+
+
+@pytest.fixture
+def collections():
+    """The collections the cyclic garbage collector starts, as a list that
+    the test may clear; the collector's own setting is restored after."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """`main` runs each command with the cyclic collector paused, and what
+    a command leaves behind is freed by reference counting alone."""
+
+    @staticmethod
+    def commands(tmp_path):
+        for name, source in CORPUS.items():
+            decls = tmp_path / f"{name}.decls"
+            decls.write_text(source, encoding="utf-8")
+            top, *_, last = run(parse_declarations(source), 2).last.graph.sorted_vertices
+            for fmt in FORMATS:
+                yield ["build", "--decls", str(decls), "--iterations", "3",
+                       "--format", fmt, "--out", str(tmp_path / f"{name}.{fmt}")]
+            yield ["stats", "--decls", str(decls), "--iterations", "3"]
+            yield ["selfcheck", "--decls", str(decls), "--max-rank", "3"]
+            yield ["query", "--decls", str(decls), last, top]
+        bad = tmp_path / "bad.decls"
+        bad.write_text("class {}", encoding="utf-8")
+        yield ["build"]
+        yield ["stats", "--decls", str(bad), "--iterations", "1"]
+        yield ["stats", "--decls", str(tmp_path / "missing.decls"), "--iterations", "1"]
+
+    def assert_paused_and_clean(self, argv, collections, capsys):
+        gc.enable()
+        gc.collect()
+        collections.clear()
+        code = main(argv)
+        assert collections == [], argv
+        assert gc.isenabled(), argv
+        assert gc.collect() == 0, argv
+        return code, capsys.readouterr()
+
+    def test_every_command_runs_without_a_collection(self, tmp_path, collections, capsys):
+        _build_parser()
+        codes = [
+            self.assert_paused_and_clean(argv, collections, capsys)[0]
+            for argv in self.commands(tmp_path)
+        ]
+        assert codes == [0] * (len(codes) - 3) + [1, 1, 1]
+
+    def test_a_size_limit_error_leaves_no_garbage(
+        self, decls_path, collections, capsys, monkeypatch
+    ):
+        import groundsub.builder as builder_module
+
+        _build_parser()
+        monkeypatch.setattr(builder_module, "MAX_VERTICES", 7)
+        argv = ["stats", "--decls", str(decls_path), "--iterations", "2"]
+        code, captured = self.assert_paused_and_clean(argv, collections, capsys)
+        assert code == 1 and "over the limit of 7" in captured.err
+
+    def test_a_caller_that_paused_the_collector_keeps_it_paused(
+        self, decls_path, collections, capsys
+    ):
+        gc.disable()
+        assert main(["stats", "--decls", str(decls_path), "--iterations", "2"]) == 0
+        assert main(["build"]) == 1
+        assert not gc.isenabled()
+
+    def test_help_restores_the_collector(self, collections, capsys):
+        gc.enable()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert gc.isenabled()
+        assert capsys.readouterr().out.startswith("usage: groundsub")
+
+    def test_an_escaping_exception_restores_the_collector(
+        self, decls_path, collections, monkeypatch
+    ):
+        import groundsub.cli as cli_module
+
+        def crash(args):
+            raise RuntimeError("crashed")
+
+        monkeypatch.setitem(cli_module._COMMANDS, "stats", crash)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="crashed"):
+            main(["stats", "--decls", str(decls_path), "--iterations", "1"])
+        assert gc.isenabled()

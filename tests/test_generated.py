@@ -4,11 +4,11 @@ demand equal the materialised graphs, and the paper's laws hold.
 Every table is drawn by `conftest.class_tables`; the checks of the rules'
 up-set and down-set generator, of the order of `enumerate_types` and of the
 rows that `rules._layers` makes, rank by rank, for it and for
-`differential_check` run on the corpus as well.  Each check runs
-at the largest rank up to `MAX_RANK` whose approximation has at most
-`PAIR_CAP` ordered pairs of vertices, read from `predicted_sizes` before
-anything is built, so the cost of an example is bounded whatever table is
-drawn.
+`differential_check`, and the fibre and tag laws of the covers, run on the
+corpus as well.  Each check runs at the largest rank up to `MAX_RANK` whose
+approximation has at most `PAIR_CAP` ordered pairs of vertices, read from
+`predicted_sizes` before anything is built, so the cost of an example is
+bounded whatever table is drawn.
 """
 
 from __future__ import annotations
@@ -33,16 +33,19 @@ from groundsub import (
 )
 from groundsub import rules
 from groundsub.builder import predicted_sizes
+from groundsub.labels import instantiation_label
 
 from conftest import CORPUS, NUMBERS_SOURCE, class_tables
 from oracles import (
     contravariant_image,
     covariant_image,
+    edge_tag,
     equals_ignoring_tags,
     induced_subgraph,
     reference_differential_check,
     reference_is_subtype,
     reflexive_transitive_closure,
+    relabeled,
     reversed_graph,
 )
 
@@ -203,3 +206,47 @@ def test_laws(table):
                     assert reachable(nxt.graph, *cov) == expected
                     con = contravariant_image(cls, v), contravariant_image(cls, u)
                     assert reachable(nxt.graph, *con) == expected
+
+
+def assert_fibre_law(table, k):
+    """For each generic class C and each j < k, the subgraph of S_j+1
+    induced on the C<·> vertices is W(S_j) relabelled by C<·>, tags
+    included: each cover inside a fibre is a cover of the argument graph."""
+    graphs = run(table, k).graphs
+    for current, nxt in zip(graphs, graphs[1:]):
+        arguments = wildcards_graph(current)
+        for cls in sorted(table.generic):
+            fibre = [v for v in nxt.graph.vertices if v.startswith(f"{cls}<")]
+            expected = relabeled(arguments, lambda a: instantiation_label(cls, a))
+            assert induced_subgraph(nxt.graph, fibre) == expected, (cls, len(current.vertices))
+
+
+def assert_tag_law(table, k):
+    """Every edge of S_1 … S_k carries the tag `edge_tag` gives its two
+    endpoints, each parsed back from its label."""
+    for s in run(table, k).graphs:
+        types = {v: parse_ground_type(v, table) for v in s.graph.vertices}
+        for e in s.graph.sorted_edges:
+            assert e.tag == edge_tag(types[e.src], types[e.dst]), e
+
+
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_fibre_law_on_the_corpus(source):
+    assert_fibre_law(parse_declarations(source), MAX_RANK)
+
+
+@EXAMPLES
+@given(class_tables())
+def test_fibre_law(table):
+    assert_fibre_law(table, checked_rank(table))
+
+
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_tag_law_on_the_corpus(source):
+    assert_tag_law(parse_declarations(source), MAX_RANK)
+
+
+@EXAMPLES
+@given(class_tables())
+def test_tag_law(table):
+    assert_tag_law(table, checked_rank(table))
