@@ -10,6 +10,7 @@ and parallel edges, and the algorithms below preserve those invariants.
 Immutability is a rule, not enforced: no code changes a built graph's
 vertices or successor lists, so readers may share one, and validation, the
 queries, `product`, `wildcards` and `export` read the lists in place.
+Reachability is searched for over those lists on each call: no closure is kept.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -170,21 +171,17 @@ class LabeledDigraph:
         if label not in self.vertices:
             raise GraphError(f"unknown vertex {label!r}")
 
-    @cached_property
-    def _descendants(self) -> dict[str, frozenset[str]]:
-        # Strict descendants, computed bottom-up in reverse topological order.
-        desc: dict[str, frozenset[str]] = {}
-        for v in reversed(self._topo_order):
-            below: set[str] = set()
-            for w, _ in self._out[v]:
-                below.add(w)
-                below.update(desc[w])
-            desc[v] = frozenset(below)
-        return desc
-
-    def descendants_of(self, label: str) -> frozenset[str]:
+    def descendants_of(self, label: str) -> set[str]:
+        """The strict descendants of `label`: a fresh set, found by a search
+        upward over the successor lists."""
         self._require_vertex(label)
-        return self._descendants[label]
+        out, found, stack = self._out, set(), [label]
+        while stack:
+            for w, _ in out[stack.pop()]:
+                if w not in found:
+                    found.add(w)
+                    stack.append(w)
+        return found
 
 
 def _defect(src: str, dst: str, last: str | None) -> str:
@@ -227,11 +224,13 @@ def pair_label(left: str, right: str) -> str:
 def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
     """Unique minimal edge set with the same reachability (unique on DAGs).
 
-    Surviving edges keep their tags.
+    Surviving edges keep their tags.  Each vertex's descendants are searched
+    for once per call.
     """
+    descendants = cache(g.descendants_of)
     kept = [
         e for e in g.sorted_edges
-        if not any(e.dst in g.descendants_of(w) for w in g.successors(e.src) if w != e.dst)
+        if not any(e.dst in descendants(w) for w in g.successors(e.src) if w != e.dst)
     ]
     return LabeledDigraph.from_edges(kept, g.vertices)
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate
 
-from .errors import SizeLimitError
+from .errors import GraphError, SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .typelang import (
     SPELL_BOUND,
@@ -35,9 +34,9 @@ from .typelang import (
     canonical_label,
 )
 
-# Most ordered pairs `differential_check` may check.  It predicts the type
-# count from the vertex recurrence and refuses before it builds anything.
-MAX_PAIRS = 20_000_000
+# Most true pairs `differential_check` may list.  It counts them row by row
+# as the rules list them, and refuses once they pass the limit.
+MAX_PAIRS = 2_000_000
 
 # Argument containment, stated once.  Each outer argument kind names the
 # inner kinds it contains and how their bounds compare: an upper bound lies
@@ -288,37 +287,30 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     applies: in S_k, with k = `sufficient_depth(t1, t2)`, t2 is t1 itself or
     one of t1's descendants.  Here the S_k are built by `run`, not searched
     on demand.  The rows are read off `_layers`, which makes each type's
-    label and shape from its bound's.  Each row t1, of rank k1, gathers its
-    graph verdicts into one set, `above`: t1 itself, its descendants in
-    S_{k1} of rank at most k1, and for each k > k1 its descendants in S_k of
-    rank exactly k.  A column t2 of rank k2 is thus read from S_k,
-    k = max(k1, k2).  The last graph is not read in place of S_k: that S_k
-    is the restriction of every later graph is a law of the construction,
-    and the check is there to test it.
+    label and shape from its bound's.  S_k must hold exactly the types of
+    rank at most k, or `GraphError` names k.  Each row t1, of rank k1,
+    gathers its graph verdicts into one set, `above`: t1 itself, its
+    descendants in S_{k1}, and for each k > k1 its descendants in S_k of
+    rank exactly k, each from one search (`descendants_of`).  A column t2 of
+    rank k2 is thus read from S_k, k = max(k1, k2).  The last graph is not
+    read in place of S_k: that S_k is the restriction of every later graph
+    is a law of the construction, and the check is there to test it.
 
     The rules side streams each row's up-set from `_Rules.above`.  The
     up-sets and down-sets of bounds that those listings read are each listed
     once, into the memo of the check's one `_Rules`.  So the check costs a
     pass over the types, a step per true pair and a step per shape the memo
-    keeps: 67,673 and 21,596 for two generic classes at rank 5, where
-    listing a bound again for each row that reaches it took 303,041 steps.
-    A row's mismatches are the difference of its two sets, in column order.
+    keeps: 67,673 and 21,596 for two generic classes at rank 5.  A row's
+    mismatches are the difference of its two sets, in column order.
 
     Mismatches are report content, not exceptions; an empty mismatch list is
-    the expected outcome.  Raises `SizeLimitError`, before building or
-    enumerating anything, when there would be more than `MAX_PAIRS` pairs.
+    the expected outcome.  Raises `SizeLimitError` once the rows have listed
+    more than `MAX_PAIRS` true pairs, before the next row is listed.
     """
-    from .builder import predicted_sizes, run
+    from .builder import run
 
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
-    # The types up to rank k are the vertices of the k-th approximation.
-    for k, n in zip(range(1, max_rank + 1), predicted_sizes(table)):
-        if n * n > MAX_PAIRS:
-            raise SizeLimitError(
-                f"rank {k} has {n} types, so at least {n * n} ordered pairs, "
-                f"over the limit of {MAX_PAIRS}"
-            )
     trace = run(table, max_rank)
     # Each type's label, the index of the smallest graph holding it and its
     # shape: ranks 0 and 1 are both first held by S_1.
@@ -330,18 +322,26 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     decider = _Rules(table)
     label_of = {shape: label for label, _, shape in rows}
     column = {label: i for i, (label, _, _) in enumerate(rows)}
-    # The labels whose smallest graph is S_k, and those held by S_k.
+    # The labels whose smallest graph is S_k; S_k holds those of ranks up to k.
     of_rank: list[set[str]] = [set() for _ in range(trace.depth + 1)]
     for label, k, _ in rows:
         of_rank[k].add(label)
-    up_to = list(accumulate(of_rank, set.union))
+    for k, s in enumerate(trace.graphs, 1):
+        if s.graph.vertices != set().union(*of_rank[: k + 1]):
+            raise GraphError(f"approximation {k} does not hold the types of rank at most {k}")
+    pairs = 0
     mismatches: list[Mismatch] = []
     for l1, k1, s1 in rows:
-        above = {l1}
-        for k in range(k1, trace.depth + 1):
-            read = up_to[k1] if k == k1 else of_rank[k]
-            above |= read & trace.graphs[k - 1].graph.descendants_of(l1)
+        above = trace.graphs[k1 - 1].graph.descendants_of(l1)
+        above.add(l1)
+        for k in range(k1 + 1, trace.depth + 1):
+            above |= of_rank[k] & trace.graphs[k - 1].graph.descendants_of(l1)
         by_rules = {label_of[s] for s in decider.above(s1, max_rank)}
+        pairs += len(by_rules)
+        if pairs > MAX_PAIRS:
+            raise SizeLimitError(
+                f"the types up to rank {max_rank} have over the limit of {MAX_PAIRS} true pairs"
+            )
         for l2 in sorted(above ^ by_rules, key=column.__getitem__):
             mismatches.append(Mismatch(l1, l2, l2 in above, l2 in by_rules))
     return DifferentialReport(max_rank, len(rows), tuple(mismatches))

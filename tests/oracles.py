@@ -7,17 +7,19 @@ give `partial_product_via_merge`, whose labels `checked_product_labels`
 checks for collisions one pair at a time, closure and restriction give the
 laws the approximations must satisfy, and the two image functions restate
 the corner rule of `wildcards_graph` one vertex at a time; `edge_tag` gives
-the tag of any cover from its two endpoints.  `reference_is_subtype` is
-the rules decider with its equality tests first, as it was written before
-they were replaced by cheaper name tests, on whole types rather than
-shape tuples, with its own walk up the superclass chain.
-`reference_hasse` is the Hasse diagram of that decider's order, which
-needs no graph code of the package beyond the transitive reduction.
+the tag of any cover from its two endpoints.  The closure is gathered
+bottom-up, not by the package's search, so that it can check that search.
+`reference_is_subtype` is the rules decider with its equality tests first,
+as it was written before they were replaced by cheaper name tests, on
+whole types rather than shape tuples, with its own walk up the superclass
+chain.  `reference_hasse` is the Hasse diagram of that decider's order,
+which needs no graph code of the package beyond the transitive reduction.
 `subtype_by_trace` is the graph decider as it was before it searched covers
 on demand: reachability in a materialised approximation.
 `reference_differential_check` is the differential comparison as it was
 before the rules listed up-sets: one `_Rules.subtype` call per ordered
-pair.  `reference_json` is the JSON export as `json.dumps` writes it.
+pair, under its own limit on their number.  `reference_json` is the JSON
+export as `json.dumps` writes it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from groundsub.labels import (
 )
 from groundsub.product import PartitionedGraph
 from groundsub.rules import (
-    MAX_PAIRS,
     DifferentialReport,
     Mismatch,
     _Rules,
@@ -65,6 +66,10 @@ from groundsub.typelang import (
     canonical_label,
     rank,
 )
+
+# Most ordered pairs `reference_differential_check` may check.  It asks
+# about every pair, so its limit counts n², which the package's check does not.
+MAX_ALL_PAIRS = 20_000_000
 
 
 def edge_pairs(g: LabeledDigraph) -> frozenset[tuple[str, str]]:
@@ -176,10 +181,16 @@ def reflexive_transitive_closure(g: LabeledDigraph) -> LabeledDigraph:
     tags; edges added for longer paths carry no variance provenance and are
     tagged INHERIT.
     """
+    # Strict descendants, gathered bottom-up in reverse topological order.
+    below: dict[str, set[str]] = {}
+    for u in reversed(g._topo_order):
+        below[u] = set()
+        for v in g.successors(u):
+            below[u] |= below[v] | {v}
     tags = {e[:2]: e.tag for e in g.edges}
     edges = []
     for u in g.sorted_vertices:
-        for v in sorted(g.descendants_of(u)):
+        for v in sorted(below[u]):
             edges.append(Edge(u, v, tags.get((u, v), EdgeTag.INHERIT)))
     return LabeledDigraph.from_edges(edges, g.vertices)
 
@@ -436,7 +447,8 @@ def reference_differential_check(table: ClassTable, max_rank: int) -> Differenti
 
     Mismatches are report content, not exceptions; an empty mismatch list is
     the expected outcome.  Raises `SizeLimitError`, before building or
-    enumerating anything, when there would be more than `MAX_PAIRS` pairs.
+    enumerating anything, when there would be more than `MAX_ALL_PAIRS`
+    pairs: unlike the package's check, this one pays for every pair.
     """
     from groundsub.builder import predicted_sizes, run
 
@@ -444,10 +456,10 @@ def reference_differential_check(table: ClassTable, max_rank: int) -> Differenti
         raise ValueError("max_rank must be at least 1")
     # The types up to rank k are the vertices of the k-th approximation.
     for k, n in zip(range(1, max_rank + 1), predicted_sizes(table)):
-        if n * n > MAX_PAIRS:
+        if n * n > MAX_ALL_PAIRS:
             raise SizeLimitError(
                 f"rank {k} has {n} types, so at least {n * n} ordered pairs, "
-                f"over the limit of {MAX_PAIRS}"
+                f"over the limit of {MAX_ALL_PAIRS}"
             )
     trace = run(table, max_rank)
     types = enumerate_types(table, max_rank)

@@ -32,7 +32,9 @@ from groundsub.cli import _build_parser, main
 from groundsub.export import FORMATS
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS
-from oracles import reference_json
+from oracles import reference_json, relabeled
+
+THREE_GENERICS = "class A<T> {}\nclass B<T> {}\nclass C<T> {}\n"
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -385,29 +387,88 @@ class TestCli:
             assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_oversized_selfcheck_exits_one_before_building(self, tmp_path, capsys, monkeypatch):
-        # Three generic classes have 27,065 types of rank at most 5.
+        # `run` refuses an approximation past `MAX_VERTICES` before it builds
+        # or the check enumerates anything: three generic classes have
+        # 243,578 types of rank at most 6.
         import groundsub.builder as builder_module
         import groundsub.rules as rules_module
 
         def refuse(*args, **kwargs):
-            pytest.fail("built or enumerated although the predicted pair count is over the limit")
+            pytest.fail("built or enumerated although the predicted size is over the limit")
 
         monkeypatch.setattr(builder_module, "partial_product", refuse)
         monkeypatch.setattr(rules_module, "enumerate_types", refuse)
         monkeypatch.setattr(rules_module, "_layers", refuse)
         decls = tmp_path / "three.decls"
-        decls.write_text("class A<T> {}\nclass B<T> {}\nclass C<T> {}\n", encoding="utf-8")
+        decls.write_text(THREE_GENERICS, encoding="utf-8")
         one = tmp_path / "one.decls"
         one.write_text("class C<T> {}\n", encoding="utf-8")
-        # 10**20 is past sys.maxsize; one generic class passes the limit at rank 8.
+        # 10**20 is past sys.maxsize.
         for path, max_rank, expected in (
-            (decls, "5", "rank 5 has 27065 types"),
-            (one, "100000000000000000000", "rank 8 has 5468 types"),
+            (decls, "6", "approximation 6 would have 243578 vertices"),
+            (one, "100000000000000000000", "approximation 12 would have 442868 vertices"),
         ):
             assert main(["selfcheck", "--decls", str(path), "--max-rank", max_rank]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and expected in err
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_selfcheck_over_the_pair_limit_exits_one_before_the_last_row(
+        self, decls_path, capsys, monkeypatch
+    ):
+        # One generic class has 68 types up to rank 4.  Each row is listed by
+        # one call of `_Rules.above` at the full rank; bounds are listed below it.
+        import groundsub.rules as rules_module
+
+        rows = []
+        real = rules_module._Rules.above
+
+        def spy(self, s, k):
+            if k == 4:
+                rows.append(s)
+            return real(self, s, k)
+
+        monkeypatch.setattr(rules_module._Rules, "above", spy)
+        monkeypatch.setattr(rules_module, "MAX_PAIRS", 100)
+        assert main(["selfcheck", "--decls", str(decls_path), "--max-rank", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the types up to rank 4 have over the limit of 100 true pairs\n"
+        )
+        assert 0 < len(rows) < 68
+
+    def test_selfcheck_refuses_a_graph_off_the_rank_law(self, tmp_path, capsys, monkeypatch):
+        # S_2 with one vertex renamed no longer holds exactly the types of
+        # rank at most 2.  The row of `B<N>` comes before that of `D<N>` and
+        # reaches it, so without the law it would meet a label it cannot place.
+        import dataclasses
+        from types import SimpleNamespace
+
+        import groundsub.builder as builder_module
+
+        source = "class D<T> {}\nclass B<T> extends D<T> {}\n"
+        real = run(parse_declarations(source), 2)
+        renamed = relabeled(real.graphs[1].graph, lambda v: "X" if v == "D<N>" else v)
+        trace = dataclasses.replace(real, graphs=(real.graphs[0], SimpleNamespace(graph=renamed)))
+        monkeypatch.setattr(builder_module, "run", lambda table, iterations: trace)
+        decls = tmp_path / "sub.decls"
+        decls.write_text(source, encoding="utf-8")
+        assert main(["selfcheck", "--decls", str(decls), "--max-rank", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: approximation 2 does not hold the types of rank at most 2\n"
+        )
+
+    def test_selfcheck_of_three_generics_at_rank_five(self, tmp_path, capsys):
+        # 27,065 types and 457,272 true pairs, under the pair limit.
+        decls = tmp_path / "three.decls"
+        decls.write_text(THREE_GENERICS, encoding="utf-8")
+        assert main(["selfcheck", "--decls", str(decls), "--max-rank", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "checked 732514225 ordered pairs over 27065 types (max rank 5)\n"
+        )
 
     def test_shared_parser_carries_nothing_between_calls(self, decls_path, tmp_path, capsys):
         # One process, many commands: each must print and exit as it does

@@ -114,6 +114,17 @@ def test_graphs_store_no_test_only_index():
     assert not hasattr(g, "_pred")
 
 
+def test_graphs_keep_no_reachability_state():
+    # `descendants_of` searches the successor lists on each call and returns
+    # a fresh set; no closure or memo of it is stored on the graph.
+    assert not hasattr(LabeledDigraph, "_descendants")
+    g = run(parse_declarations("class C<T> {}"), 2).last.graph
+    before = dict(vars(g))
+    found = g.descendants_of("N")
+    assert vars(g) == before
+    assert g.descendants_of("N") == found and g.descendants_of("N") is not found
+
+
 def test_graphs_have_one_constructor_and_one_edge_list_front_end():
     # `LabeledDigraph(vertices, successors)` and `from_edges`; readers use `_out`.
     assert not hasattr(LabeledDigraph, "_from_successors")

@@ -325,10 +325,14 @@ class TestDifferentialCheck:
         assert report.type_count == len(table.classes)
 
     def test_pair_limit_at_the_boundary(self, one_generic, monkeypatch):
-        # One generic class has 3, 8 and then 23 types up to ranks 1, 2, 3.
-        monkeypatch.setattr(rules, "MAX_PAIRS", 64)
-        assert differential_check(one_generic, 2).pair_count == 64
-        with pytest.raises(SizeLimitError, match="rank 3 has 23 types, so at least 529"):
+        # The limit counts the true pairs the rows list, not the 23² pairs.
+        types = enumerate_types(one_generic, 3)
+        true = sum(is_subtype(t1, t2, one_generic) for t1 in types for t2 in types)
+        assert (len(types), true) == (23, 146)
+        monkeypatch.setattr(rules, "MAX_PAIRS", true)
+        assert differential_check(one_generic, 3).ok
+        monkeypatch.setattr(rules, "MAX_PAIRS", true - 1)
+        with pytest.raises(SizeLimitError, match=f"over the limit of {true - 1} true pairs"):
             differential_check(one_generic, 3)
 
     def test_minimum_rank_is_enforced(self, one_generic):
