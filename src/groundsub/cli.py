@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .builder import run, subtype_by_graph
 from .errors import GroundsubError, ParseError
-from .export import FORMATS, render
+from .export import FORMATS, chunks
+from .export import render  # noqa: F401 - unused here; kept for bench/tracer.py only
 from .rules import differential_check, is_subtype
 from .typelang import parse_declarations, parse_ground_type
 
@@ -84,7 +85,8 @@ def _cmd_build(args) -> int:
         raise _UsageError("--iterations must be at least 1")
     table = _load_table(args.decls)
     trace = run(table, args.iterations)
-    Path(args.out).write_text(render(trace.last.graph, args.format), encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as out:
+        out.writelines(chunks(trace.last.graph, args.format))
     _print_stats(trace)
     return 0
 

@@ -157,6 +157,33 @@ class TestExports:
         with pytest.raises(ValueError, match="unknown format"):
             render(first_graph, "svg")
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_block_boundaries_change_no_byte(self, traces, monkeypatch, block):
+        # The corpus graphs fit in one block.  In `leading_sinks` the first
+        # blocks hold only vertices without out-edges (a, b, c), so the JSON
+        # edge list opens in a later block; `no-edges` gives `"edges": []`.
+        import groundsub.export as export_module
+
+        leading_sinks = LabeledDigraph.from_edges(
+            [("d", "e", EdgeTag.COVARIANT), ("g", "a", EdgeTag.INHERIT)], vertices=("a", "b", "c")
+        )
+        graphs = [s.graph for trace in traces.values() for s in trace.graphs]
+        graphs += [
+            leading_sinks,
+            LabeledDigraph.from_edges(),
+            LabeledDigraph.from_edges(vertices=("b", "a", "c")),
+            LabeledDigraph.from_edges(
+                [('say "hi"', "a & <b>", EdgeTag.CONTRAVARIANT), ("tab\there", "x", EdgeTag.INV_LINK)]
+            ),
+        ]
+        assert max(len(g.vertices) for g in graphs) < export_module._BLOCK
+        whole = [render(g, fmt) for g in graphs for fmt in FORMATS]
+        monkeypatch.setattr(export_module, "_BLOCK", block)
+        assert [render(g, fmt) for g in graphs for fmt in FORMATS] == whole
+        assert len(list(export_module.chunks(leading_sinks, "json"))) > 4
+        for g in graphs:
+            assert to_json(g) == reference_json(g)
+
 
 @pytest.fixture
 def workloads(monkeypatch):
@@ -181,6 +208,56 @@ def test_exports_match_the_benchmark_digests(workloads):
         assert [list(s) for s in trace.stats] == record["steps"], key
         text = render(trace.last.graph, fmt)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == record["sha256"], key
+
+
+def test_the_written_file_is_the_rendered_text(workloads, tmp_path, capsys):
+    # `build` writes the chunks itself; the file must still hold exactly the
+    # text `render` returns, with the benchmark's digests.
+    builds = []
+    for key, record in workloads.load_expected()["build"].items():
+        program, spec = key.split("@")
+        depth, fmt = spec.split(".")
+        builds.append((key, workloads.declarations(program), int(depth), fmt, record["sha256"]))
+    assert len(builds) == 9
+    builds += [(name, source, 3, fmt, None) for name, source in CORPUS.items() for fmt in FORMATS]
+    for name, source, depth, fmt, sha256 in builds:
+        decls, out = tmp_path / "program.decls", tmp_path / f"out.{fmt}"
+        decls.write_text(source, encoding="utf-8")
+        argv = ["build", "--decls", str(decls), "--iterations", str(depth), "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        written = out.read_bytes()
+        if sha256 is not None:
+            assert hashlib.sha256(written).hexdigest() == sha256, name
+        text = render(run(parse_declarations(source), depth).last.graph, fmt)
+        assert written == text.encode("utf-8"), (name, fmt)
+
+
+@pytest.mark.parametrize("program, fmt", [("two_generics", "json"), ("passthrough", "graphml")])
+def test_build_never_holds_the_whole_text(tmp_path, capsys, monkeypatch, program, fmt):
+    # Each chunk is one block of vertices or of their out-edges: S_5 has
+    # 4,148 vertices, so no chunk comes near the 1.4-1.6 MB file.  And each
+    # chunk is in the file, but for what the file object buffers, before
+    # the next one is made.
+    import groundsub.cli as cli_module
+
+    sizes, lags, chunks = [], [], cli_module.chunks
+    decls, out = tmp_path / "program.decls", tmp_path / f"s5.{fmt}"
+
+    def recorded(g, fmt):
+        for chunk in chunks(g, fmt):
+            sizes.append(len(chunk))
+            yield chunk
+            lags.append(sum(sizes) - out.stat().st_size)
+
+    monkeypatch.setattr(cli_module, "chunks", recorded)
+    decls.write_text(CORPUS[program], encoding="utf-8")
+    argv = ["build", "--decls", str(decls), "--iterations", "5", "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("5 4148 ")
+    assert sum(sizes) == out.stat().st_size > 1_000_000
+    assert len(sizes) > 1 and max(sizes) <= out.stat().st_size // 4
+    assert len(lags) == len(sizes) and max(lags) < max(sizes)
 
 
 @pytest.fixture
@@ -550,6 +627,29 @@ class TestCli:
             assert done.returncode == 1
             stderrs.add(done.stderr)
         assert stderrs == {"error: inheritance cycle through 'A0'\n"}
+
+    @pytest.mark.parametrize("out", ["missing/graph.json", "."])
+    def test_unwritable_out_exits_one_with_one_error_line(self, decls_path, tmp_path, capsys, out):
+        # A path into a missing directory, and a path that names a directory.
+        argv = ["build", "--decls", str(decls_path), "--iterations", "2", "--format", "json"]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not (tmp_path / "missing").exists()
+
+    def test_refused_build_writes_no_file(self, decls_path, tmp_path, capsys, monkeypatch):
+        # `--out` is opened only after `run` succeeds (the size-law case is
+        # `test_builder.py::TestRun::test_size_law_of_each_step_is_checked`).
+        import groundsub.builder as builder_module
+
+        monkeypatch.setattr(builder_module, "MAX_VERTICES", 7)
+        out = tmp_path / "graph.json"
+        argv = ["build", "--decls", str(decls_path), "--iterations", "2", "--format", "json"]
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "over the limit of 7" in captured.err
+        assert captured.err.count("\n") == 1 and not out.exists()
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1
