@@ -3,9 +3,9 @@
 
 Wildcard arguments make instantiations of the same generic class covariant
 (`? extends`), contravariant (`? super`) or invariant (a plain argument).
-Every query below is answered independently by graph reachability, an
-upward search through the covers of the constructed relation worked out on
-demand, and by the structural decision rules; the two always agree.
+Every query below is answered independently by graph reachability, a
+search from both ends through the covers of the constructed relation worked
+out on demand, and by the structural decision rules; the two always agree.
 """
 
 from groundsub import is_subtype, parse_declarations, parse_ground_type, subtype_by_graph

@@ -159,8 +159,9 @@ class InfiniteGraph:
     so hashing and comparing never recurse into the type.  The argument
     kind is `None` for a plain class, else the class of the argument, and
     an argument of W(S_j) is a (kind, bound id) pair, with bound -1 for `?`.
-    The ids pay here because the search hashes every vertex it visits: on
-    shape tuples, the refused 200,000-vertex searches ran slower.
+    The ids pay here because `reaches` hashes every vertex either of its
+    two sides visits: on shape tuples, the refused 200,000-vertex searches
+    of the upward search it replaced ran slower.
     """
 
     def __init__(self, table: ClassTable):
@@ -201,26 +202,55 @@ class InfiniteGraph:
     def reaches(self, t1: GroundType, t2: GroundType, k: int) -> bool:
         """True when `t2` is `t1` or lies above it in S_k.
 
-        Searches upward from `t1`.  Raises `SizeLimitError` when the search
-        would visit more than `MAX_VERTICES` vertices.
+        Searches from both ends (Pohl's bi-directional search): upward
+        from `t1` over the up-covers and downward from `t2` over the
+        down-covers, each step expanding the side with the shorter stack.
+        It is true when one side reaches a vertex the other has seen, and
+        false once either side runs out, having seen all it can reach.  The
+        two visited sets together hold at most `MAX_VERTICES` vertices.  A
+        step that would pass that limit, or enumerate an approximation
+        larger than it, stops its side: the side gives back the room it
+        took, and the other goes on alone.  Raises the first
+        `SizeLimitError` once both sides have stopped.
         """
         start, goal = self._vertex(t1, k), self._vertex(t2, k)
         if start == goal:
             return True
-        seen = {start}
-        todo = [start]
-        while todo:
-            for w in self._covers_up(todo.pop(), k):
-                if w == goal:
-                    return True
-                if w not in seen:
-                    if len(seen) == MAX_VERTICES:
-                        raise SizeLimitError(
-                            f"the search above {canonical_label(t1)} in approximation {k} "
-                            f"passed the limit of {MAX_VERTICES} vertices"
-                        )
-                    seen.add(w)
-                    todo.append(w)
+        covers_up, covers_down = self._covers_up, self._covers_down
+        up, down = [start], [goal]
+        above, below = {start}, {goal}
+        stopped, refusal = None, None
+        while up and down:
+            if down is stopped or (up is not stopped and len(up) <= len(down)):
+                covers, todo = covers_up, up
+                seen, other = above, below
+            else:
+                covers, todo = covers_down, down
+                seen, other = below, above
+            v = todo.pop()
+            try:
+                for w in covers(v, k):
+                    if w in other:
+                        return True
+                    if w not in seen:
+                        if len(seen) + len(other) >= MAX_VERTICES:
+                            raise SizeLimitError(
+                                f"the search between {canonical_label(t1)} and "
+                                f"{canonical_label(t2)} in approximation {k} "
+                                f"passed the limit of {MAX_VERTICES} vertices"
+                            )
+                        seen.add(w)
+                        todo.append(w)
+            except SizeLimitError as e:
+                if stopped is not None:
+                    raise refusal from None
+                # The side stops and gives back the room it took: it keeps
+                # only its own type, and the other side goes on alone.
+                root = start if todo is up else goal
+                seen.clear()
+                seen.add(root)
+                todo[:] = [root]
+                stopped, refusal = todo, e
         return False
 
     # -- types and ids
@@ -362,9 +392,11 @@ def subtype_by_graph(table: ClassTable, t1: GroundType, t2: GroundType) -> bool:
     """Decide subtyping by reachability in the smallest sufficient graph.
 
     True when `t2` is `t1` or lies above it in S_k, with k =
-    `sufficient_depth(t1, t2)`.  The search goes upward from `t1` through
-    covers worked out on demand, so no approximation is built.  Raises
-    `SizeLimitError` when it would visit more than `MAX_VERTICES` vertices,
-    or enumerate an approximation larger than that.
+    `sufficient_depth(t1, t2)`.  `InfiniteGraph.reaches` searches up from
+    `t1` and down from `t2` at once, through covers worked out on demand,
+    so no approximation is built.  Raises `SizeLimitError` when both sides
+    of the search have stopped, each at a step that would visit more than
+    `MAX_VERTICES` vertices in all or enumerate an approximation larger
+    than that.
     """
     return InfiniteGraph(table).reaches(t1, t2, sufficient_depth(t1, t2))

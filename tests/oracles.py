@@ -16,6 +16,8 @@ chain.  `reference_hasse` is the Hasse diagram of that decider's order,
 which needs no graph code of the package beyond the transitive reduction.
 `subtype_by_trace` is the graph decider as it was before it searched covers
 on demand: reachability in a materialised approximation.
+`reference_reaches` is `InfiniteGraph.reaches` as it was before it searched
+from both ends: upward from the first type alone, over the public covers.
 `reference_differential_check` is the differential comparison as it was
 before the rules listed up-sets: one `_Rules.subtype` call per ordered
 pair, under its own limit on their number.  `reference_json` is the JSON
@@ -28,7 +30,8 @@ import json
 from collections.abc import Callable, Iterable, Mapping
 from itertools import accumulate
 
-from groundsub.builder import IterationTrace, sufficient_depth
+from groundsub import builder
+from groundsub.builder import InfiniteGraph, IterationTrace, sufficient_depth
 from groundsub.digraph import (
     Edge,
     EdgeTag,
@@ -425,6 +428,30 @@ def subtype_by_trace(trace: IterationTrace, t1: GroundType, t2: GroundType) -> b
         raise ValueError(f"types need {k} iterations but the trace holds {trace.depth}")
     s = trace.graphs[min(k, trace.depth) - 1]
     return reachable(s.graph, canonical_label(t1), canonical_label(t2))
+
+
+def reference_reaches(graph: InfiniteGraph, t1: GroundType, t2: GroundType, k: int) -> bool:
+    """True when `t2` is `t1` or lies above it in S_k, by a search upward
+    from `t1` alone.  Raises `SizeLimitError` when it would visit more than
+    `builder.MAX_VERTICES` vertices, or when a cover needs an approximation
+    larger than that enumerated."""
+    if t1 == t2:
+        return True
+    seen = {t1}
+    todo = [t1]
+    while todo:
+        for w in graph.covers_up(todo.pop(), k):
+            if w == t2:
+                return True
+            if w not in seen:
+                if len(seen) == builder.MAX_VERTICES:
+                    raise SizeLimitError(
+                        f"the search above {canonical_label(t1)} in approximation {k} "
+                        f"passed the limit of {builder.MAX_VERTICES} vertices"
+                    )
+                seen.add(w)
+                todo.append(w)
+    return False
 
 
 def reference_differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:

@@ -35,7 +35,7 @@ from groundsub import (
 from groundsub import builder, cli
 from groundsub.labels import instantiation_label
 
-from conftest import ALL_PLAIN_SOURCE
+from conftest import ALL_PLAIN_SOURCE, CORPUS
 from oracles import (
     contravariant_image,
     covariant_image,
@@ -43,6 +43,7 @@ from oracles import (
     equals_ignoring_tags,
     induced_subgraph,
     reference_hasse,
+    reference_reaches,
     reflexive_transitive_closure,
     relabeled,
     reversed_graph,
@@ -253,23 +254,48 @@ class TestSubtypeByGraph:
                     assert graph.reaches(a, b, sufficient_depth(a, b)) == expected, (name, a, b)
 
     def test_search_budget_at_the_boundary(self, tables, monkeypatch):
-        # Above C<N> in S_2 lie C<? <: C<?>>, C<?> and O: four vertices.
+        # The visited sets start as {C<N>} and {C<O>}.  The upward side goes
+        # first on the tie, and would add C<? <: C<?>>, C<?> and O.  With a
+        # limit of 3 it stops before C<?>, keeping only C<N>, and the
+        # downward side adds N and runs out.  With a limit of 2 neither side
+        # can add a vertex, and the first refusal is raised.
         table = tables["one_generic"]
         t1, t2 = parse_ground_type("C<N>", table), parse_ground_type("C<O>", table)
-        monkeypatch.setattr(builder, "MAX_VERTICES", 4)
-        assert not subtype_by_graph(table, t1, t2)
         monkeypatch.setattr(builder, "MAX_VERTICES", 3)
-        with pytest.raises(SizeLimitError, match="above C<N> in approximation 2 passed the limit of 3"):
+        assert not subtype_by_graph(table, t1, t2)
+        monkeypatch.setattr(builder, "MAX_VERTICES", 2)
+        message = "the search between C<N> and C<O> in approximation 2 passed the limit of 2 vertices"
+        with pytest.raises(SizeLimitError, match=re.escape(message)):
             subtype_by_graph(table, t1, t2)
 
+    def test_a_side_past_the_limit_gives_back_its_room(self, monkeypatch):
+        # In S_6 of two generic classes the first step down from C<?> lists
+        # C<? :> u> for each of the 1,384 covers u of N in S_5.  That passes
+        # the limit, so the downward side stops and gives back what it
+        # took; the upward side then reaches C<?> alone, as the upward
+        # search did.
+        table = parse_declarations(CORPUS["two_generics"])
+        t1 = parse_ground_type("C<D<D<C<D<D<?>>>>>>", table)
+        t2 = parse_ground_type("C<?>", table)
+        monkeypatch.setattr(builder, "MAX_VERTICES", 1_000)
+        assert reference_reaches(InfiniteGraph(table), t1, t2, 6)
+        assert subtype_by_graph(table, t1, t2)
+
     def test_enumeration_refused_before_it_starts(self, tables, monkeypatch):
-        # N's covers in S_3 are C<t> for every t of S_2, which has 8 vertices.
+        # N's covers in S_3 are C<t> for every t of S_2, which has 8
+        # vertices.  The upward side stops there, and the downward side
+        # from the exact C<C<C<?>>> reaches N at its first step.
         table = tables["one_generic"]
         monkeypatch.setattr(builder, "MAX_VERTICES", 7)
         graph = InfiniteGraph(table)
         bottom, deep = parse_ground_type("N", table), parse_ground_type("C<C<C<?>>>", table)
+        assert graph.reaches(bottom, deep, 3)
+        # In S_4 the upward side from N stops at the same enumeration, and
+        # the downward side from C<?> at the one its first step needs, the
+        # covers of N in S_3.  With both sides stopped, the first refusal
+        # is raised.
         with pytest.raises(SizeLimitError, match="approximation 2 would have 8 vertices"):
-            graph.reaches(bottom, deep, 3)
+            graph.reaches(bottom, parse_ground_type("C<?>", table), 4)
         monkeypatch.setattr(builder, "MAX_VERTICES", 8)
         assert len(graph.vertices(2)) == 8
 
@@ -283,6 +309,25 @@ class TestSubtypeByGraph:
         deep = parse_ground_type("C<" * 20 + "?" + ">" * 20, table)
         assert subtype_by_graph(table, deep, parse_ground_type("C<? <: C<?>>", table))
         assert not subtype_by_graph(table, parse_ground_type("C<?>", table), deep)
+
+    @pytest.mark.parametrize(
+        "t1, t2",
+        [
+            # The upward side from N stops at the enumeration of S_199.
+            ("N", "C<" * 200 + "?" + ">" * 200),
+            # The upward side stops at the covers of N in S_198, which the
+            # down-covers of C<?> in S_199 need.
+            ("C<? :> C<?>>", "C<? :> " + "C<" * 199 + "?" + ">" * 200),
+        ],
+        ids=["bottom", "lower-bounded"],
+    )
+    def test_rank_two_hundred_answers_past_a_refused_side(self, tables, monkeypatch, t1, t2):
+        def refuse(*args, **kwargs):
+            pytest.fail("built an approximation to answer a query")
+
+        monkeypatch.setattr(builder, "partial_product", refuse)
+        table = tables["one_generic"]
+        assert subtype_by_graph(table, parse_ground_type(t1, table), parse_ground_type(t2, table))
 
 
 GATE_DEPTH = 4

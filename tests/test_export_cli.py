@@ -368,22 +368,42 @@ class TestCli:
         assert err.count("\n") == 1
 
     def test_oversized_query_exits_one_before_building(self, decls_path, capsys, monkeypatch):
-        # In S_13 of one generic class, N's covers are C<t> for every t of
-        # S_12, which has 442,868 vertices.
+        # Under a limit of 2 vertices, N's covers in S_2, one per vertex of
+        # S_1, are refused before they are listed, and the downward side's
+        # first vertex would pass the limit: the first refusal is reported.
         import groundsub.builder as builder_module
 
         def refuse(*args, **kwargs):
             pytest.fail("built a graph although the predicted size is over the limit")
 
         monkeypatch.setattr(builder_module, "partial_product", refuse)
-        deep = "C<? :> " + "C<" * 12 + "?" + ">" * 13
-        assert main(["query", "--decls", str(decls_path), "N", deep]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "442868 vertices" in err
-        assert err.count("\n") == 1
+        monkeypatch.setattr(builder_module, "MAX_VERTICES", 2)
+        assert main(["query", "--decls", str(decls_path), "N", "C<? <: C<?>>"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: approximation 1 would have 3 vertices, over the limit of 2\n"
+        assert "Traceback" not in captured.err
 
-    def test_query_past_the_search_budget_exits_one(self, tmp_path, capsys, monkeypatch):
-        # Most of S_8 of two generic classes lies above C<? :> C<?>> in S_9.
+    def test_query_past_an_oversized_enumeration_answers(self, decls_path, capsys, monkeypatch):
+        # In S_13 of one generic class, N's covers are C<t> for every t of
+        # S_12, which has 442,868 vertices: the upward side stops there.
+        # The downward side reaches N from the exact argument below the
+        # lower-bounded one.
+        import groundsub.builder as builder_module
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built a graph to answer a query")
+
+        monkeypatch.setattr(builder_module, "partial_product", refuse)
+        deep = "C<? :> " + "C<" * 12 + "?" + ">" * 13
+        assert main(["query", "--decls", str(decls_path), "N", deep]) == 0
+        assert capsys.readouterr().out.splitlines() == ["graph: true", "oracle: true"]
+
+    def test_deep_two_generic_query_answers(self, tmp_path, capsys, monkeypatch):
+        # The first step up from C<? :> C<?>> in S_9 lists C<? :> u> for
+        # each of the 49,768 covers u of N in S_7, and the upward search
+        # alone visited most of S_8.  The downward side below the exact
+        # D<…> runs out at N.
         import groundsub.builder as builder_module
 
         def refuse(*args, **kwargs):
@@ -394,13 +414,30 @@ class TestCli:
         decls.write_text(CORPUS["two_generics"], encoding="utf-8")
         deep = "D<" * 8 + "C<?>" + ">" * 8
         started = time.perf_counter()
-        assert main(["query", "--decls", str(decls), "C<? :> C<?>>", deep]) == 1
-        assert time.perf_counter() - started < 60
+        assert main(["query", "--decls", str(decls), "C<? :> C<?>>", deep]) == 0
+        assert time.perf_counter() - started < 5
+        assert capsys.readouterr().out.splitlines() == ["graph: false", "oracle: false"]
+
+    def test_query_past_the_search_budget_exits_one(self, decls_path, capsys, monkeypatch):
+        # The downward side stops first, holding 31 of the 100 vertices, and
+        # gives them back; the upward side then passes the limit alone, as
+        # the upward search does.
+        import groundsub.builder as builder_module
+
+        def refuse(*args, **kwargs):
+            pytest.fail("built an approximation to answer a query")
+
+        monkeypatch.setattr(builder_module, "partial_product", refuse)
+        monkeypatch.setattr(builder_module, "MAX_VERTICES", 100)
+        deep = "C<? :> C<C<? :> C<? <: C<C<?>>>>>>"
+        assert main(["query", "--decls", str(decls_path), "C<N>", deep]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        err = captured.err
-        assert err.startswith("error: ") and "passed the limit of 200000 vertices" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert captured.err == (
+            f"error: the search between C<N> and {deep} in approximation 6 "
+            "passed the limit of 100 vertices\n"
+        )
+        assert "Traceback" not in captured.err
 
     def test_rank_twenty_query_answers(self, decls_path, capsys):
         deep = "C<" * 20 + "?" + ">" * 20

@@ -4,8 +4,9 @@ demand equal the materialised graphs, and the paper's laws hold.
 Every table is drawn by `conftest.class_tables`; the checks of the rules'
 up-set and down-set generator, of the order of `enumerate_types` and of the
 rows that `rules._layers` makes, rank by rank, for it and for
-`differential_check`, and the fibre and tag laws of the covers, run on the
-corpus as well.  Each check runs at the largest rank up to `MAX_RANK` whose
+`differential_check`, the fibre and tag laws of the covers, and the
+comparison of the two-sided search with the upward one, run on the corpus
+as well.  Each check runs at the largest rank up to `MAX_RANK` whose
 approximation has at most `PAIR_CAP` ordered pairs of vertices, read from
 `predicted_sizes` before anything is built, so the cost of an example is
 bounded whatever table is drawn.
@@ -13,16 +14,24 @@ bounded whatever table is drawn.
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundsub import (
+    Con,
+    Cov,
+    GroundType,
     InfiniteGraph,
+    Inv,
+    SizeLimitError,
     canonical_label,
     differential_check,
     enumerate_types,
+    is_subtype,
     parse_declarations,
     parse_ground_type,
     rank,
@@ -32,8 +41,9 @@ from groundsub import (
     wildcards_size,
 )
 from groundsub import rules
-from groundsub.builder import predicted_sizes
+from groundsub.builder import predicted_sizes, sufficient_depth
 from groundsub.labels import instantiation_label
+from groundsub.typelang import normalize_type
 
 from conftest import CORPUS, NUMBERS_SOURCE, class_tables
 from oracles import (
@@ -44,6 +54,7 @@ from oracles import (
     induced_subgraph,
     reference_differential_check,
     reference_is_subtype,
+    reference_reaches,
     reflexive_transitive_closure,
     relabeled,
     reversed_graph,
@@ -250,3 +261,77 @@ def test_tag_law_on_the_corpus(source):
 @given(class_tables())
 def test_tag_law(table):
     assert_tag_law(table, checked_rank(table))
+
+
+# Pairs are drawn from the types of rank at most `SEARCH_RANK` in a graph
+# of at most `SEARCH_TYPES` vertices, and each is also compared deepened by
+# one, two and three generic wrappers.  The upward search costs most: it
+# asks the public covers, which check and rebuild every type they see.
+SEARCH_RANK = 4
+SEARCH_TYPES = 2_000
+
+
+def wrapped(rng, table, t1, t2):
+    """Both types under one more generic class each.  Half of the time
+    both go under one class, `t1` exact or upper-bounded and `t2`
+    upper-bounded, which keeps a true verdict true; otherwise each goes
+    under a class and a kind of argument drawn apart."""
+    generic = sorted(table.generic)
+    if rng.random() < 0.5:
+        c = rng.choice(generic)
+        heads = [(c, rng.choice((Inv, Cov))), (c, Cov)]
+    else:
+        heads = [(rng.choice(generic), rng.choice((Inv, Cov, Con))) for _ in range(2)]
+    return tuple(normalize_type(GroundType(c, kind(t))) for (c, kind), t in zip(heads, (t1, t2)))
+
+
+def drawn_pair(rng, table, types):
+    """Two types, the second drawn half of the time from those of a small
+    sample that lie above the first, so that true verdicts are not rare."""
+    t1, t2 = rng.choice(types), rng.choice(types)
+    if rng.random() < 0.5:
+        sample = rng.sample(types, min(len(types), 40))
+        above = [t for t in sample if t != t1 and is_subtype(t1, t, table)]
+        t2 = rng.choice(above) if above else t2
+    return t1, t2
+
+
+def assert_two_sided_search_agrees(table, seed, pairs):
+    """`InfiniteGraph.reaches` and the upward search it replaced,
+    `oracles.reference_reaches`, give `is_subtype`'s verdict wherever they
+    answer, and the two-sided search answers every pair the upward one
+    does."""
+    sizes = islice(predicted_sizes(table), SEARCH_RANK)
+    r = max(k for k, n in enumerate(sizes, start=1) if k == 1 or n <= SEARCH_TYPES)
+    types = enumerate_types(table, r)
+    rng = random.Random(seed)
+    graph, reference = InfiniteGraph(table), InfiniteGraph(table)
+    for _ in range(pairs):
+        t1, t2 = drawn_pair(rng, table, types)
+        for depth in range(4):
+            if depth:
+                if not table.generic:
+                    break
+                t1, t2 = wrapped(rng, table, t1, t2)
+            k = sufficient_depth(t1, t2)
+            expected = is_subtype(t1, t2, table)
+            try:
+                upward = reference_reaches(reference, t1, t2, k)
+            except SizeLimitError:
+                upward = None
+            assert upward in (None, expected), (canonical_label(t1), canonical_label(t2))
+            try:
+                assert graph.reaches(t1, t2, k) == expected, (canonical_label(t1), canonical_label(t2))
+            except SizeLimitError:
+                assert upward is None, (canonical_label(t1), canonical_label(t2))
+
+
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_two_sided_search_agrees_on_the_corpus(source):
+    assert_two_sided_search_agrees(parse_declarations(source), seed=1, pairs=25)
+
+
+@FEWER_EXAMPLES
+@given(class_tables(), st.integers(min_value=0, max_value=2**32))
+def test_two_sided_search_agrees(table, seed):
+    assert_two_sided_search_agrees(table, seed, pairs=6)

@@ -60,7 +60,7 @@ ORACLES = (
     "contravariant_image", "has_edge", "tag_of", "predecessors", "edge_pairs",
     "equals_ignoring_tags", "reference_is_subtype", "reference_contains_argument",
     "subtype_by_trace", "reference_inherits", "reference_json", "checked_product_labels",
-    "reference_differential_check",
+    "reference_differential_check", "reference_reaches",
 )
 
 
