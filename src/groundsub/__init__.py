@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     SizeLimitError,
 )
-from .export import FORMATS, render, to_dot, to_graphml, to_json
+from .export import FORMATS, render
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD
 from .product import EdgePartition, PartitionedGraph, partial_product
 from .rules import (
@@ -104,9 +104,6 @@ __all__ = [
     "run",
     "subtype_by_graph",
     "sufficient_depth",
-    "to_dot",
-    "to_graphml",
-    "to_json",
     "transitive_reduction",
     "wildcards_graph",
     "wildcards_size",

@@ -160,8 +160,8 @@ class InfiniteGraph:
     kind is `None` for a plain class, else the class of the argument, and
     an argument of W(S_j) is a (kind, bound id) pair, with bound -1 for `?`.
     The ids pay here because `reaches` hashes every vertex either of its
-    two sides visits: on shape tuples, the refused 200,000-vertex searches
-    of the upward search it replaced ran slower.
+    two sides visits, up to `MAX_VERTICES` of them, and an int hashes in one
+    step where a shape tuple hashes its whole bound.
     """
 
     def __init__(self, table: ClassTable):

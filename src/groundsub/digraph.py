@@ -95,10 +95,9 @@ class LabeledDigraph:
         out.update(dict.fromkeys(vertices - out.keys(), ()))
         if len(out) > len(vertices):  # drop keys outside the vertex set, all without edges
             out = self._out = {v: out[v] for v in vertices}
-        # Kahn's algorithm; the topological order doubles as the cycle check.
-        sources = [v for v, d in indegree.items() if d == 0]
-        self._sources = tuple(sorted(sources))
-        order = sources
+        # Kahn's algorithm: the vertices it cannot order lie on or above a cycle.
+        order = [v for v, d in indegree.items() if d == 0]
+        self._sources = tuple(sorted(order))
         for v in order:
             for w, _ in out[v]:
                 indegree[w] -= 1
@@ -107,7 +106,6 @@ class LabeledDigraph:
         if len(order) != len(vertices):
             stuck = sorted(v for v, d in indegree.items() if d > 0)
             raise GraphError(f"graph contains a cycle through {stuck}")
-        self._topo_order = tuple(order)
 
     @classmethod
     def from_edges(

@@ -4,9 +4,8 @@ All three formats list vertices and edges in lexicographic order, so
 re-rendering the same graph always produces identical bytes.  Layout is the
 renderer's job; the DOT output only hints that the order grows bottom-up.
 Writers read successor lists in place and key tags by their `_value_` strings.
-Each writer yields its text in blocks, a chunk per `_BLOCK` vertices of that
-order, so `build` writes `chunks(g, fmt)` and never holds the whole text;
-`render` and the `to_*` functions join the chunks.
+Each writer yields its text a chunk per `_BLOCK` vertices of that order:
+`build` writes `chunks(g, fmt)`, never the whole text, and `render` joins them.
 
 The JSON bytes equal `json.dumps(payload, indent=2) + "\\n"` for the payload
 `{"vertices": [...], "edges": [{"from": ..., "to": ..., "tag": ...}, ...]}`,
@@ -98,18 +97,6 @@ def _graphml_chunks(g: LabeledDigraph) -> Iterator[str]:
             for src, i in block for dst, tag in out[src]
         ])
     yield "  </graph>\n</graphml>\n"
-
-
-def to_dot(g: LabeledDigraph) -> str:
-    return "".join(_dot_chunks(g))
-
-
-def to_graphml(g: LabeledDigraph) -> str:
-    return "".join(_graphml_chunks(g))
-
-
-def to_json(g: LabeledDigraph) -> str:
-    return "".join(_json_chunks(g))
 
 
 _WRITERS = {"dot": _dot_chunks, "graphml": _graphml_chunks, "json": _json_chunks}

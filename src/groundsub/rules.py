@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import GraphError, SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .typelang import (
+    CORNERS,
     SPELL_BOUND,
     WILD,
     ClassTable,
@@ -170,7 +171,8 @@ class _Rules:
         """The bounds an argument of `kind` takes in a type of rank at most
         `k` when `compare` relates them to `bound`, seen from the outer
         argument if `up`, else from the inner one.  Without a comparison any
-        type will do; the top and bottom bound only exact arguments."""
+        type will do; no bound is one of its kind's `CORNERS`, whose names
+        (`O` and `N`, never generic) name only plain shapes."""
         if kind is Wild:
             return (None,)
         if k < 2:
@@ -181,9 +183,8 @@ class _Rules:
             found = self._listing(False, _TOP, k - 1)
         else:
             found = self._listing((compare is _UP) == up, bound, k - 1)
-        if kind is Inv:
-            return found
-        return (b for b in found if b[0] not in (TOP_CLASS, BOTTOM_CLASS))
+        corners = CORNERS[kind]
+        return (b for b in found if b[0] not in corners) if corners else found
 
     def _listing(self, up: bool, s: tuple, k: int) -> tuple[tuple, ...]:
         """`above(s, k)` if `up`, else `below(s, k)`, listed on first use
@@ -215,8 +216,8 @@ def _layers(table: ClassTable, max_rank: int) -> Iterator[list[tuple[str, Ground
     Rank 0 holds the plain classes and rank 1 each generic class applied to
     `?`.  Rank k >= 2 applies each generic class to the exact,
     upper-bounded and lower-bounded form of every type of rank k - 1 (of
-    ranks 0 and 1 when k is 2), and to only the exact form of `O` and `N`.
-    Each such triple is made from its bound's.
+    ranks 0 and 1 when k is 2) but the forms `CORNERS` rewrites.  Each such
+    triple is made from its bound's; a plain type's label is its name.
     """
     generics = sorted(table.generic)
     plain = sorted(
@@ -233,7 +234,7 @@ def _layers(table: ClassTable, max_rank: int) -> Iterator[list[tuple[str, Ground
     for _ in range(2, max_rank + 1):
         args = []
         for label, t, shape in layer:
-            kinds = (Inv,) if label in (TOP_CLASS, BOTTOM_CLASS) else (Inv, Cov, Con)
+            kinds = (kind for kind, corners in CORNERS.items() if label not in corners)
             args += ((SPELL_BOUND[kind](label), kind, kind(t), shape) for kind in kinds)
         # Labels are unique, so the sort compares nothing past them.
         layer = sorted(

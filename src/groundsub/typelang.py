@@ -18,9 +18,9 @@ Type-expression grammar::
     type := NAME | NAME "<" arg ">" ;
     arg  := "?" | type | ("?" ("<:" | "extends") type) | ("?" (":>" | "super") type)
 
-Type arguments are stored normalized: an upper bound of `O` and a lower
-bound of `N` are the default wildcard, a lower bound of `O` is invariant
-`O`, and an upper bound of `N` is invariant `N`, applied recursively.
+Type arguments are stored normalized: `CORNERS` rewrites the four corner
+arguments, `? <: O` and `? :> N` to `?`, `? :> O` to `O` and `? <: N` to
+`N`, applied recursively.
 """
 
 from __future__ import annotations
@@ -98,28 +98,26 @@ OBJECT_TYPE = GroundType(TOP_CLASS)
 NULL_TYPE = GroundType(BOTTOM_CLASS)
 
 
+# The corners of the variance lattice (Igarashi & Viroli, ECOOP 2002): for each
+# bounded kind, the canonical form of that argument bounded by the plain class named.
+CORNERS = {
+    Inv: {},
+    Cov: {TOP_CLASS: WILD, BOTTOM_CLASS: Inv(NULL_TYPE)},
+    Con: {BOTTOM_CLASS: WILD, TOP_CLASS: Inv(OBJECT_TYPE)},
+}
+
+
 def normalize_argument(arg: TypeArg) -> TypeArg:
-    """Rewrite corner spellings to their canonical forms, innermost first."""
-    match arg:
-        case Wild():
-            return WILD
-        case Inv(bound):
-            return Inv(normalize_type(bound))
-        case Cov(bound):
-            bound = normalize_type(bound)
-            if bound == OBJECT_TYPE:
-                return WILD
-            if bound == NULL_TYPE:
-                return Inv(bound)
-            return Cov(bound)
-        case Con(bound):
-            bound = normalize_type(bound)
-            if bound == NULL_TYPE:
-                return WILD
-            if bound == OBJECT_TYPE:
-                return Inv(bound)
-            return Con(bound)
-    raise TypeError(f"not a type argument: {arg!r}")
+    """Rewrite corner spellings to their canonical forms in `CORNERS`, innermost first."""
+    if isinstance(arg, Wild):
+        return WILD
+    corners = CORNERS.get(type(arg))
+    if corners is None:
+        raise TypeError(f"not a type argument: {arg!r}")
+    bound = normalize_type(arg.bound)
+    if bound.arg is None and bound.name in corners:
+        return corners[bound.name]
+    return type(arg)(bound)
 
 
 def normalize_type(t: GroundType) -> GroundType:
@@ -225,9 +223,6 @@ class ClassTable:
     def user_classes(self) -> tuple[str, ...]:
         return tuple(c for c in self.classes if c not in (TOP_CLASS, BOTTOM_CLASS))
 
-    def is_generic(self, name: str) -> bool:
-        return name in self.generic
-
     def is_type(self, t: GroundType) -> bool:
         """True for a normalised ground type over the table."""
         if t.name not in self.classes or (t.arg is None) == (t.name in self.generic):
@@ -235,10 +230,11 @@ class ClassTable:
         return t.arg is None or self.is_argument(t.arg)
 
     def is_argument(self, arg: TypeArg) -> bool:
-        """True for a normalised type argument over the table."""
-        if isinstance(arg, Cov | Con):
-            return arg.bound.name not in (TOP_CLASS, BOTTOM_CLASS) and self.is_type(arg.bound)
-        return isinstance(arg, Wild) or isinstance(arg, Inv) and self.is_type(arg.bound)
+        """True for a normalised argument: `?`, or a bound over the table not in `CORNERS`."""
+        corners = CORNERS.get(type(arg))
+        if corners is None:
+            return isinstance(arg, Wild)
+        return arg.bound.name not in corners and self.is_type(arg.bound)
 
     @cached_property
     def extends_edges(self) -> frozenset[tuple[str, str]]:
@@ -470,7 +466,7 @@ def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundTy
         raise _error_at(name_tok, f"unknown class {name!r}")
     if stream.at("<"):
         open_tok = stream.advance()
-        if not table.is_generic(name):
+        if name not in table.generic:
             raise _error_at(open_tok, f"{name!r} is not generic and takes no argument")
         if depth == MAX_TYPE_NESTING:
             raise _error_at(
@@ -479,7 +475,7 @@ def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundTy
         arg = _parse_argument(stream, table, depth + 1)
         stream.expect(">")
         return GroundType(name, arg)
-    if table.is_generic(name):
+    if name in table.generic:
         raise _error_at(name_tok, f"generic class {name!r} needs a type argument")
     return GroundType(name)
 

@@ -59,6 +59,7 @@ from groundsub.rules import (
 from groundsub.typelang import (
     NULL_TYPE,
     OBJECT_TYPE,
+    WILD,
     ClassTable,
     Con,
     Cov,
@@ -184,12 +185,20 @@ def reflexive_transitive_closure(g: LabeledDigraph) -> LabeledDigraph:
     tags; edges added for longer paths carry no variance provenance and are
     tagged INHERIT.
     """
-    # Strict descendants, gathered bottom-up in reverse topological order.
+    # Strict descendants, gathered in depth-first post-order: a vertex is
+    # done once every successor is, which a DAG guarantees will happen.
     below: dict[str, set[str]] = {}
-    for u in reversed(g._topo_order):
-        below[u] = set()
-        for v in g.successors(u):
-            below[u] |= below[v] | {v}
+    for root in g.sorted_vertices:
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            if u in below:
+                continue
+            pending = [v for v in g.successors(u) if v not in below]
+            if pending:
+                stack += [u, *pending]
+                continue
+            below[u] = set().union(*(below[v] | {v} for v in g.successors(u)))
     tags = {e[:2]: e.tag for e in g.edges}
     edges = []
     for u in g.sorted_vertices:
@@ -332,6 +341,35 @@ def contravariant_image(class_name: str, label: str) -> str:
     return instantiation_label(class_name, lower_bounded_label(label))
 
 
+def reference_normalize_argument(arg: TypeArg) -> TypeArg:
+    """The corner rewrites, one `match` arm per argument kind and each corner
+    compared as a whole type, innermost first."""
+
+    def normalize(t: GroundType) -> GroundType:
+        return t if t.arg is None else GroundType(t.name, reference_normalize_argument(t.arg))
+
+    match arg:
+        case Wild():
+            return WILD
+        case Inv(bound):
+            return Inv(normalize(bound))
+        case Cov(bound):
+            bound = normalize(bound)
+            if bound == OBJECT_TYPE:
+                return WILD
+            if bound == NULL_TYPE:
+                return Inv(bound)
+            return Cov(bound)
+        case Con(bound):
+            bound = normalize(bound)
+            if bound == NULL_TYPE:
+                return WILD
+            if bound == OBJECT_TYPE:
+                return Inv(bound)
+            return Con(bound)
+    raise TypeError(f"not a type argument: {arg!r}")
+
+
 def edge_tag(t1: GroundType, t2: GroundType) -> EdgeTag:
     """The tag of an edge `t1 -> t2` of any S_k, from its endpoints alone.
 
@@ -399,9 +437,9 @@ def reference_is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> b
         return True
     if not reference_inherits(table, t1.name, t2.name):
         return False
-    if not table.is_generic(t2.name):
+    if t2.name not in table.generic:
         return True
-    if not table.is_generic(t1.name):
+    if t1.name not in table.generic:
         return False
     assert t1.arg is not None and t2.arg is not None
     return reference_contains_argument(t1.arg, t2.arg, table)

@@ -72,7 +72,7 @@ def test_criterion_03_base_case(tables):
         for table in tables.values():
             expected = relabeled(
                 table.graph.graph,
-                lambda c: instantiation_label(c, "?") if table.is_generic(c) else c,
+                lambda c: instantiation_label(c, "?") if c in table.generic else c,
             )
             assert initial_approximation(table).graph == expected
 

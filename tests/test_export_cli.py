@@ -24,9 +24,6 @@ from groundsub import (
     parse_declarations,
     render,
     run,
-    to_dot,
-    to_graphml,
-    to_json,
 )
 from groundsub.cli import _build_parser, main
 from groundsub.export import FORMATS
@@ -71,7 +68,7 @@ def graphml_multisets(text):
 
 class TestExports:
     def test_json_schema(self, first_graph):
-        payload = json.loads(to_json(first_graph))
+        payload = json.loads(render(first_graph, "json"))
         assert payload["vertices"] == ["C<?>", "N", "O"]
         assert payload["edges"] == [
             {"from": "C<?>", "to": "O", "tag": "inherit"},
@@ -79,18 +76,18 @@ class TestExports:
         ]
 
     def test_dot_colors_variance_edges(self, second_graph):
-        text = to_dot(second_graph)
+        text = render(second_graph, "dot")
         assert '"C<? <: C<?>>" -> "C<?>" [color=green];' in text
         assert '"C<? :> C<?>>" -> "C<?>" [color=red];' in text
         assert '"C<?>" -> "O";' in text
         assert "rankdir=BT" in text
 
     def test_formats_agree_on_vertex_and_edge_sets(self, second_graph):
-        payload = json.loads(to_json(second_graph))
+        payload = json.loads(render(second_graph, "json"))
         json_nodes = set(payload["vertices"])
         json_edges = {(e["from"], e["to"]) for e in payload["edges"]}
-        assert dot_multisets(to_dot(second_graph)) == (json_nodes, json_edges)
-        assert graphml_multisets(to_graphml(second_graph)) == (json_nodes, json_edges)
+        assert dot_multisets(render(second_graph, "dot")) == (json_nodes, json_edges)
+        assert graphml_multisets(render(second_graph, "graphml")) == (json_nodes, json_edges)
 
     def test_rendering_is_deterministic(self, second_graph):
         for fmt in ("dot", "graphml", "json"):
@@ -112,12 +109,12 @@ class TestExports:
         ids=["empty", "no-edges", "escapes"],
     )
     def test_json_bytes_equal_json_dumps(self, graph):
-        assert to_json(graph).encode("utf-8") == reference_json(graph).encode("utf-8")
+        assert render(graph, "json").encode("utf-8") == reference_json(graph).encode("utf-8")
 
     def test_json_bytes_equal_json_dumps_on_the_corpus(self, traces):
         for trace in traces.values():
             for s in trace.graphs:
-                assert to_json(s.graph) == reference_json(s.graph)
+                assert render(s.graph, "json") == reference_json(s.graph)
 
     def test_graphml_escapes_like_saxutils(self):
         labels = ["a & b", "<tag>", "x > y", 'say "hi"', "it's", "&amp; <&>"]
@@ -125,7 +122,7 @@ class TestExports:
         graph = LabeledDigraph.from_edges(
             [(a, b, EdgeTag.INHERIT) for a, b in sorted(pairs)], vertices=labels
         )
-        text = to_graphml(graph)
+        text = render(graph, "graphml")
         for label in labels:
             assert f'<data key="label">{escape(label)}</data>' in text
         assert graphml_multisets(text) == (set(labels), pairs)
@@ -182,7 +179,7 @@ class TestExports:
         assert [render(g, fmt) for g in graphs for fmt in FORMATS] == whole
         assert len(list(export_module.chunks(leading_sinks, "json"))) > 4
         for g in graphs:
-            assert to_json(g) == reference_json(g)
+            assert render(g, "json") == reference_json(g)
 
 
 @pytest.fixture

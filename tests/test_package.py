@@ -48,8 +48,8 @@ EXPORTED = {
     "differential_check", "enumerate_types", "initial_approximation", "initial_wildcards",
     "is_subtype", "normalize_argument", "normalize_type", "pair_label", "parse_declarations",
     "parse_ground_type", "partial_product", "rank", "reachable", "render", "run",
-    "subtype_by_graph", "sufficient_depth", "to_dot", "to_graphml", "to_json",
-    "transitive_reduction", "wildcards_graph", "wildcards_size",
+    "subtype_by_graph", "sufficient_depth", "transitive_reduction", "wildcards_graph",
+    "wildcards_size",
 }
 
 # Reference implementations that live in tests/oracles.py, not in the package.
@@ -60,7 +60,7 @@ ORACLES = (
     "contravariant_image", "has_edge", "tag_of", "predecessors", "edge_pairs",
     "equals_ignoring_tags", "reference_is_subtype", "reference_contains_argument",
     "subtype_by_trace", "reference_inherits", "reference_json", "checked_product_labels",
-    "reference_differential_check", "reference_reaches",
+    "reference_differential_check", "reference_reaches", "reference_normalize_argument",
 )
 
 
@@ -112,6 +112,13 @@ def test_graphs_store_no_test_only_index():
     g = run(parse_declarations("class C<T> {}"), 2).last.graph
     assert not hasattr(g, "_tag_by_pair")
     assert not hasattr(g, "_pred")
+    assert not hasattr(g, "_topo_order")
+
+
+def test_src_keeps_no_wrapper_only_the_tests_call():
+    # Callers write `render(g, fmt)` and `name in table.generic`.
+    assert not any(hasattr(export, f"to_{fmt}") for fmt in ("dot", "graphml", "json"))
+    assert not hasattr(typelang.ClassTable, "is_generic")
 
 
 def test_graphs_keep_no_reachability_state():

@@ -69,7 +69,7 @@ def args_universe(table, max_rank=2):
 def nested_types(draw, table, max_depth=8):
     """A normalised type over `table`: a plain class or `C<?>` inside up to
     `max_depth` generic classes, each with an exact or a bounded argument."""
-    plain = [GroundType(c) for c in table.classes if not table.is_generic(c)]
+    plain = [GroundType(c) for c in table.classes if c not in table.generic]
     generics = sorted(table.generic)
     t = draw(st.sampled_from(plain + [GroundType(c, WILD) for c in generics]))
     for _ in range(draw(st.integers(min_value=0, max_value=max_depth))):

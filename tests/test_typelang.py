@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groundsub import (
+    BOTTOM_CLASS,
+    TOP_CLASS,
     WILD,
     BipointedGraph,
     ClassTable,
@@ -19,6 +21,7 @@ from groundsub import (
     InfiniteGraph,
     Inv,
     ParseError,
+    Wild,
     canonical_label,
     enumerate_types,
     normalize_argument,
@@ -34,8 +37,8 @@ from groundsub import typelang
 from groundsub.export import FORMATS
 from groundsub.typelang import MAX_TYPE_NESTING
 
-from conftest import CORPUS
-from oracles import equals_ignoring_tags, reference_hasse
+from conftest import CORPUS, class_tables
+from oracles import equals_ignoring_tags, reference_hasse, reference_normalize_argument
 
 
 @pytest.fixture
@@ -359,6 +362,21 @@ class TestNormalization:
         assert normalize_argument(Con(c)) == Con(c)
         assert normalize_argument(Inv(c)) == Inv(c)
 
+    @given(st.data())
+    def test_the_corner_table_agrees_with_the_reference(self, data):
+        # `CORNERS` against the `match` arms, and `is_type` against both on
+        # every type of the chain whose names take the arguments they carry.
+        table = data.draw(class_tables())
+        arg = data.draw(spelled_arguments(table))
+        assert normalize_argument(arg) == reference_normalize_argument(arg)
+        t = GroundType(data.draw(st.sampled_from(sorted(table.generic) or table.classes)), arg)
+        while True:
+            if fits(t, table):
+                assert table.is_type(t) == (normalize_type(t) == t), t
+            if t.arg is None or isinstance(t.arg, Wild):
+                break
+            t = t.arg.bound
+
     @pytest.mark.parametrize(
         "over_arguments",
         [normalize_argument, typelang.argument_label, lambda arg: rank(GroundType("C", arg))],
@@ -381,9 +399,34 @@ class TestIsType:
         assert not any(map(one_generic.is_argument, refused))
 
 
+@st.composite
+def spelled_arguments(draw, table, max_depth=6):
+    """Strategy for type arguments as written, not normalised, nested up to
+    `max_depth` levels.  Every level may be bounded by `O` or `N`, and an
+    outer level's bound may be an `O` or `N` that carries an argument,
+    which no parse makes."""
+    corners = st.sampled_from([TOP_CLASS, BOTTOM_CLASS])
+    inner = st.one_of(corners, st.sampled_from(table.classes))
+    outer = st.one_of(corners, st.sampled_from(sorted(table.generic) or table.classes))
+    kinds = st.sampled_from([Inv, Cov, Con])
+    arg = WILD if draw(st.booleans()) else draw(kinds)(GroundType(draw(inner)))
+    for _ in range(draw(st.integers(0, max_depth - 1))):
+        arg = draw(kinds)(GroundType(draw(outer), arg))
+    return arg
+
+
+def fits(t, table):
+    """True when every class along `t` takes an argument exactly if generic."""
+    while (t.arg is None) != (t.name in table.generic):
+        if t.arg is None or isinstance(t.arg, Wild):
+            return True
+        t = t.arg.bound
+    return False
+
+
 def ground_types(table, max_depth=3):
     """Strategy for normalized ground types over `table`."""
-    plain = sorted(c for c in table.classes if not table.is_generic(c))
+    plain = sorted(c for c in table.classes if c not in table.generic)
     generics = sorted(table.generic)
     base = st.sampled_from(plain).map(GroundType)
     if not generics:
