@@ -20,7 +20,11 @@ Type-expression grammar::
 
 Type arguments are stored normalized: `CORNERS` rewrites the four corner
 arguments, `? <: O` and `? :> N` to `?`, `? :> O` to `O` and `? <: N` to
-`N`, applied recursively.
+`N`, applied recursively.  `parse_ground_type` builds that form as it
+parses.
+
+Both parsers read the token texts that one regex scan of the source yields;
+line and column are worked out only for an error.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from string import ascii_letters
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn, Union
 
@@ -46,8 +51,8 @@ from .labels import (
 _KEYWORDS = frozenset({"class", "extends"})
 _RESERVED = frozenset({TOP_CLASS, BOTTOM_CLASS, "Object", "Null"})
 _ALIASES = {"Object": TOP_CLASS, "Null": BOTTOM_CLASS}
-# Deepest nesting of type arguments the parser accepts; it and the functions
-# over ground types recurse once per level.
+# Deepest nesting of type arguments the parser accepts; the functions over
+# ground types recurse once per level.
 MAX_TYPE_NESTING = 200
 
 
@@ -260,6 +265,15 @@ class ClassTable:
 
 # ---------------------------------------------------------------------------
 # Tokenizer shared by both parsers
+#
+# One `findall` over `_SCAN` lists the token texts of a source.  A skip or a
+# comment gives "", and any character no token starts with falls to the
+# last branch, so the scan never fails and no branch nests a quantifier.
+# Both parsers read the texts by index, with "" appended for the end.  Only
+# an error needs positions: `_fail` works them out with `_tokenize`, whose
+# token list lines up with the texts, and which raises first for a bad
+# character anywhere in the source.  A bad character's text is never a name
+# or punctuation, so no parse reads past it.
 
 
 class _Token(NamedTuple):
@@ -273,6 +287,8 @@ _TOKEN_PATTERN = re.compile(
     r"(?P<newline>\n)|(?P<skip>[^\S\n]+|//[^\n]*)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<punct><:|:>|[<>{}?])"
 )
+_SCAN = re.compile(r"\s+|//[^\n]*|([A-Za-z][A-Za-z0-9_]*|<:|:>|[<>{}?]|.)")
+_NAME_START = frozenset(ascii_letters)
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -293,56 +309,37 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-def _error_at(token: _Token, message: str) -> ParseError:
-    return ParseError(message, token.line, token.column)
+def _scan(source: str) -> list[str]:
+    return [*filter(None, _SCAN.findall(source)), ""]
 
 
-class _TokenStream:
-    """Tokens of one source; a token's text alone tells names from punctuation."""
+def _fail(source: str, index: int, message: str, found: bool = False) -> NoReturn:
+    """Raise `message` at the `index`-th token of `source`, followed by the
+    token's text when `found`."""
+    token = _tokenize(source)[index]
+    if found:
+        message += ", found " + (repr(token.text) if token.kind != "end" else "end of input")
+    raise ParseError(message, token.line, token.column)
 
-    def __init__(self, source: str):
-        self._tokens = _tokenize(source)
-        self._pos = 0
 
-    @property
-    def current(self) -> _Token:
-        return self._tokens[self._pos]
+def _name(source: str, texts: list[str], index: int) -> str:
+    if texts[index][:1] not in _NAME_START:
+        _fail(source, index, "expected a name", found=True)
+    return texts[index]
 
-    def advance(self) -> _Token:
-        token = self.current
-        if token.kind != "end":
-            self._pos += 1
-        return token
 
-    def at(self, text: str) -> bool:
-        return self.current.text == text
-
-    def expect(self, text: str) -> _Token:
-        if not self.at(text):
-            self.fail(f"expected {text!r}")
-        return self.advance()
-
-    def expect_name(self) -> _Token:
-        if self.current.kind != "name":
-            self.fail("expected a name")
-        return self.advance()
-
-    def expect_end(self) -> None:
-        if self.current.kind != "end":
-            self.fail("unexpected trailing input")
-
-    def fail(self, message: str) -> NoReturn:
-        token = self.current
-        found = repr(token.text) if token.kind != "end" else "end of input"
-        raise _error_at(token, f"{message}, found {found}")
+def _expect(source: str, texts: list[str], index: int, text: str) -> int:
+    """The index after the expected `text`."""
+    if texts[index] != text:
+        _fail(source, index, f"expected {text!r}", found=True)
+    return index + 1
 
 
 # ---------------------------------------------------------------------------
 # Declaration parser
 
 
-@dataclass(frozen=True)
-class _RawDecl:
+class _RawDecl(NamedTuple):
     name: str
     parameter: str | None
     superclass: str | None
@@ -351,49 +348,40 @@ class _RawDecl:
 
 def parse_declarations(source: str) -> ClassTable:
     """Parse a program of class declarations into a validated table."""
-    stream = _TokenStream(source)
+    texts = _scan(source)
     decls: list[_RawDecl] = []
-    if not stream.at("class") and stream.current.kind != "end":
-        stream.fail("expected 'class'")
-    while stream.at("class"):
-        decls.append(_parse_decl(stream))
-    stream.expect_end()
+    if texts[0] not in ("class", ""):
+        _fail(source, 0, "expected 'class'", found=True)
+    i = 0
+    while texts[i] == "class":
+        name = _name(source, texts, i + 1)
+        if name in _KEYWORDS:
+            _fail(source, i + 1, f"{name!r} is a keyword")
+        if name in _RESERVED:
+            _fail(source, i + 1, f"{name!r} is reserved and cannot be declared")
+        i += 2
+        parameter = superclass = passthrough = None
+        if texts[i] == "<":
+            parameter = _name(source, texts, i + 1)
+            if parameter in _KEYWORDS or parameter in _RESERVED:
+                _fail(source, i + 1, f"{parameter!r} cannot be a type parameter")
+            i = _expect(source, texts, i + 2, ">")
+        if texts[i] == "extends":
+            superclass = _name(source, texts, i + 1)
+            if superclass in _KEYWORDS:
+                _fail(source, i + 1, f"{superclass!r} is a keyword")
+            superclass = _ALIASES.get(superclass, superclass)
+            if superclass == BOTTOM_CLASS:
+                _fail(source, i + 1, "no class may extend the bottom class")
+            i += 2
+            if texts[i] == "<":
+                passthrough = _name(source, texts, i + 1)
+                i = _expect(source, texts, i + 2, ">")
+        i = _expect(source, texts, _expect(source, texts, i, "{"), "}")
+        decls.append(_RawDecl(name, parameter, superclass, passthrough))
+    if texts[i]:
+        _fail(source, i, "unexpected trailing input", found=True)
     return _build_table(decls)
-
-
-def _parse_decl(stream: _TokenStream) -> _RawDecl:
-    stream.advance()  # 'class'
-    name_tok = stream.expect_name()
-    name = name_tok.text
-    if name in _KEYWORDS:
-        raise _error_at(name_tok, f"{name!r} is a keyword")
-    if name in _RESERVED:
-        raise _error_at(name_tok, f"{name!r} is reserved and cannot be declared")
-    parameter = None
-    if stream.at("<"):
-        stream.advance()
-        param_tok = stream.expect_name()
-        if param_tok.text in _KEYWORDS or param_tok.text in _RESERVED:
-            raise _error_at(param_tok, f"{param_tok.text!r} cannot be a type parameter")
-        parameter = param_tok.text
-        stream.expect(">")
-    superclass = None
-    passthrough = None
-    if stream.at("extends"):
-        stream.advance()
-        super_tok = stream.expect_name()
-        if super_tok.text in _KEYWORDS:
-            raise _error_at(super_tok, f"{super_tok.text!r} is a keyword")
-        superclass = _ALIASES.get(super_tok.text, super_tok.text)
-        if superclass == BOTTOM_CLASS:
-            raise _error_at(super_tok, "no class may extend the bottom class")
-        if stream.at("<"):
-            stream.advance()
-            passthrough = stream.expect_name().text
-            stream.expect(">")
-    stream.expect("{")
-    stream.expect("}")
-    return _RawDecl(name, parameter, superclass, passthrough)
 
 
 def _build_table(decls: list[_RawDecl]) -> ClassTable:
@@ -449,45 +437,51 @@ def _reject_cycles(parents: dict[str, str]) -> None:
 # Type-expression parser
 
 
+# The kind of argument each bound operator makes.
+_BOUND_KINDS = {"<:": Cov, "extends": Cov, ":>": Con, "super": Con}
+
+
 def parse_ground_type(text: str, table: ClassTable) -> GroundType:
-    """Parse a type expression and normalize it against `table`."""
-    stream = _TokenStream(text)
-    parsed = _parse_type(stream, table, 0)
-    stream.expect_end()
-    return normalize_type(parsed)
+    """Parse a type expression into its normal form over `table`.
 
-
-def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundType:
-    name_tok = stream.expect_name()
-    if name_tok.text in _KEYWORDS:
-        raise _error_at(name_tok, f"{name_tok.text!r} is a keyword")
-    name = _ALIASES.get(name_tok.text, name_tok.text)
-    if name not in table.classes:
-        raise _error_at(name_tok, f"unknown class {name!r}")
-    if stream.at("<"):
-        open_tok = stream.advance()
+    A type is a chain of class names, each applied to the next.  The parse
+    reads the chain's heads left to right, then wraps the innermost type in
+    their arguments outward, each normalised by one `CORNERS` lookup.
+    """
+    texts = _scan(text)
+    heads: list[tuple[str, type]] = []  # enclosing classes, with their arguments' kinds
+    i = 0
+    while True:
+        name = _name(text, texts, i)
+        if name in _KEYWORDS:
+            _fail(text, i, f"{name!r} is a keyword")
+        name = _ALIASES.get(name, name)
+        if name not in table.classes:
+            _fail(text, i, f"unknown class {name!r}")
+        i += 1
+        if texts[i] != "<":
+            if name in table.generic:
+                _fail(text, i - 1, f"generic class {name!r} needs a type argument")
+            t = GroundType(name)
+            break
         if name not in table.generic:
-            raise _error_at(open_tok, f"{name!r} is not generic and takes no argument")
-        if depth == MAX_TYPE_NESTING:
-            raise _error_at(
-                open_tok, f"type arguments nested deeper than {MAX_TYPE_NESTING} levels"
-            )
-        arg = _parse_argument(stream, table, depth + 1)
-        stream.expect(">")
-        return GroundType(name, arg)
-    if name in table.generic:
-        raise _error_at(name_tok, f"generic class {name!r} needs a type argument")
-    return GroundType(name)
-
-
-def _parse_argument(stream: _TokenStream, table: ClassTable, depth: int) -> TypeArg:
-    if stream.at("?"):
-        stream.advance()
-        if stream.at("<:") or stream.at("extends"):
-            stream.advance()
-            return Cov(_parse_type(stream, table, depth))
-        if stream.at(":>") or stream.at("super"):
-            stream.advance()
-            return Con(_parse_type(stream, table, depth))
-        return WILD
-    return Inv(_parse_type(stream, table, depth))
+            _fail(text, i, f"{name!r} is not generic and takes no argument")
+        if len(heads) == MAX_TYPE_NESTING:
+            _fail(text, i, f"type arguments nested deeper than {MAX_TYPE_NESTING} levels")
+        i += 1
+        kind = Inv
+        if texts[i] == "?":
+            kind = _BOUND_KINDS.get(texts[i + 1])
+            if kind is None:
+                t = GroundType(name, WILD)
+                i = _expect(text, texts, i + 1, ">")
+                break
+            i += 2
+        heads.append((name, kind))
+    for name, kind in reversed(heads):
+        i = _expect(text, texts, i, ">")
+        corners = CORNERS[kind]
+        t = GroundType(name, corners[t.name] if t.arg is None and t.name in corners else kind(t))
+    if texts[i]:
+        _fail(text, i, "unexpected trailing input", found=True)
+    return t

@@ -21,7 +21,10 @@ from both ends: upward from the first type alone, over the public covers.
 `reference_differential_check` is the differential comparison as it was
 before the rules listed up-sets: one `_Rules.subtype` call per ordered
 pair, under its own limit on their number.  `reference_json` is the JSON
-export as `json.dumps` writes it.
+export as `json.dumps` writes it.  `reference_parse_declarations` and
+`reference_parse_ground_type` are the parsers as they were before they read
+the texts of one regex scan: recursive descent over positioned tokens,
+normalising a parsed type in a second walk.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Mapping
 from itertools import accumulate
+from typing import NoReturn
 
 from groundsub import builder
 from groundsub.builder import InfiniteGraph, IterationTrace, sufficient_depth
@@ -40,7 +44,7 @@ from groundsub.digraph import (
     reachable,
     transitive_reduction,
 )
-from groundsub.errors import GraphError, SizeLimitError
+from groundsub.errors import GraphError, ParseError, SizeLimitError
 from groundsub.labels import (
     BOTTOM_CLASS,
     TOP_CLASS,
@@ -57,6 +61,10 @@ from groundsub.rules import (
     enumerate_types,
 )
 from groundsub.typelang import (
+    _ALIASES,
+    _KEYWORDS,
+    _RESERVED,
+    MAX_TYPE_NESTING,
     NULL_TYPE,
     OBJECT_TYPE,
     WILD,
@@ -67,7 +75,12 @@ from groundsub.typelang import (
     Inv,
     TypeArg,
     Wild,
+    _build_table,
+    _RawDecl,
+    _Token,
+    _tokenize,
     canonical_label,
+    normalize_type,
     rank,
 )
 
@@ -550,3 +563,138 @@ def reference_differential_check(table: ClassTable, max_rank: int) -> Differenti
             if by_graph != by_rules:
                 mismatches.append(Mismatch(l1, l2, by_graph, by_rules))
     return DifferentialReport(max_rank, len(types), tuple(mismatches))
+
+
+def _error_at(token: _Token, message: str) -> ParseError:
+    return ParseError(message, token.line, token.column)
+
+
+class _TokenStream:
+    """Tokens of one source; a token's text alone tells names from punctuation."""
+
+    def __init__(self, source: str):
+        self._tokens = _tokenize(source)
+        self._pos = 0
+
+    @property
+    def current(self) -> _Token:
+        return self._tokens[self._pos]
+
+    def advance(self) -> _Token:
+        token = self.current
+        if token.kind != "end":
+            self._pos += 1
+        return token
+
+    def at(self, text: str) -> bool:
+        return self.current.text == text
+
+    def expect(self, text: str) -> _Token:
+        if not self.at(text):
+            self.fail(f"expected {text!r}")
+        return self.advance()
+
+    def expect_name(self) -> _Token:
+        if self.current.kind != "name":
+            self.fail("expected a name")
+        return self.advance()
+
+    def expect_end(self) -> None:
+        if self.current.kind != "end":
+            self.fail("unexpected trailing input")
+
+    def fail(self, message: str) -> NoReturn:
+        token = self.current
+        found = repr(token.text) if token.kind != "end" else "end of input"
+        raise _error_at(token, f"{message}, found {found}")
+
+
+def reference_parse_declarations(source: str) -> ClassTable:
+    """`parse_declarations` by recursive descent over `_tokenize`'s tokens."""
+    stream = _TokenStream(source)
+    decls: list[_RawDecl] = []
+    if not stream.at("class") and stream.current.kind != "end":
+        stream.fail("expected 'class'")
+    while stream.at("class"):
+        decls.append(_parse_decl(stream))
+    stream.expect_end()
+    return _build_table(decls)
+
+
+def _parse_decl(stream: _TokenStream) -> _RawDecl:
+    stream.advance()  # 'class'
+    name_tok = stream.expect_name()
+    name = name_tok.text
+    if name in _KEYWORDS:
+        raise _error_at(name_tok, f"{name!r} is a keyword")
+    if name in _RESERVED:
+        raise _error_at(name_tok, f"{name!r} is reserved and cannot be declared")
+    parameter = None
+    if stream.at("<"):
+        stream.advance()
+        param_tok = stream.expect_name()
+        if param_tok.text in _KEYWORDS or param_tok.text in _RESERVED:
+            raise _error_at(param_tok, f"{param_tok.text!r} cannot be a type parameter")
+        parameter = param_tok.text
+        stream.expect(">")
+    superclass = None
+    passthrough = None
+    if stream.at("extends"):
+        stream.advance()
+        super_tok = stream.expect_name()
+        if super_tok.text in _KEYWORDS:
+            raise _error_at(super_tok, f"{super_tok.text!r} is a keyword")
+        superclass = _ALIASES.get(super_tok.text, super_tok.text)
+        if superclass == BOTTOM_CLASS:
+            raise _error_at(super_tok, "no class may extend the bottom class")
+        if stream.at("<"):
+            stream.advance()
+            passthrough = stream.expect_name().text
+            stream.expect(">")
+    stream.expect("{")
+    stream.expect("}")
+    return _RawDecl(name, parameter, superclass, passthrough)
+
+
+def reference_parse_ground_type(text: str, table: ClassTable) -> GroundType:
+    """`parse_ground_type` by recursive descent, then `normalize_type`."""
+    stream = _TokenStream(text)
+    parsed = _parse_type(stream, table, 0)
+    stream.expect_end()
+    return normalize_type(parsed)
+
+
+def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundType:
+    name_tok = stream.expect_name()
+    if name_tok.text in _KEYWORDS:
+        raise _error_at(name_tok, f"{name_tok.text!r} is a keyword")
+    name = _ALIASES.get(name_tok.text, name_tok.text)
+    if name not in table.classes:
+        raise _error_at(name_tok, f"unknown class {name!r}")
+    if stream.at("<"):
+        open_tok = stream.advance()
+        if name not in table.generic:
+            raise _error_at(open_tok, f"{name!r} is not generic and takes no argument")
+        if depth == MAX_TYPE_NESTING:
+            raise _error_at(
+                open_tok, f"type arguments nested deeper than {MAX_TYPE_NESTING} levels"
+            )
+        arg = _parse_argument(stream, table, depth + 1)
+        stream.expect(">")
+        return GroundType(name, arg)
+    if name in table.generic:
+        raise _error_at(name_tok, f"generic class {name!r} needs a type argument")
+    return GroundType(name)
+
+
+def _parse_argument(stream: _TokenStream, table: ClassTable, depth: int) -> TypeArg:
+    if stream.at("?"):
+        stream.advance()
+        if stream.at("<:") or stream.at("extends"):
+            stream.advance()
+            return Cov(_parse_type(stream, table, depth))
+        if stream.at(":>") or stream.at("super"):
+            stream.advance()
+            return Con(_parse_type(stream, table, depth))
+        return WILD
+    return Inv(_parse_type(stream, table, depth))

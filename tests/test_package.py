@@ -61,6 +61,7 @@ ORACLES = (
     "equals_ignoring_tags", "reference_is_subtype", "reference_contains_argument",
     "subtype_by_trace", "reference_inherits", "reference_json", "checked_product_labels",
     "reference_differential_check", "reference_reaches", "reference_normalize_argument",
+    "reference_parse_declarations", "reference_parse_ground_type",
 )
 
 
@@ -196,6 +197,14 @@ def test_tracer_installs_and_uninstalls_cleanly(tracer):
         assert cli.main(["stats", "--decls", "/nonexistent.decls", "--iterations", "1"]) == 1
     assert [getattr(owner, attr) for owner, attr, _ in tracer.WRAPPED] == before
     assert t.calls["cli.main"] == 1
+
+
+def test_src_parses_as_its_oldest_python():
+    # pyproject.toml declares `requires-python >= 3.10`.
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def _unread_imports(path: Path) -> set[str]:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import re
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundsub import (
@@ -17,6 +19,7 @@ from groundsub import (
     Con,
     Cov,
     DeclarationError,
+    GroundsubError,
     GroundType,
     InfiniteGraph,
     Inv,
@@ -34,11 +37,18 @@ from groundsub import (
 )
 
 from groundsub import typelang
+from groundsub.cli import main
 from groundsub.export import FORMATS
 from groundsub.typelang import MAX_TYPE_NESTING
 
 from conftest import CORPUS, class_tables
-from oracles import equals_ignoring_tags, reference_hasse, reference_normalize_argument
+from oracles import (
+    equals_ignoring_tags,
+    reference_hasse,
+    reference_normalize_argument,
+    reference_parse_declarations,
+    reference_parse_ground_type,
+)
 
 
 @pytest.fixture
@@ -296,17 +306,20 @@ class TestParseGroundType:
                 parse_ground_type(nested(depth), one_generic)
 
     def test_normalization_is_linear_in_depth(self, one_generic, monkeypatch):
-        calls = []
-        original = typelang.normalize_type
+        # The parser normalises as it builds, with one `CORNERS` lookup per
+        # bounded argument.
+        class CountingCorners(dict):
+            lookups = 0
 
-        def counting(t):
-            calls.append(t)
-            return original(t)
+            def __getitem__(self, kind):
+                self.lookups += 1
+                return super().__getitem__(kind)
 
-        monkeypatch.setattr(typelang, "normalize_type", counting)
+        corners = CountingCorners(typelang.CORNERS)
+        monkeypatch.setattr(typelang, "CORNERS", corners)
         text = "C<? <: " * MAX_TYPE_NESTING + "O" + ">" * MAX_TYPE_NESTING
         t = parse_ground_type(text, one_generic)
-        assert len(calls) <= 2 * MAX_TYPE_NESTING
+        assert 0 < corners.lookups <= 2 * MAX_TYPE_NESTING
         depth = MAX_TYPE_NESTING - 1
         assert canonical_label(t) == "C<? <: " * depth + "C<?>" + ">" * depth
 
@@ -446,9 +459,86 @@ def ground_types(table, max_depth=3):
     return st.recursive(base, extend, max_leaves=max_depth).map(normalize_type)
 
 
-# Token separators, and the long spellings of the bound operators.
-_SEPARATORS = ["", " ", "\t", "\r\n", "\u00a0", "// c\n"]
-_SPELLINGS = {"<:": ["<:", "extends"], ":>": [":>", "super"]}
+# Token separators, among them comments that hold tokens, and the other
+# spellings of the bound operators and of the top and the bottom.
+_SEPARATORS = ["", " ", "\t", "\r\n", "\u00a0", "// c\n", "// class B<T> {}\n", "//<:?>\r\n"]
+_SPELLINGS = {
+    "<:": ["<:", "extends"], ":>": [":>", "super"], "O": ["O", "Object"], "N": ["N", "Null"],
+}
+# What one edit may insert: tokens, and characters that start no token.
+_NOISE = [
+    "class", "extends", "super", "Null", "K0", "<", ">", "{", "}", "?", "<:", ":>",
+    "#", "\u00e9", ":", "/", "1", " ", "\n",
+]
+
+
+@st.composite
+def spelled(draw, tokens):
+    """Strategy for texts of `tokens`: each respelled, all joined by separators."""
+    tokens = [draw(st.sampled_from(_SPELLINGS.get(token, [token]))) for token in tokens]
+    pieces = [draw(st.sampled_from(_SEPARATORS))]
+    for token, following in zip(tokens, tokens[1:] + [""]):
+        glued = token[-1:].isalnum() and following[:1].isalnum()
+        pieces += [token, draw(st.sampled_from(_SEPARATORS[1:] if glued else _SEPARATORS))]
+    return "".join(pieces)
+
+
+@st.composite
+def edited(draw, items):
+    """Strategy for `items` with one of them deleted or replaced by one from
+    `_NOISE`, one from `_NOISE` inserted, or two swapped."""
+    items = list(items)
+    i = draw(st.integers(0, len(items)))
+    edit = draw(st.sampled_from(["delete", "replace", "insert", "swap"]))
+    if edit == "insert" or not items:
+        items.insert(i, draw(st.sampled_from(_NOISE)))
+    elif edit == "delete":
+        del items[min(i, len(items) - 1)]
+    elif edit == "replace":
+        items[min(i, len(items) - 1)] = draw(st.sampled_from(_NOISE))
+    else:
+        i, j = min(i, len(items) - 1), draw(st.integers(0, len(items) - 1))
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@st.composite
+def texts(draw, tokens):
+    """Strategy for spelled texts of `tokens`, intact or broken by one edit
+    of a token or of a character."""
+    how = draw(st.sampled_from(["intact", "token", "character"]))
+    if how == "token":
+        tokens = draw(edited(tokens))
+    text = draw(spelled(tokens))
+    if how == "character":
+        text = "".join(draw(edited(text)))
+    return text
+
+
+def type_tokens(t):
+    return re.findall(r"[A-Za-z]\w*|<:|:>|[<>?]", canonical_label(t))
+
+
+def declaration_tokens(table, draw):
+    """The tokens of a program declaring `table`, an `extends` of the top
+    written or left out as `draw` picks."""
+    tokens = []
+    for name in table.user_classes:
+        parameter = ["<", "T", ">"] if name in table.generic else []
+        sup = table.superclass[name]
+        tokens += ["class", name, *parameter]
+        if sup != TOP_CLASS or draw(st.booleans()):
+            tokens += ["extends", sup, *(parameter if sup in table.generic else [])]
+        tokens += ["{", "}"]
+    return tokens
+
+
+def outcome(parse, *args):
+    """What `parse` returns, or the class, message and position of what it raises."""
+    try:
+        return parse(*args)
+    except GroundsubError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
 
 
 class TestRoundTrip:
@@ -462,21 +552,116 @@ class TestRoundTrip:
     def test_separators_never_change_a_parse(self, data):
         table = parse_declarations(CORPUS["passthrough"])
         t = data.draw(ground_types(table))
-        tokens = [
-            data.draw(st.sampled_from(_SPELLINGS.get(token, [token])))
-            for token in re.findall(r"[A-Za-z]\w*|<:|:>|[<>?]", canonical_label(t))
-        ]
-        pieces = [data.draw(st.sampled_from(_SEPARATORS))]
-        for token, following in zip(tokens, tokens[1:] + [""]):
-            glued = token[0].isalpha() and following[:1].isalpha()
-            pieces += [token, data.draw(st.sampled_from(_SEPARATORS[1:] if glued else _SEPARATORS))]
-        assert parse_ground_type("".join(pieces), table) == t
+        assert parse_ground_type(data.draw(spelled(type_tokens(t))), table) == t
 
     @given(st.data())
     def test_normalization_is_idempotent(self, data):
         table = parse_declarations(CORPUS["two_generics"])
         t = data.draw(ground_types(table))
         assert normalize_type(t) == t
+
+
+class TestAgainstTheReferenceParsers:
+    """Both parsers return what the recursive-descent parsers return, and
+    raise what they raise, with the same message, line and column."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_every_one_character_edit_of_the_corpus(self, name):
+        # Each program, and its longest type of rank 2 with the long bound
+        # operators, with one character deleted, swapped with the next, or
+        # replaced by or preceded by an item of `_NOISE`.
+        table = parse_declarations(CORPUS[name])
+        longest = max(map(canonical_label, enumerate_types(table, 2)), key=len)
+        for source in (CORPUS[name], longest.replace("<:", "extends").replace(":>", "super")):
+            edits = {source}
+            for i in range(len(source) + 1):
+                edits.add(source[:i] + source[i + 1 :])
+                edits.add(source[:i] + source[i + 1 : i + 2] + source[i : i + 1] + source[i + 2 :])
+                for noise in _NOISE:
+                    edits.add(source[:i] + noise + source[i + 1 :])
+                    edits.add(source[:i] + noise + source[i:])
+            for text in edits:
+                expected = outcome(reference_parse_declarations, text)
+                assert outcome(parse_declarations, text) == expected, text
+                expected = outcome(reference_parse_ground_type, text, table)
+                assert outcome(parse_ground_type, text, table) == expected, text
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_declarations(self, data):
+        table = data.draw(class_tables())
+        source = data.draw(texts(declaration_tokens(table, data.draw)))
+        assert outcome(parse_declarations, source) == outcome(reference_parse_declarations, source)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_types(self, data):
+        table = data.draw(class_tables())
+        head = st.sampled_from(sorted(table.generic) or table.classes)
+        t = data.draw(
+            st.one_of(
+                ground_types(table),
+                st.builds(GroundType, head, spelled_arguments(table, max_depth=3)),
+            )
+        )
+        text = data.draw(texts(type_tokens(t)))
+        expected = outcome(reference_parse_ground_type, text, table)
+        assert outcome(parse_ground_type, text, table) == expected
+
+
+# Inputs of 100,000 characters and more on which a scan that backtracks
+# would not end.
+LONG_INPUTS = {
+    "identifier": "K" * 100_000 + "#",
+    "comment": "/" * 100_000 + "\n#",
+    "blanks": " " * 100_000 + "#",
+    "open_brackets": "C<" * 100_000,
+}
+
+
+class TestLongInputs:
+    @pytest.mark.parametrize("text", LONG_INPUTS.values(), ids=list(LONG_INPUTS))
+    @pytest.mark.parametrize("parser", ["declarations", "type"])
+    def test_each_ends_in_one_parse_error_within_a_second(self, parser, text, one_generic):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            if parser == "declarations":
+                parse_declarations(text)
+            else:
+                parse_ground_type(text, one_generic)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("text", LONG_INPUTS.values(), ids=list(LONG_INPUTS))
+    def test_the_cli_prints_one_error_line(self, text, tmp_path, capsys):
+        bad, good = tmp_path / "bad.decls", tmp_path / "good.decls"
+        bad.write_text(text, encoding="utf-8")
+        good.write_text(CORPUS["one_generic"], encoding="utf-8")
+        for argv in (["query", "--decls", str(bad), "O", "N"], ["query", "--decls", str(good), text, "O"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: line "), err[:200]
+
+
+def test_parsing_leaves_no_cyclic_garbage(one_generic):
+    nested = "C<? <: " * MAX_TYPE_NESTING + "O" + ">" * MAX_TYPE_NESTING
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for source in CORPUS.values():
+            parse_declarations(source)
+        parse_ground_type(nested, one_generic)
+        for parse in (parse_declarations, lambda text: parse_ground_type(text, one_generic)):
+            for text in ("class A { #", "C<C<Zz>>"):
+                try:
+                    parse(text)
+                except ParseError:
+                    pass
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestRank:
