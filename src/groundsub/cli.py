@@ -7,7 +7,9 @@ Each command runs with the cyclic garbage collector paused, and `main`
 restores the caller's setting: the construction, the search, the check and
 the exporters make no reference cycles, so the collector would only scan
 what reference counting frees anyway.  Library callers of `run` or
-`differential_check` get the collector as they set it.
+`differential_check` get the collector as they set it.  An argv that starts
+with a command's name goes straight to that command's parser, so argparse
+parses it once; any other argv goes to the top-level parser.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import functools
 import gc
 import sys
-from pathlib import Path
 
 from .builder import run, subtype_by_graph
 from .errors import GroundsubError, ParseError
@@ -39,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     # Built once per process: `parse_args` leaves the parser unchanged, and
     # building it costs more than a small `query`.  `--help` prints the
-    # docstring without its last paragraph, the note on the collector.
+    # docstring without its last paragraph, the notes on the collector and routing.
     parser = _Parser(prog="groundsub", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -64,12 +65,16 @@ def _build_parser() -> _Parser:
     selfcheck.add_argument("--decls", required=True)
     selfcheck.add_argument("--max-rank", type=int, required=True)
 
+    parser.commands = sub.choices  # each command's parser, by name, for `main`
+    for name, command in parser.commands.items():
+        command.set_defaults(command=name)
     return parser
 
 
 def _load_table(path: str):
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            source = file.read()
     except UnicodeDecodeError as err:
         raise ParseError(f"{path} is not UTF-8 text: {err}") from None
     return parse_declarations(source)
@@ -132,10 +137,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = parser.parse_args(argv)
+        route = parser.commands.get(argv[0]) if argv else None
+        args = route.parse_args(argv[1:]) if route else parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (_UsageError, GroundsubError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

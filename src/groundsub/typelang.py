@@ -33,6 +33,8 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse, islice
+from operator import attrgetter
 from string import ascii_letters
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn, Union
@@ -270,68 +272,47 @@ class ClassTable:
 # comment gives "", and any character no token starts with falls to the
 # last branch, so the scan never fails and no branch nests a quantifier.
 # Both parsers read the texts by index, with "" appended for the end.  Only
-# an error needs positions: `_fail` works them out with `_tokenize`, whose
-# token list lines up with the texts, and which raises first for a bad
-# character anywhere in the source.  A bad character's text is never a name
-# or punctuation, so no parse reads past it.
+# an error needs positions: `_fail` finds the token it reports by scanning
+# again up to it.  A bad character's text is never a name or punctuation,
+# so no parse reads past it.
 
-
-class _Token(NamedTuple):
-    kind: str  # "name", "punct", "end"
-    text: str
-    line: int
-    column: int
-
-
-_TOKEN_PATTERN = re.compile(
-    r"(?P<newline>\n)|(?P<skip>[^\S\n]+|//[^\n]*)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<punct><:|:>|[<>{}?])"
-)
-_SCAN = re.compile(r"\s+|//[^\n]*|([A-Za-z][A-Za-z0-9_]*|<:|:>|[<>{}?]|.)")
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|<:|:>|[<>{}?]")
+_SCAN = re.compile(rf"\s+|//[^\n]*|({_TOKEN.pattern}|.)")
 _NAME_START = frozenset(ascii_letters)
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(source):
-        match = _TOKEN_PATTERN.match(source, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
-        kind, pos = match.lastgroup, match.end()
-        if kind == "newline":
-            line, line_start = line + 1, pos
-        elif kind != "skip":
-            tokens.append(_Token(kind, match.group(), line, match.start() - line_start + 1))
-    tokens.append(_Token("end", "", line, pos - line_start + 1))
-    return tokens
 
 
 def _scan(source: str) -> list[str]:
     return [*filter(None, _SCAN.findall(source)), ""]
 
 
-def _fail(source: str, index: int, message: str, found: bool = False) -> NoReturn:
-    """Raise `message` at the `index`-th token of `source`, followed by the
-    token's text when `found`."""
-    token = _tokenize(source)[index]
-    if found:
-        message += ", found " + (repr(token.text) if token.kind != "end" else "end of input")
-    raise ParseError(message, token.line, token.column)
+def _fail(
+    source: str, texts: list[str], index: int, message: str, found: bool = False
+) -> NoReturn:
+    """Raise `message` at the `index`-th of the token `texts` of `source`,
+    followed by the token's text when `found`.  A character no token starts
+    with is reported instead, wherever it lies."""
+    bad = next(filterfalse(_TOKEN.fullmatch, texts))  # the final "" if none
+    if bad:
+        index, message = texts.index(bad), f"unexpected character {bad!r}"
+    elif found:
+        message += ", found " + (repr(texts[index]) if texts[index] else "end of input")
+    tokens = filter(attrgetter("lastindex"), _SCAN.finditer(source))
+    token = next(islice(tokens, index, None), None)
+    start = token.start() if token else len(source)
+    line = source.count("\n", 0, start) + 1
+    raise ParseError(message, line, start - source.rfind("\n", 0, start))
 
 
 def _name(source: str, texts: list[str], index: int) -> str:
     if texts[index][:1] not in _NAME_START:
-        _fail(source, index, "expected a name", found=True)
+        _fail(source, texts, index, "expected a name", found=True)
     return texts[index]
 
 
 def _expect(source: str, texts: list[str], index: int, text: str) -> int:
     """The index after the expected `text`."""
     if texts[index] != text:
-        _fail(source, index, f"expected {text!r}", found=True)
+        _fail(source, texts, index, f"expected {text!r}", found=True)
     return index + 1
 
 
@@ -351,28 +332,28 @@ def parse_declarations(source: str) -> ClassTable:
     texts = _scan(source)
     decls: list[_RawDecl] = []
     if texts[0] not in ("class", ""):
-        _fail(source, 0, "expected 'class'", found=True)
+        _fail(source, texts, 0, "expected 'class'", found=True)
     i = 0
     while texts[i] == "class":
         name = _name(source, texts, i + 1)
         if name in _KEYWORDS:
-            _fail(source, i + 1, f"{name!r} is a keyword")
+            _fail(source, texts, i + 1, f"{name!r} is a keyword")
         if name in _RESERVED:
-            _fail(source, i + 1, f"{name!r} is reserved and cannot be declared")
+            _fail(source, texts, i + 1, f"{name!r} is reserved and cannot be declared")
         i += 2
         parameter = superclass = passthrough = None
         if texts[i] == "<":
             parameter = _name(source, texts, i + 1)
             if parameter in _KEYWORDS or parameter in _RESERVED:
-                _fail(source, i + 1, f"{parameter!r} cannot be a type parameter")
+                _fail(source, texts, i + 1, f"{parameter!r} cannot be a type parameter")
             i = _expect(source, texts, i + 2, ">")
         if texts[i] == "extends":
             superclass = _name(source, texts, i + 1)
             if superclass in _KEYWORDS:
-                _fail(source, i + 1, f"{superclass!r} is a keyword")
+                _fail(source, texts, i + 1, f"{superclass!r} is a keyword")
             superclass = _ALIASES.get(superclass, superclass)
             if superclass == BOTTOM_CLASS:
-                _fail(source, i + 1, "no class may extend the bottom class")
+                _fail(source, texts, i + 1, "no class may extend the bottom class")
             i += 2
             if texts[i] == "<":
                 passthrough = _name(source, texts, i + 1)
@@ -380,7 +361,7 @@ def parse_declarations(source: str) -> ClassTable:
         i = _expect(source, texts, _expect(source, texts, i, "{"), "}")
         decls.append(_RawDecl(name, parameter, superclass, passthrough))
     if texts[i]:
-        _fail(source, i, "unexpected trailing input", found=True)
+        _fail(source, texts, i, "unexpected trailing input", found=True)
     return _build_table(decls)
 
 
@@ -454,20 +435,20 @@ def parse_ground_type(text: str, table: ClassTable) -> GroundType:
     while True:
         name = _name(text, texts, i)
         if name in _KEYWORDS:
-            _fail(text, i, f"{name!r} is a keyword")
+            _fail(text, texts, i, f"{name!r} is a keyword")
         name = _ALIASES.get(name, name)
         if name not in table.classes:
-            _fail(text, i, f"unknown class {name!r}")
+            _fail(text, texts, i, f"unknown class {name!r}")
         i += 1
         if texts[i] != "<":
             if name in table.generic:
-                _fail(text, i - 1, f"generic class {name!r} needs a type argument")
+                _fail(text, texts, i - 1, f"generic class {name!r} needs a type argument")
             t = GroundType(name)
             break
         if name not in table.generic:
-            _fail(text, i, f"{name!r} is not generic and takes no argument")
+            _fail(text, texts, i, f"{name!r} is not generic and takes no argument")
         if len(heads) == MAX_TYPE_NESTING:
-            _fail(text, i, f"type arguments nested deeper than {MAX_TYPE_NESTING} levels")
+            _fail(text, texts, i, f"type arguments nested deeper than {MAX_TYPE_NESTING} levels")
         i += 1
         kind = Inv
         if texts[i] == "?":
@@ -483,5 +464,5 @@ def parse_ground_type(text: str, table: ClassTable) -> GroundType:
         corners = CORNERS[kind]
         t = GroundType(name, corners[t.name] if t.arg is None and t.name in corners else kind(t))
     if texts[i]:
-        _fail(text, i, "unexpected trailing input", found=True)
+        _fail(text, texts, i, "unexpected trailing input", found=True)
     return t

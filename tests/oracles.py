@@ -23,16 +23,18 @@ before the rules listed up-sets: one `_Rules.subtype` call per ordered
 pair, under its own limit on their number.  `reference_json` is the JSON
 export as `json.dumps` writes it.  `reference_parse_declarations` and
 `reference_parse_ground_type` are the parsers as they were before they read
-the texts of one regex scan: recursive descent over positioned tokens,
-normalising a parsed type in a second walk.
+the texts of one regex scan: recursive descent over the positioned tokens
+of their own tokenizer, `_tokenize`, normalising a parsed type in a second
+walk.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable, Iterable, Mapping
 from itertools import accumulate
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from groundsub import builder
 from groundsub.builder import InfiniteGraph, IterationTrace, sufficient_depth
@@ -77,8 +79,6 @@ from groundsub.typelang import (
     Wild,
     _build_table,
     _RawDecl,
-    _Token,
-    _tokenize,
     canonical_label,
     normalize_type,
     rank,
@@ -563,6 +563,39 @@ def reference_differential_check(table: ClassTable, max_rank: int) -> Differenti
             if by_graph != by_rules:
                 mismatches.append(Mismatch(l1, l2, by_graph, by_rules))
     return DifferentialReport(max_rank, len(types), tuple(mismatches))
+
+
+class _Token(NamedTuple):
+    kind: str  # "name", "punct", "end"
+    text: str
+    line: int
+    column: int
+
+
+_TOKEN_PATTERN = re.compile(
+    r"(?P<newline>\n)|(?P<skip>[^\S\n]+|//[^\n]*)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<punct><:|:>|[<>{}?])"
+)
+
+
+def _tokenize(source: str) -> list[_Token]:
+    """Positioned tokens of `source`, with an end token; raises at the first
+    character no token starts with."""
+    tokens: list[_Token] = []
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        match = _TOKEN_PATTERN.match(source, pos)
+        if match is None:
+            raise ParseError(
+                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
+            )
+        kind, pos = match.lastgroup, match.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind != "skip":
+            tokens.append(_Token(kind, match.group(), line, match.start() - line_start + 1))
+    tokens.append(_Token("end", "", line, pos - line_start + 1))
+    return tokens
 
 
 def _error_at(token: _Token, message: str) -> ParseError:

