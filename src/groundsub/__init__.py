@@ -4,8 +4,6 @@ products, cross-checked by a rule-based decision procedure."""
 from .builder import (
     InfiniteGraph,
     IterationTrace,
-    initial_approximation,
-    initial_wildcards,
     run,
     subtype_by_graph,
     sufficient_depth,
@@ -47,8 +45,6 @@ from .typelang import (
     Wild,
     argument_label,
     canonical_label,
-    normalize_argument,
-    normalize_type,
     parse_declarations,
     parse_ground_type,
     rank,
@@ -89,11 +85,7 @@ __all__ = [
     "canonical_label",
     "differential_check",
     "enumerate_types",
-    "initial_approximation",
-    "initial_wildcards",
     "is_subtype",
-    "normalize_argument",
-    "normalize_type",
     "pair_label",
     "parse_declarations",
     "parse_ground_type",

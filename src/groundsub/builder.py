@@ -43,14 +43,9 @@ MAX_VERTICES = 200_000
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """The successive approximations produced by `run`.
-
-    `reached_fixed_point` is set when a step would reproduce the previous
-    graph exactly, which happens only for programs without generic classes.
-    """
+    """The successive approximations produced by `run`, S_1 first."""
 
     graphs: tuple[BipointedGraph, ...]
-    reached_fixed_point: bool
 
     @property
     def depth(self) -> int:
@@ -65,21 +60,10 @@ class IterationTrace:
         return self.graphs[-1]
 
 
-def initial_wildcards() -> LabeledDigraph:
-    """The starting containment graph: the default argument alone, no edges."""
-    return LabeledDigraph.from_edges(vertices=(WILDCARD,))
-
-
 def _product_with_arguments(table: ClassTable, arguments: LabeledDigraph) -> BipointedGraph:
     partitioned = PartitionedGraph(table.graph.graph, table.generic)
     result = partial_product(partitioned, arguments, combine=instantiation_label)
     return BipointedGraph(result, top=TOP_CLASS, bottom=BOTTOM_CLASS)
-
-
-def initial_approximation(table: ClassTable) -> BipointedGraph:
-    """First approximation: the subclassing graph with generic classes
-    instantiated at the default wildcard."""
-    return _product_with_arguments(table, initial_wildcards())
 
 
 def predicted_sizes(table: ClassTable) -> Iterator[int]:
@@ -100,8 +84,9 @@ def predicted_sizes(table: ClassTable) -> Iterator[int]:
 def run(table: ClassTable, iterations: int) -> IterationTrace:
     """Build the first `iterations` approximations.
 
-    A table without generic classes stops at its first graph, which every
-    further step would reproduce, and records the fixed point.  Raises
+    S_1 is the subclassing graph times the lone default wildcard `?`, so
+    each generic class stands instantiated at `?`.  A table without generic
+    classes stops at S_1, which every further step would reproduce.  Raises
     `SizeLimitError`, before building anything, when an approximation would
     have more than `MAX_VERTICES` vertices.  After each step it checks the
     paper's size laws, |S_k| = n_k and |W(S_k)| = 3(n_k - 1) with n_k from
@@ -113,7 +98,7 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
     for k, n in zip(range(1, iterations + 1), predicted_sizes(table)):
         _refuse_oversized(k, n)
         sizes.append(n)
-    graphs = [initial_approximation(table)]
+    graphs = [_product_with_arguments(table, LabeledDigraph.from_edges(vertices=(WILDCARD,)))]
     _check_size_law("|S_k| = n_k", 1, len(graphs[0].vertices), sizes[0])
     for k in range(1, len(sizes)):
         arguments = wildcards_graph(graphs[-1])
@@ -122,8 +107,7 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
         )
         graphs.append(_product_with_arguments(table, arguments))
         _check_size_law("|S_k| = n_k", k + 1, len(graphs[-1].vertices), sizes[k])
-    fixed = not table.generic and iterations > 1
-    return IterationTrace(tuple(graphs), reached_fixed_point=fixed)
+    return IterationTrace(tuple(graphs))
 
 
 def _check_size_law(law: str, k: int, actual: int, predicted: int) -> None:

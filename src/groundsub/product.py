@@ -55,10 +55,6 @@ class PartitionedGraph:
         if extra:
             raise GraphError(f"product vertices not in the graph: {sorted(extra)}")
 
-    @property
-    def nonproduct_vertices(self) -> frozenset[str]:
-        return self.base.vertices - self.product_vertices
-
     def classify_edges(self) -> EdgePartition:
         pp, pn, np, nn = [], [], [], []
         inside = self.product_vertices
@@ -143,7 +139,7 @@ def partial_product(
     """
     if not g2.vertices:
         raise GraphError("second factor must be nonempty")
-    rows, plain = _product_labels(pg, g2, combine), pg.nonproduct_vertices
+    rows, plain = _product_labels(pg, g2, combine), pg.base.vertices - pg.product_vertices
     vertices = frozenset(name for row in rows.values() for name in row.values()) | plain
     if len(vertices) != len(plain) + len(rows) * len(g2.vertices):
         raise GraphError(next(_collisions(rows, plain)))

@@ -90,7 +90,7 @@ class _Rules:
         if name not in self._supers:
             chain = [name]
             while chain[-1] != TOP_CLASS:
-                chain.append(self._table.superclass_of(chain[-1]))
+                chain.append(self._table.superclass[chain[-1]])
             self._supers[name] = frozenset(chain)
         return self._supers[name]
 

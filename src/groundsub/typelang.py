@@ -21,7 +21,8 @@ Type-expression grammar::
 Type arguments are stored normalized: `CORNERS` rewrites the four corner
 arguments, `? <: O` and `? :> N` to `?`, `? :> O` to `O` and `? <: N` to
 `N`, applied recursively.  `parse_ground_type` builds that form as it
-parses.
+parses, and `ClassTable.is_type` checks it; a hand-built type `t` over a
+table is normalised by `parse_ground_type(canonical_label(t), table)`.
 
 Both parsers read the token texts that one regex scan of the source yields;
 line and column are worked out only for an error.
@@ -114,25 +115,6 @@ CORNERS = {
 }
 
 
-def normalize_argument(arg: TypeArg) -> TypeArg:
-    """Rewrite corner spellings to their canonical forms in `CORNERS`, innermost first."""
-    if isinstance(arg, Wild):
-        return WILD
-    corners = CORNERS.get(type(arg))
-    if corners is None:
-        raise TypeError(f"not a type argument: {arg!r}")
-    bound = normalize_type(arg.bound)
-    if bound.arg is None and bound.name in corners:
-        return corners[bound.name]
-    return type(arg)(bound)
-
-
-def normalize_type(t: GroundType) -> GroundType:
-    if t.arg is None:
-        return t
-    return GroundType(t.name, normalize_argument(t.arg))
-
-
 # How an argument of each bounded kind spells the label of its bound.
 SPELL_BOUND = {Inv: lambda label: label, Cov: upper_bounded_label, Con: lower_bounded_label}
 
@@ -210,7 +192,7 @@ class ClassTable:
         # Each user class's superclass, in declaration order, so that every
         # check below names the same class whatever the order of the map.
         parents: dict[str, str] = {}
-        for user in self.user_classes:
+        for user in (c for c in self.classes if c in names):
             if user not in self.superclass:
                 raise DeclarationError(f"{user!r} has no declared superclass")
             parents[user] = self.superclass[user]
@@ -225,10 +207,6 @@ class ClassTable:
                     f"non-generic class {user!r} cannot extend generic class {sup!r}"
                 )
         _reject_cycles(parents)
-
-    @property
-    def user_classes(self) -> tuple[str, ...]:
-        return tuple(c for c in self.classes if c not in (TOP_CLASS, BOTTOM_CLASS))
 
     def is_type(self, t: GroundType) -> bool:
         """True for a normalised ground type over the table."""
@@ -256,13 +234,6 @@ class ClassTable:
         """The subclassing relation as a graph with inheritance-tagged edges."""
         g = LabeledDigraph.from_edges(self.extends_edges, self.classes, tag=EdgeTag.INHERIT)
         return BipointedGraph(g, top=TOP_CLASS, bottom=BOTTOM_CLASS)
-
-    def superclass_of(self, name: str) -> str:
-        """Declared superclass of a user class (the top for roots)."""
-        try:
-            return self.superclass[name]
-        except KeyError:
-            raise DeclarationError(f"{name!r} has no declared superclass") from None
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ and of class tables."""
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import strategies as st
 
 from groundsub import (
+    BOTTOM_CLASS,
+    TOP_CLASS,
+    ClassTable,
     EdgeTag,
     LabeledDigraph,
     parse_declarations,
@@ -103,3 +107,61 @@ def class_tables(draw, max_classes: int = 6):
             extends = f" extends {parent}<T>" if parent in generic else f" extends {parent}"
         lines.append(f"{head}{extends} {{}}")
     return parse_declarations("\n".join(lines))
+
+
+def table_form(table: ClassTable) -> tuple:
+    """The canonical form of a class table: the sorted tuple of the forms of
+    the classes that extend the top, where a class's form is the pair of
+    whether it is generic and the sorted tuple of the forms of the classes
+    that extend it.  Two tables have the same form exactly when one is the
+    other with its user classes renamed."""
+
+    def below(parent: str) -> tuple:
+        subs = (c for c, sup in table.superclass.items() if sup == parent)
+        return tuple(sorted((c in table.generic, below(c)) for c in subs))
+
+    return below(TOP_CLASS)
+
+
+@cache
+def _forms(n: int, under_generic: bool, least: tuple = ()) -> tuple[tuple, ...]:
+    """The forms of `n` classes under one parent, generic or not, whose
+    trees are all at least `least`: each multiset of trees once, sorted."""
+    if n == 0:
+        return ((),)
+    found = []
+    for size in range(1, n + 1):
+        for generic in (True,) if under_generic else (False, True):
+            for subs in _forms(size - 1, generic):
+                tree = (generic, subs)
+                if tree >= least:
+                    found += [(tree, *rest) for rest in _forms(n - size, under_generic, tree)]
+    return tuple(found)
+
+
+def _table_of_form(form: tuple) -> ClassTable:
+    """The table of a form, its classes named K0, K1, ... in preorder."""
+    classes, generic, superclass = [TOP_CLASS], set(), {}
+
+    def place(trees: tuple, parent: str) -> None:
+        for is_generic, subs in trees:
+            name = f"K{len(classes) - 1}"
+            classes.append(name)
+            superclass[name] = parent
+            if is_generic:
+                generic.add(name)
+            place(subs, name)
+
+    place(form, TOP_CLASS)
+    return ClassTable((*classes, BOTTOM_CLASS), generic, superclass)
+
+
+@cache
+def small_class_tables(n: int) -> tuple[ClassTable, ...]:
+    """Every class table of exactly `n` user classes, once up to renaming.
+
+    A table is a single-inheritance forest under the top: each class
+    extends an earlier class or the top, is generic or not, and a subclass
+    of a generic class is generic (and passes its parameter through).
+    """
+    return tuple(map(_table_of_form, _forms(n, False)))

@@ -80,7 +80,6 @@ from groundsub.typelang import (
     _build_table,
     _RawDecl,
     canonical_label,
-    normalize_type,
     rank,
 )
 
@@ -285,7 +284,7 @@ def checked_product_labels(
     """The label of (u, v) for each product vertex u and each v of `g2`,
     checked one pair at a time in sorted (u, v) order: the first label
     that repeats, or names a plain vertex, is an error."""
-    plain = pg.nonproduct_vertices
+    plain = pg.base.vertices - pg.product_vertices
     rows: dict[str, dict[str, str]] = {}
     owners: dict[str, tuple[str, str]] = {}
     for u in sorted(pg.product_vertices):
@@ -321,13 +320,14 @@ def partial_product_via_merge(
     full = cartesian_product(pg.base, g2, pair_label)
     second = g2.sorted_vertices
     merged = full
-    for w in sorted(pg.nonproduct_vertices):
+    plain = pg.base.vertices - pg.product_vertices
+    for w in sorted(plain):
         cluster = [pair_label(w, v) for v in second]
         merged = merge_vertices(merged, cluster, cluster[0])
 
     final = checked_product_labels(pg, g2, combine)
     names = {pair_label(u, v): lab for u, row in final.items() for v, lab in row.items()}
-    for w in pg.nonproduct_vertices:
+    for w in plain:
         names[pair_label(w, second[0])] = w
     return transitive_reduction(relabeled(merged, lambda v: names[v]))
 
@@ -354,27 +354,28 @@ def contravariant_image(class_name: str, label: str) -> str:
     return instantiation_label(class_name, lower_bounded_label(label))
 
 
+def reference_normalize_type(t: GroundType) -> GroundType:
+    """`t` with every argument along it in normal form."""
+    return t if t.arg is None else GroundType(t.name, reference_normalize_argument(t.arg))
+
+
 def reference_normalize_argument(arg: TypeArg) -> TypeArg:
     """The corner rewrites, one `match` arm per argument kind and each corner
     compared as a whole type, innermost first."""
-
-    def normalize(t: GroundType) -> GroundType:
-        return t if t.arg is None else GroundType(t.name, reference_normalize_argument(t.arg))
-
     match arg:
         case Wild():
             return WILD
         case Inv(bound):
-            return Inv(normalize(bound))
+            return Inv(reference_normalize_type(bound))
         case Cov(bound):
-            bound = normalize(bound)
+            bound = reference_normalize_type(bound)
             if bound == OBJECT_TYPE:
                 return WILD
             if bound == NULL_TYPE:
                 return Inv(bound)
             return Cov(bound)
         case Con(bound):
-            bound = normalize(bound)
+            bound = reference_normalize_type(bound)
             if bound == NULL_TYPE:
                 return WILD
             if bound == OBJECT_TYPE:
@@ -411,7 +412,7 @@ def reference_inherits(table: ClassTable, sub: str, sup: str) -> bool:
         return False
     current = sub
     while current != TOP_CLASS:
-        current = table.superclass_of(current)
+        current = table.superclass[current]
         if current == sup:
             return True
     return False
@@ -475,9 +476,9 @@ def reference_hasse(table: ClassTable, k: int) -> LabeledDigraph:
 def subtype_by_trace(trace: IterationTrace, t1: GroundType, t2: GroundType) -> bool:
     """Reachability in the materialised S_k, k = `sufficient_depth(t1, t2)`."""
     k = sufficient_depth(t1, t2)
-    if k > trace.depth and not trace.reached_fixed_point:
+    if k > trace.depth:
         raise ValueError(f"types need {k} iterations but the trace holds {trace.depth}")
-    s = trace.graphs[min(k, trace.depth) - 1]
+    s = trace.graphs[k - 1]
     return reachable(s.graph, canonical_label(t1), canonical_label(t2))
 
 
@@ -690,11 +691,11 @@ def _parse_decl(stream: _TokenStream) -> _RawDecl:
 
 
 def reference_parse_ground_type(text: str, table: ClassTable) -> GroundType:
-    """`parse_ground_type` by recursive descent, then `normalize_type`."""
+    """`parse_ground_type` by recursive descent, then `reference_normalize_type`."""
     stream = _TokenStream(text)
     parsed = _parse_type(stream, table, 0)
     stream.expect_end()
-    return normalize_type(parsed)
+    return reference_normalize_type(parsed)
 
 
 def _parse_type(stream: _TokenStream, table: ClassTable, depth: int) -> GroundType:

@@ -11,10 +11,9 @@ import random
 from contextlib import contextmanager
 
 from groundsub import (
+    LabeledDigraph,
     PartitionedGraph,
     differential_check,
-    initial_approximation,
-    initial_wildcards,
     is_subtype,
     parse_declarations,
     parse_ground_type,
@@ -66,15 +65,16 @@ def test_criterion_02_argument_graph_size_law(traces):
 
 def test_criterion_03_base_case(tables):
     with criterion(3, "base case and first product"):
-        start = initial_wildcards()
-        assert start.sorted_vertices == ("?",)
-        assert not start.edges
+        wildcard = LabeledDigraph.from_edges(vertices=("?",))
         for table in tables.values():
+            s1 = run(table, 1).last.graph
             expected = relabeled(
                 table.graph.graph,
                 lambda c: instantiation_label(c, "?") if c in table.generic else c,
             )
-            assert initial_approximation(table).graph == expected
+            assert s1 == expected
+            pg = PartitionedGraph(table.graph.graph, table.generic)
+            assert s1 == partial_product(pg, wildcard, combine=instantiation_label)
 
 
 def test_criterion_04_degenerate_product_is_left_factor():
@@ -82,8 +82,11 @@ def test_criterion_04_degenerate_product_is_left_factor():
         table = parse_declarations(ALL_PLAIN_SOURCE)
         trace = run(table, 3)
         assert trace.depth == 1
-        assert trace.reached_fixed_point
         assert trace.last.graph == table.graph.graph
+        # The fixed point: one more step, over the arguments of S_1, gives S_1 again.
+        pg = PartitionedGraph(table.graph.graph, table.generic)
+        arguments = wildcards_graph(trace.last)
+        assert partial_product(pg, arguments, combine=instantiation_label) == trace.last.graph
 
 
 def test_criterion_05_full_partition_equals_cartesian_product():

@@ -43,7 +43,6 @@ from groundsub import (
 from groundsub import rules
 from groundsub.builder import predicted_sizes, sufficient_depth
 from groundsub.labels import instantiation_label
-from groundsub.typelang import normalize_type
 
 from conftest import CORPUS, NUMBERS_SOURCE, class_tables
 from oracles import (
@@ -54,6 +53,7 @@ from oracles import (
     induced_subgraph,
     reference_differential_check,
     reference_is_subtype,
+    reference_normalize_type,
     reference_reaches,
     reflexive_transitive_closure,
     relabeled,
@@ -282,7 +282,7 @@ def wrapped(rng, table, t1, t2):
         heads = [(c, rng.choice((Inv, Cov))), (c, Cov)]
     else:
         heads = [(rng.choice(generic), rng.choice((Inv, Cov, Con))) for _ in range(2)]
-    return tuple(normalize_type(GroundType(c, kind(t))) for (c, kind), t in zip(heads, (t1, t2)))
+    return tuple(reference_normalize_type(GroundType(c, kind(t))) for (c, kind), t in zip(heads, (t1, t2)))
 
 
 def drawn_pair(rng, table, types):

@@ -119,7 +119,7 @@ class TestPartialProduct:
         subset = data.draw(st.frozensets(st.sampled_from(g1.sorted_vertices)))
         pg = PartitionedGraph(g1, subset)
         pairs = [(u, v) for u in sorted(subset) for v in g2.sorted_vertices]
-        pool = [*sorted(pg.nonproduct_vertices), "x", "y"]
+        pool = [*sorted(pg.base.vertices - pg.product_vertices), "x", "y"]
         names = st.lists(st.sampled_from(pool), min_size=len(pairs), max_size=len(pairs))
         label = dict(zip(pairs, data.draw(names)))
         outcomes = []
@@ -181,7 +181,7 @@ class TestPartialProduct:
         labels = _product_labels(pg, g2, lambda u, v: f"{u}*{v}")
         out = _cover_edges(pg, g2, labels)
         edges = [Edge(src, dst, tag) for src, targets in out.items() for dst, tag in targets]
-        plain = pg.nonproduct_vertices
+        plain = pg.base.vertices - pg.product_vertices
         crossing = [e for e in edges if (e.src in plain) != (e.dst in plain)]
         assert len(crossing) == (
             len(parts.pn) * len(g2.sinks) + len(parts.np) * len(g2.sources)

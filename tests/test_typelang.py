@@ -27,8 +27,6 @@ from groundsub import (
     Wild,
     canonical_label,
     enumerate_types,
-    normalize_argument,
-    normalize_type,
     parse_declarations,
     parse_ground_type,
     rank,
@@ -46,7 +44,7 @@ from oracles import (
     _tokenize,
     equals_ignoring_tags,
     reference_hasse,
-    reference_normalize_argument,
+    reference_normalize_type,
     reference_parse_declarations,
     reference_parse_ground_type,
 )
@@ -241,19 +239,21 @@ class TestHandBuiltTable:
         table = ClassTable(("O", "C", "E", "N"), {"C", "E"}, {"E": "C", "C": "O"})
         assert table == passthrough
         assert hash(table) == hash(passthrough)
-        assert table.superclass_of("E") == "C"
+        assert table.superclass["E"] == "C"
         assert list(table.superclass) == ["C", "E"]
 
     def test_only_user_classes_have_a_declared_superclass(self, passthrough):
+        assert list(passthrough.superclass) == ["C", "E"]
         for name in ("O", "N", "X"):
-            with pytest.raises(DeclarationError, match=f"'{name}' has no declared superclass"):
-                passthrough.superclass_of(name)
+            assert name not in passthrough.superclass
+        with pytest.raises(DeclarationError, match="'E' has no declared superclass"):
+            ClassTable(passthrough.classes, passthrough.generic, {"C": "O"})
 
     def test_is_immutable(self):
         declared = {"A": "O"}
         table = ClassTable(("O", "A", "N"), (), declared)
         declared["A"] = "N"
-        assert table.superclass_of("A") == "O"
+        assert table.superclass["A"] == "O"
         with pytest.raises(TypeError):
             table.superclass["A"] = "N"  # type: ignore[index]
 
@@ -363,38 +363,27 @@ class TestTokenPositions:
 
 
 class TestNormalization:
-    def test_corner_rules(self):
-        o, n = GroundType("O"), GroundType("N")
-        assert normalize_argument(Cov(o)) == WILD
-        assert normalize_argument(Con(n)) == WILD
-        assert normalize_argument(Con(o)) == Inv(o)
-        assert normalize_argument(Cov(n)) == Inv(n)
-
-    def test_non_corner_arguments_unchanged(self):
-        c = GroundType("C", WILD)
-        assert normalize_argument(Cov(c)) == Cov(c)
-        assert normalize_argument(Con(c)) == Con(c)
-        assert normalize_argument(Inv(c)) == Inv(c)
-
     @given(st.data())
     def test_the_corner_table_agrees_with_the_reference(self, data):
-        # `CORNERS` against the `match` arms, and `is_type` against both on
-        # every type of the chain whose names take the arguments they carry.
+        # `CORNERS`, as `parse_ground_type` applies it to a printed type,
+        # against the `match` arms, and `is_type` against the arms, on every
+        # type of the chain whose names take the arguments they carry.
         table = data.draw(class_tables())
         arg = data.draw(spelled_arguments(table))
-        assert normalize_argument(arg) == reference_normalize_argument(arg)
         t = GroundType(data.draw(st.sampled_from(sorted(table.generic) or table.classes)), arg)
         while True:
             if fits(t, table):
-                assert table.is_type(t) == (normalize_type(t) == t), t
+                normal = reference_normalize_type(t)
+                assert parse_ground_type(canonical_label(t), table) == normal, t
+                assert table.is_type(t) == (normal == t), t
             if t.arg is None or isinstance(t.arg, Wild):
                 break
             t = t.arg.bound
 
     @pytest.mark.parametrize(
         "over_arguments",
-        [normalize_argument, typelang.argument_label, lambda arg: rank(GroundType("C", arg))],
-        ids=["normalize_argument", "argument_label", "rank"],
+        [typelang.argument_label, lambda arg: rank(GroundType("C", arg))],
+        ids=["argument_label", "rank"],
     )
     def test_a_non_argument_is_a_type_error(self, over_arguments):
         with pytest.raises(TypeError, match="not a type argument: 'C'"):
@@ -457,7 +446,7 @@ def ground_types(table, max_depth=3):
             lambda pair: GroundType(pair[0], pair[1])
         )
 
-    return st.recursive(base, extend, max_leaves=max_depth).map(normalize_type)
+    return st.recursive(base, extend, max_leaves=max_depth).map(reference_normalize_type)
 
 
 # Token separators, among them comments that hold tokens, and the other
@@ -524,7 +513,7 @@ def declaration_tokens(table, draw):
     """The tokens of a program declaring `table`, an `extends` of the top
     written or left out as `draw` picks."""
     tokens = []
-    for name in table.user_classes:
+    for name in table.superclass:
         parameter = ["<", "T", ">"] if name in table.generic else []
         sup = table.superclass[name]
         tokens += ["class", name, *parameter]
@@ -559,7 +548,8 @@ class TestRoundTrip:
     def test_normalization_is_idempotent(self, data):
         table = parse_declarations(CORPUS["two_generics"])
         t = data.draw(ground_types(table))
-        assert normalize_type(t) == t
+        assert reference_normalize_type(t) == t
+        assert table.is_type(t)
 
 
 class TestAgainstTheReferenceParsers:
