@@ -94,10 +94,7 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    sizes = []
-    for k, n in zip(range(1, iterations + 1), predicted_sizes(table)):
-        _refuse_oversized(k, n)
-        sizes.append(n)
+    sizes = _sizes_within_limit(table, iterations)
     graphs = [_product_with_arguments(table, LabeledDigraph.from_edges(vertices=(WILDCARD,)))]
     _check_size_law("|S_k| = n_k", 1, len(graphs[0].vertices), sizes[0])
     for k in range(1, len(sizes)):
@@ -117,16 +114,44 @@ def _check_size_law(law: str, k: int, actual: int, predicted: int) -> None:
         )
 
 
-def _refuse_oversized(k: int, n: int) -> None:
-    if n > MAX_VERTICES:
-        raise SizeLimitError(
-            f"approximation {k} would have {n} vertices, over the limit of {MAX_VERTICES}"
-        )
+def _sizes_within_limit(table: ClassTable, k: int) -> list[int]:
+    """The predicted sizes of S_1 to S_k (only of S_1 for a table without
+    generic classes).  Raises `SizeLimitError` at the first one over
+    `MAX_VERTICES`, before the sizes after it are worked out."""
+    sizes = []
+    for j, n in zip(range(1, k + 1), predicted_sizes(table)):
+        if n > MAX_VERTICES:
+            raise SizeLimitError(
+                f"approximation {j} would have {n} vertices, over the limit of {MAX_VERTICES}"
+            )
+        sizes.append(n)
+    return sizes
 
 
 def sufficient_depth(t1: GroundType, t2: GroundType) -> int:
     """Smallest iteration count whose graph contains both types."""
     return max(rank(t1), rank(t2), 1)
+
+
+_TOP = (TOP_CLASS, None, None)
+_BOTTOM = (BOTTOM_CLASS, None, None)
+
+
+def _shape(t: GroundType) -> tuple:
+    if t.arg is None:
+        return t.name, None, None
+    if isinstance(t.arg, Wild):
+        return t.name, Wild, None
+    return t.name, type(t.arg), _shape(t.arg.bound)
+
+
+def _ground(v: tuple) -> GroundType:
+    name, kind, bound = v
+    if kind is None:
+        return GroundType(name)
+    if kind is Wild:
+        return GroundType(name, WILD)
+    return GroundType(name, kind(_ground(bound)))
 
 
 class InfiniteGraph:
@@ -139,13 +164,10 @@ class InfiniteGraph:
     a cover in S_1 but not in S_2), so k is always explicit.  Results are
     memoised per (type, k) for the lifetime of the instance.
 
-    Inside, a type is an int: one id per (class, argument kind, bound id),
-    so hashing and comparing never recurse into the type.  The argument
-    kind is `None` for a plain class, else the class of the argument, and
-    an argument of W(S_j) is a (kind, bound id) pair, with bound -1 for `?`.
-    The ids pay here because `reaches` hashes every vertex either of its
-    two sides visits, up to `MAX_VERTICES` of them, and an int hashes in one
-    step where a shape tuple hashes its whole bound.
+    Inside, a type is its shape, the tuple (class, argument kind, bound
+    shape).  The kind is `None` for a plain class, else the class of the
+    argument; the bound shape is `None` for a plain class and for `?`.  An
+    argument of W(S_j) is a (kind, bound shape) pair.
     """
 
     def __init__(self, table: ClassTable):
@@ -155,21 +177,17 @@ class InfiniteGraph:
         for sub, sup in sorted(table.extends_edges):
             self._parents[sub].append(sup)
             self._children[sup].append(sub)
-        self._ids: dict[tuple, int] = {}
-        self._shapes: list[tuple] = []
-        self._top = self._id(TOP_CLASS)
-        self._bottom = self._id(BOTTOM_CLASS)
-        self._up: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._down: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._vertices: dict[int, tuple[int, ...]] = {}
+        self._up: dict[tuple[tuple, int], tuple[tuple, ...]] = {}
+        self._down: dict[tuple[tuple, int], tuple[tuple, ...]] = {}
+        self._vertices: dict[int, tuple[tuple, ...]] = {}
 
     def covers_up(self, t: GroundType, k: int) -> tuple[GroundType, ...]:
         """The successors of `t` in S_k."""
-        return tuple(map(self._ground, self._covers_up(self._vertex(t, k), k)))
+        return tuple(map(_ground, self._covers_up(self._vertex(t, k), k)))
 
     def covers_down(self, t: GroundType, k: int) -> tuple[GroundType, ...]:
         """The predecessors of `t` in S_k."""
-        return tuple(map(self._ground, self._covers_down(self._vertex(t, k), k)))
+        return tuple(map(_ground, self._covers_down(self._vertex(t, k), k)))
 
     def vertices(self, k: int) -> tuple[GroundType, ...]:
         """V(S_k): the plain classes, and C<a> for every generic class C and
@@ -181,7 +199,7 @@ class InfiniteGraph:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
-        return tuple(map(self._ground, self._vertex_ids(k)))
+        return tuple(map(_ground, self._vertices_of(k)))
 
     def reaches(self, t1: GroundType, t2: GroundType, k: int) -> bool:
         """True when `t2` is `t1` or lies above it in S_k.
@@ -237,135 +255,109 @@ class InfiniteGraph:
                 stopped, refusal = todo, e
         return False
 
-    # -- types and ids
+    # -- types and shapes
 
-    def _id(self, name: str, kind: type | None = None, bound: int = -1) -> int:
-        key = (name, kind, bound)
-        v = self._ids.setdefault(key, len(self._shapes))
-        if v == len(self._shapes):
-            self._shapes.append(key)
-        return v
-
-    def _vertex(self, t: GroundType, k: int) -> int:
-        """The id of `t`, which must be a vertex of S_k."""
+    def _vertex(self, t: GroundType, k: int) -> tuple:
+        """The shape of `t`, which must be a vertex of S_k."""
         if not (self.table.is_type(t) and max(rank(t), 1) <= k):
             raise GraphError(f"{canonical_label(t)!r} is not a vertex of approximation {k}")
-        return self._intern(t)
-
-    def _intern(self, t: GroundType) -> int:
-        if t.arg is None:
-            return self._id(t.name)
-        if isinstance(t.arg, Wild):
-            return self._id(t.name, Wild)
-        return self._id(t.name, type(t.arg), self._intern(t.arg.bound))
-
-    def _ground(self, v: int) -> GroundType:
-        name, kind, bound = self._shapes[v]
-        if kind is None:
-            return GroundType(name)
-        if kind is Wild:
-            return GroundType(name, WILD)
-        return GroundType(name, kind(self._ground(bound)))
+        return _shape(t)
 
     # -- the rules
 
-    def _vertex_ids(self, k: int) -> tuple[int, ...]:
+    def _vertices_of(self, k: int) -> tuple[tuple, ...]:
         if k not in self._vertices:
-            for j, n in zip(range(1, k + 1), predicted_sizes(self.table)):
-                _refuse_oversized(j, n)
-            arguments: list[tuple] = [(Wild, -1)]
+            _sizes_within_limit(self.table, k)
+            arguments: list[tuple] = [(Wild, None)]
             if k > 1:
-                for v in self._vertex_ids(k - 1):
+                for v in self._vertices_of(k - 1):
                     arguments.append((Inv, v))
-                    if v not in (self._top, self._bottom):
+                    if v not in (_TOP, _BOTTOM):
                         arguments += ((Cov, v), (Con, v))
             generic = self.table.generic
-            plain = [self._id(c) for c in self.table.classes if c not in generic]
-            self._vertices[k] = (
-                *plain,
-                *(self._id(c, *a) for c in sorted(generic) for a in arguments),
-            )
+            plain = [(c, None, None) for c in self.table.classes if c not in generic]
+            self._vertices[k] = (*plain, *((c, *a) for c in sorted(generic) for a in arguments))
         return self._vertices[k]
 
     def _sources(self, k: int) -> list[tuple]:
         # The sources of W(S_{k-1}): the lone `?` for k = 1, and after that
         # every exact argument.
         if k == 1:
-            return [(Wild, -1)]
-        return [(Inv, v) for v in self._vertex_ids(k - 1)]
+            return [(Wild, None)]
+        return [(Inv, v) for v in self._vertices_of(k - 1)]
 
-    def _covers_up(self, v: int, k: int) -> tuple[int, ...]:
+    def _covers_up(self, v: tuple, k: int) -> tuple[tuple, ...]:
         key = (v, k)
         if key in self._up:
             return self._up[key]
-        name, kind, bound = self._shapes[v]
+        name, kind, bound = v
         generic = self.table.generic
-        covers: list[int] = []
+        covers: list[tuple] = []
         for p in self._parents[name]:
             if kind is None:
                 if p in generic:  # np: into the copies at the sources
-                    covers += [self._id(p, *a) for a in self._sources(k)]
+                    covers += [(p, *a) for a in self._sources(k)]
                 else:  # nn
-                    covers.append(self._id(p))
+                    covers.append((p, None, None))
             elif p in generic:  # pp
-                covers.append(self._id(p, kind, bound))
+                covers.append((p, kind, bound))
             elif kind is Wild:  # pn: out of the copy at the sink `?`
-                covers.append(self._id(p))
+                covers.append((p, None, None))
         if kind is not None:
-            covers += [self._id(name, *a) for a in self._argument_up(kind, bound, k - 1)]
+            covers += [(name, *a) for a in self._argument_up(kind, bound, k - 1)]
         self._up[key] = result = tuple(covers)
         return result
 
-    def _covers_down(self, v: int, k: int) -> tuple[int, ...]:
+    def _covers_down(self, v: tuple, k: int) -> tuple[tuple, ...]:
         key = (v, k)
         if key in self._down:
             return self._down[key]
-        name, kind, bound = self._shapes[v]
+        name, kind, bound = v
         generic = self.table.generic
-        covers: list[int] = []
+        covers: list[tuple] = []
         for c in self._children[name]:
             if kind is None:  # pn into the copy at the sink `?`, or nn
-                covers.append(self._id(c, Wild) if c in generic else self._id(c))
+                covers.append((c, Wild, None) if c in generic else (c, None, None))
             elif c in generic:  # pp
-                covers.append(self._id(c, kind, bound))
+                covers.append((c, kind, bound))
             elif k == 1 or kind is Inv:  # np: out of the sources
-                covers.append(self._id(c))
+                covers.append((c, None, None))
         if kind is not None:
-            covers += [self._id(name, *a) for a in self._argument_down(kind, bound, k - 1)]
+            covers += [(name, *a) for a in self._argument_down(kind, bound, k - 1)]
         self._down[key] = result = tuple(covers)
         return result
 
-    def _upper(self, v: int) -> tuple:
+    def _upper(self, v: tuple) -> tuple:
         """`? <: v`, with the corners of `wildcards_graph` coalesced."""
-        if v == self._top:
-            return (Wild, -1)
-        return (Inv if v == self._bottom else Cov, v)
+        if v == _TOP:
+            return (Wild, None)
+        return (Inv if v == _BOTTOM else Cov, v)
 
-    def _lower(self, v: int) -> tuple:
+    def _lower(self, v: tuple) -> tuple:
         """`? :> v`, with the corners of `wildcards_graph` coalesced."""
-        if v == self._bottom:
-            return (Wild, -1)
-        return (Inv if v == self._top else Con, v)
+        if v == _BOTTOM:
+            return (Wild, None)
+        return (Inv if v == _TOP else Con, v)
 
-    def _argument_up(self, kind: type, bound: int, j: int) -> list[tuple]:
+    def _argument_up(self, kind: type, bound: tuple | None, j: int) -> list[tuple]:
         """Successors of an argument in W(S_j); W(S_0) is the lone `?`."""
         if j == 0 or kind is Wild:
             return []
-        if kind is Inv and bound not in (self._top, self._bottom):
+        if kind is Inv and bound not in (_TOP, _BOTTOM):
             return [(Cov, bound), (Con, bound)]
         # The exact N is the upper-bounded copy of N, the exact O the
         # lower-bounded copy of O.
-        if kind is Cov or bound == self._bottom:
+        if kind is Cov or bound == _BOTTOM:
             return [self._upper(w) for w in self._covers_up(bound, j)]
         return [self._lower(w) for w in self._covers_down(bound, j)]
 
-    def _argument_down(self, kind: type, bound: int, j: int) -> list[tuple]:
+    def _argument_down(self, kind: type, bound: tuple | None, j: int) -> list[tuple]:
         """Predecessors of an argument in W(S_j); exact arguments are its sources."""
         if j == 0 or kind is Inv:
             return []
         if kind is Wild:  # both the upper-bounded O and the lower-bounded N
-            return [self._upper(w) for w in self._covers_down(self._top, j)] + [
-                self._lower(w) for w in self._covers_up(self._bottom, j)
+            return [self._upper(w) for w in self._covers_down(_TOP, j)] + [
+                self._lower(w) for w in self._covers_up(_BOTTOM, j)
             ]
         if kind is Cov:
             return [self._upper(w) for w in self._covers_down(bound, j)] + [(Inv, bound)]

@@ -67,9 +67,9 @@ class _Rules:
     builds an instance per verdict and lists nothing.
     """
 
-    # `builder.InfiniteGraph` numbers its types instead.  The deciders share
-    # only the type syntax and the class table: a bug shared by both would
-    # be invisible to `selfcheck` and `query`.
+    # Each decider keeps its own shape code, `builder.InfiniteGraph` too.
+    # The deciders share only the type syntax and the class table: a bug
+    # shared by both would be invisible to `selfcheck` and `query`.
 
     def __init__(self, table: ClassTable):
         self._table = table

@@ -9,7 +9,10 @@ comparison of the two-sided search with the upward one, run on the corpus
 as well.  Each check runs at the largest rank up to `MAX_RANK` whose
 approximation has at most `PAIR_CAP` ordered pairs of vertices, read from
 `predicted_sizes` before anything is built, so the cost of an example is
-bounded whatever table is drawn.
+bounded whatever table is drawn.  Past those ranks, pairs of ranks 4 to
+12, most of them a type and a widening of it, check the search against
+both rule deciders at the ranks `query` serves; there only the search's
+own limit bounds an example.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from groundsub import (
+    BOTTOM_CLASS,
+    TOP_CLASS,
+    WILD,
     Con,
     Cov,
     GroundType,
@@ -40,7 +46,7 @@ from groundsub import (
     wildcards_graph,
     wildcards_size,
 )
-from groundsub import rules
+from groundsub import rules, subtype_by_graph
 from groundsub.builder import predicted_sizes, sufficient_depth
 from groundsub.labels import instantiation_label
 
@@ -335,3 +341,81 @@ def test_two_sided_search_agrees_on_the_corpus(source):
 @given(class_tables(), st.integers(min_value=0, max_value=2**32))
 def test_two_sided_search_agrees(table, seed):
     assert_two_sided_search_agrees(table, seed, pairs=6)
+
+
+# Deep pairs: a type of rank 4 to 12, and most often a widening of it as
+# the other, so that true verdicts are common and the search seldom pays
+# for a deep type against a shallow wildcard type.
+DEEP_RANKS = st.integers(min_value=4, max_value=12)
+
+
+def types_of_rank(table, r):
+    """Strategy for normalised types of rank exactly `r` over `table`,
+    which must have a generic class when r >= 1."""
+    if r == 0:
+        return st.sampled_from(sorted(set(table.classes) - table.generic)).map(GroundType)
+    generic = st.sampled_from(sorted(table.generic))
+    if r == 1:
+        return generic.map(lambda c: GroundType(c, WILD))
+    bounds = types_of_rank(table, r - 1)
+    if r == 2:
+        bounds = st.one_of(types_of_rank(table, 0), bounds)
+    return st.builds(instantiated, generic, st.sampled_from((Inv, Cov, Con)), bounds)
+
+
+def instantiated(name, kind, bound):
+    """`name<kind(bound)>` in normal form.  `? <: O` and `? :> N` are `?`,
+    of rank 1, so those two are drawn exact instead."""
+    if (kind, bound) in ((Cov, GroundType(TOP_CLASS)), (Con, GroundType(BOTTOM_CLASS))):
+        kind = Inv
+    return reference_normalize_type(GroundType(name, kind(bound)))
+
+
+def moved(draw, table, t, up):
+    """A supertype of `t` when `up`, else a subtype.  Going up, a generic
+    head may move to its generic superclass, and an exact argument may
+    become bounded; going down, a bounded argument may become exact.  Past
+    that, an upper bound moves the same way and a lower bound the other."""
+    parent = table.superclass.get(t.name)
+    if up and parent in table.generic and draw(st.integers(0, 3)) == 0:
+        return moved(draw, table, GroundType(parent, t.arg), up)
+    match t.arg:
+        case Inv(bound) if up:
+            kind, deeper = draw(st.sampled_from(((Cov, False), (Con, False), (Cov, True), (Con, True))))
+            arg = kind(moved(draw, table, bound, kind is Cov) if deeper else bound)
+        case Cov(bound) | Con(bound) if not up and draw(st.booleans()):
+            arg = Inv(bound)
+        case Cov(bound):
+            arg = Cov(moved(draw, table, bound, up))
+        case Con(bound):
+            arg = Con(moved(draw, table, bound, not up))
+        case _:
+            return t
+    return reference_normalize_type(GroundType(t.name, arg))
+
+
+@st.composite
+def deep_pairs(draw, table):
+    """A type of rank 4 to 12 and, 31 times in 32, a widening of it, in
+    either order; otherwise a second type of rank 4 to 12 drawn apart."""
+    t1 = draw(DEEP_RANKS.flatmap(lambda r: types_of_rank(table, r)))
+    if draw(st.integers(0, 31)) == 0:
+        return t1, draw(DEEP_RANKS.flatmap(lambda r: types_of_rank(table, r)))
+    t2 = moved(draw, table, t1, up=True)
+    return (t2, t1) if draw(st.booleans()) else (t1, t2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_tables().filter(lambda table: table.generic).flatmap(
+    lambda table: st.tuples(st.just(table), deep_pairs(table))))
+def test_deep_pairs_agree(drawn):
+    table, (t1, t2) = drawn
+    expected = reference_is_subtype(t1, t2, table)
+    assert is_subtype(t1, t2, table) == expected, (canonical_label(t1), canonical_label(t2))
+    try:
+        verdict = subtype_by_graph(table, t1, t2)
+    except SizeLimitError:
+        event("refused")
+        return
+    event(f"verdict {verdict}")
+    assert verdict == expected, (canonical_label(t1), canonical_label(t2))

@@ -30,6 +30,7 @@ from groundsub import (
     export,
     labels,
     parse_declarations,
+    parse_ground_type,
     product,
     rules,
     run,
@@ -131,6 +132,18 @@ def test_src_keeps_no_wrapper_only_the_tests_call():
     assert not hasattr(typelang.ClassTable, "superclass_of")
     assert not hasattr(typelang.ClassTable, "user_classes")
     assert not hasattr(product.PartitionedGraph, "nonproduct_vertices")
+
+
+def test_the_on_demand_graph_keeps_no_type_table():
+    # A vertex of `InfiniteGraph` is its shape tuple, and `run` and the
+    # search refuse an oversized approximation through one size guard.
+    assert not hasattr(builder.InfiniteGraph, "_id")
+    assert not hasattr(builder.InfiniteGraph, "_intern")
+    table = parse_declarations("class C<T> {}")
+    graph = builder.InfiniteGraph(table)
+    assert graph.reaches(parse_ground_type("C<N>", table), parse_ground_type("C<?>", table), 2)
+    assert not hasattr(graph, "_ids") and not hasattr(graph, "_shapes")
+    assert not hasattr(builder, "_refuse_oversized")
 
 
 def test_graphs_keep_no_reachability_state():
