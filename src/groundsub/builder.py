@@ -138,11 +138,15 @@ _BOTTOM = (BOTTOM_CLASS, None, None)
 
 
 def _shape(t: GroundType) -> tuple:
-    if t.arg is None:
-        return t.name, None, None
-    if isinstance(t.arg, Wild):
-        return t.name, Wild, None
-    return t.name, type(t.arg), _shape(t.arg.bound)
+    stack = None  # the bounded levels passed going down, the deepest on top
+    while (arg := t.arg) is not None and not isinstance(arg, Wild):
+        stack = t.name, type(arg), stack
+        t = arg.bound
+    shape = t.name, None if arg is None else Wild, None
+    while stack is not None:
+        name, kind, stack = stack
+        shape = name, kind, shape
+    return shape
 
 
 def _ground(v: tuple) -> GroundType:

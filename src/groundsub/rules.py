@@ -79,11 +79,15 @@ class _Rules:
 
     def shape(self, t: GroundType) -> tuple:
         """The shape of a normalised type; equal types get equal shapes."""
-        if t.arg is None:
-            return t.name, None, None
-        if isinstance(t.arg, Wild):
-            return t.name, Wild, None
-        return t.name, type(t.arg), self.shape(t.arg.bound)
+        stack = None  # the bounded levels passed going down, the deepest on top
+        while (arg := t.arg) is not None and not isinstance(arg, Wild):
+            stack = t.name, type(arg), stack
+            t = arg.bound
+        shape = t.name, None if arg is None else Wild, None
+        while stack is not None:
+            name, kind, stack = stack
+            shape = name, kind, shape
+        return shape
 
     def supers(self, name: str) -> frozenset[str]:
         """The class `name` and every class above it; not for the bottom."""

@@ -54,8 +54,11 @@ from .labels import (
 _KEYWORDS = frozenset({"class", "extends"})
 _RESERVED = frozenset({TOP_CLASS, BOTTOM_CLASS, "Object", "Null"})
 _ALIASES = {"Object": TOP_CLASS, "Null": BOTTOM_CLASS}
-# Deepest nesting of type arguments the parser accepts; the functions over
-# ground types recurse once per level.
+# Deepest nesting of type arguments the parser accepts.  `rank`, `is_type`
+# and the deciders' shape builders walk the argument chain in a loop;
+# `canonical_label`, `builder._ground`, `rules._Rules.subtype` and the
+# comparison of shapes still recurse once per level, and the limit keeps
+# them within the interpreter's recursion limit.
 MAX_TYPE_NESTING = 200
 
 
@@ -90,6 +93,7 @@ class Con:
 
 
 TypeArg = Union[Wild, Inv, Cov, Con]
+_BOUNDED = (Inv, Cov, Con)  # the argument kinds that carry a bound
 
 WILD = Wild()
 
@@ -142,15 +146,19 @@ def rank(t: GroundType) -> int:
     default wildcard exists as soon as its class does; any other argument
     must first appear as a vertex itself (bounded forms of a type only exist
     one step after the type), so the argument's contribution is at least 1.
+    Down the argument chain, each bounded level adds 1, and a chain that
+    ends in `?` or below a bounded level adds 1 more.
     """
-    if t.arg is None:
-        return 0
-    match t.arg:
-        case Wild():
-            return 1
-        case Inv(bound) | Cov(bound) | Con(bound):
-            return 1 + max(rank(bound), 1)
-    raise TypeError(f"not a type argument: {t.arg!r}")
+    bounded = 0
+    arg = t.arg
+    while arg is not None:
+        if isinstance(arg, Wild):
+            return bounded + 1
+        if not isinstance(arg, _BOUNDED):
+            raise TypeError(f"not a type argument: {arg!r}")
+        bounded += 1
+        arg = arg.bound.arg
+    return bounded + 1 if bounded else 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +218,17 @@ class ClassTable:
 
     def is_type(self, t: GroundType) -> bool:
         """True for a normalised ground type over the table."""
-        if t.name not in self.classes or (t.arg is None) == (t.name in self.generic):
-            return False
-        return t.arg is None or self.is_argument(t.arg)
+        classes, generic = self.classes, self.generic
+        while t.name in classes and ((arg := t.arg) is None) != (t.name in generic):
+            if arg is None:
+                return True
+            corners = CORNERS.get(type(arg))
+            if corners is None:
+                return isinstance(arg, Wild)
+            t = arg.bound
+            if t.name in corners:
+                return False
+        return False
 
     def is_argument(self, arg: TypeArg) -> bool:
         """True for a normalised argument: `?`, or a bound over the table not in `CORNERS`."""

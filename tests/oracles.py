@@ -25,7 +25,9 @@ export as `json.dumps` writes it.  `reference_parse_declarations` and
 `reference_parse_ground_type` are the parsers as they were before they read
 the texts of one regex scan: recursive descent over the positioned tokens
 of their own tokenizer, `_tokenize`, normalising a parsed type in a second
-walk.
+walk.  `reference_rank`, `reference_is_type` with `reference_is_argument`,
+and `reference_shape` are the walks down a type's argument chain as they
+were before they became loops: one call per level.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from groundsub.typelang import (
     _ALIASES,
     _KEYWORDS,
     _RESERVED,
+    CORNERS,
     MAX_TYPE_NESTING,
     NULL_TYPE,
     OBJECT_TYPE,
@@ -382,6 +385,45 @@ def reference_normalize_argument(arg: TypeArg) -> TypeArg:
                 return Inv(bound)
             return Con(bound)
     raise TypeError(f"not a type argument: {arg!r}")
+
+
+def reference_rank(t: GroundType) -> int:
+    """`typelang.rank` as it was written: one `match` arm per argument kind,
+    recursing into the bound."""
+    if t.arg is None:
+        return 0
+    match t.arg:
+        case Wild():
+            return 1
+        case Inv(bound) | Cov(bound) | Con(bound):
+            return 1 + max(reference_rank(bound), 1)
+    raise TypeError(f"not a type argument: {t.arg!r}")
+
+
+def reference_is_type(t: GroundType, table: ClassTable) -> bool:
+    """`ClassTable.is_type` as it was written, recursing through
+    `reference_is_argument` once per level."""
+    if t.name not in table.classes or (t.arg is None) == (t.name in table.generic):
+        return False
+    return t.arg is None or reference_is_argument(t.arg, table)
+
+
+def reference_is_argument(arg: TypeArg, table: ClassTable) -> bool:
+    """`ClassTable.is_argument` as it was written."""
+    corners = CORNERS.get(type(arg))
+    if corners is None:
+        return isinstance(arg, Wild)
+    return arg.bound.name not in corners and reference_is_type(arg.bound, table)
+
+
+def reference_shape(t: GroundType) -> tuple:
+    """The shape tuple both deciders build, (class, argument kind, bound
+    shape), built by recursing into the bound."""
+    if t.arg is None:
+        return t.name, None, None
+    if isinstance(t.arg, Wild):
+        return t.name, Wild, None
+    return t.name, type(t.arg), reference_shape(t.arg.bound)
 
 
 def edge_tag(t1: GroundType, t2: GroundType) -> EdgeTag:

@@ -9,6 +9,7 @@ from groundsub import InfiniteGraph, canonical_label, differential_check, run
 
 from conftest import small_class_tables, table_form
 from oracles import reversed_graph
+from test_generated import assert_fibre_law, assert_tag_law
 
 
 def test_small_tables_are_counted_once_up_to_renaming():
@@ -44,3 +45,10 @@ def test_infinite_graph_is_the_materialised_graph_on_every_small_table(n):
                 v = canonical_label(t)
                 assert labels(graph.covers_up(t, k)) == list(s.successors(v)), (*where, v)
                 assert labels(graph.covers_down(t, k)) == list(below.successors(v)), (*where, v)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_fibre_and_tag_laws_on_every_small_table(n):
+    for table in small_class_tables(n):
+        assert_fibre_law(table, 3)
+        assert_tag_law(table, 3)

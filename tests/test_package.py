@@ -63,6 +63,7 @@ ORACLES = (
     "subtype_by_trace", "reference_inherits", "reference_json", "checked_product_labels",
     "reference_differential_check", "reference_reaches", "reference_normalize_argument",
     "reference_normalize_type", "reference_parse_declarations", "reference_parse_ground_type",
+    "reference_rank", "reference_is_type", "reference_is_argument", "reference_shape",
 )
 
 

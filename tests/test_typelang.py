@@ -429,6 +429,12 @@ def fits(t, table):
 
 def ground_types(table, max_depth=3):
     """Strategy for normalized ground types over `table`."""
+    return written_types(table, max_depth).map(reference_normalize_type)
+
+
+def written_types(table, max_depth=3):
+    """Strategy for ground types over `table` as written: each class takes
+    an argument exactly when generic, and no argument is normalised."""
     plain = sorted(c for c in table.classes if c not in table.generic)
     generics = sorted(table.generic)
     base = st.sampled_from(plain).map(GroundType)
@@ -446,7 +452,7 @@ def ground_types(table, max_depth=3):
             lambda pair: GroundType(pair[0], pair[1])
         )
 
-    return st.recursive(base, extend, max_leaves=max_depth).map(reference_normalize_type)
+    return st.recursive(base, extend, max_leaves=max_depth)
 
 
 # Token separators, among them comments that hold tokens, and the other
