@@ -54,11 +54,12 @@ from .labels import (
 _KEYWORDS = frozenset({"class", "extends"})
 _RESERVED = frozenset({TOP_CLASS, BOTTOM_CLASS, "Object", "Null"})
 _ALIASES = {"Object": TOP_CLASS, "Null": BOTTOM_CLASS}
-# Deepest nesting of type arguments the parser accepts.  `rank`, `is_type`
-# and the deciders' shape builders walk the argument chain in a loop;
-# `canonical_label`, `builder._ground`, `rules._Rules.subtype` and the
-# comparison of shapes still recurse once per level, and the limit keeps
-# them within the interpreter's recursion limit.
+# Deepest nesting of type arguments the parser accepts.  `rank`, `is_type`,
+# the deciders' shape builders and `GroundType`'s `==`, `hash` and `repr`
+# walk the argument chain in a loop.  What still recurses once per level is
+# `canonical_label` with `argument_label`, `builder._ground`,
+# `rules._Rules.subtype`, and the interpreter's own comparison and hashing
+# of shape tuples; the limit keeps them within its recursion limit.
 MAX_TYPE_NESTING = 200
 
 
@@ -98,12 +99,64 @@ _BOUNDED = (Inv, Cov, Con)  # the argument kinds that carry a bound
 WILD = Wild()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GroundType:
-    """A class name, or a generic class applied to one argument."""
+    """A class name, or a generic class applied to one argument.
+
+    `==`, `hash` and `repr` give what the dataclass would generate, but walk
+    the argument chain in a loop, so they work at any nesting.
+    """
 
     name: str
     arg: TypeArg | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if a.name != b.name:
+                return False
+            down_a, down_b = _down(a), _down(b)
+            if down_a is None or down_b is None or down_a[0] is not down_b[0]:
+                return a.arg is b.arg or a.arg == b.arg
+            a, b = down_a[1], down_b[1]
+        return True
+
+    def __hash__(self) -> int:
+        levels, t = [], self
+        while (down := _down(t)) is not None:
+            levels.append((t.name, down[0]))
+            t = down[1]
+        h = hash((t.name, t.arg))
+        for name, kind in reversed(levels):  # a bounded argument hashes as (bound,)
+            h = hash((name, _Hash(h if kind is GroundType else hash((_Hash(h),)))))
+        return h
+
+    def __repr__(self) -> str:
+        parts, t = [], self
+        while True:
+            parts.append(f"{t.__class__.__qualname__}(name={t.name!r}, arg=")
+            if (down := _down(t)) is None:
+                return "".join(parts) + repr(t.arg) + ")" * len(parts)
+            kind, t = down
+            if kind is not GroundType:
+                parts.append(f"{kind.__qualname__}(bound=")
+
+
+def _down(t: GroundType) -> tuple[type, GroundType] | None:
+    """The class of the argument of `t` and the ground type it is or bounds,
+    or None if it is neither: the next level of the chain."""
+    arg, kind = t.arg, t.arg.__class__
+    below = arg.bound if kind in _BOUNDED else arg
+    return (kind, below) if below.__class__ is GroundType else None
+
+
+class _Hash(int):
+    """Hashes as its own value: a level's stand-in for the levels below."""
+
+    def __hash__(self) -> int:
+        return int(self)
 
 
 OBJECT_TYPE = GroundType(TOP_CLASS)
@@ -229,13 +282,6 @@ class ClassTable:
             if t.name in corners:
                 return False
         return False
-
-    def is_argument(self, arg: TypeArg) -> bool:
-        """True for a normalised argument: `?`, or a bound over the table not in `CORNERS`."""
-        corners = CORNERS.get(type(arg))
-        if corners is None:
-            return isinstance(arg, Wild)
-        return arg.bound.name not in corners and self.is_type(arg.bound)
 
     @cached_property
     def extends_edges(self) -> frozenset[tuple[str, str]]:

@@ -409,7 +409,8 @@ def reference_is_type(t: GroundType, table: ClassTable) -> bool:
 
 
 def reference_is_argument(arg: TypeArg, table: ClassTable) -> bool:
-    """`ClassTable.is_argument` as it was written."""
+    """Whether `arg` is a normalised argument over the table: `?`, or a bound
+    over the table not in `CORNERS`."""
     corners = CORNERS.get(type(arg))
     if corners is None:
         return isinstance(arg, Wild)

@@ -17,7 +17,6 @@ from groundsub import (
     LabeledDigraph,
     PartitionedGraph,
     SizeLimitError,
-    canonical_label,
     enumerate_types,
     parse_declarations,
     parse_ground_type,
@@ -28,25 +27,21 @@ from groundsub import (
     sufficient_depth,
     transitive_reduction,
     wildcards_graph,
-    wildcards_size,
 )
 from groundsub import builder, cli
 from groundsub.labels import instantiation_label
 
 from conftest import ALL_PLAIN_SOURCE, CORPUS
 from oracles import (
-    contravariant_image,
-    covariant_image,
     edge_pairs,
     equals_ignoring_tags,
     induced_subgraph,
     reference_hasse,
     reference_reaches,
-    reflexive_transitive_closure,
     relabeled,
-    reversed_graph,
     subtype_by_trace,
 )
+from test_generated import assert_covers_law
 
 
 def s1_of(table):
@@ -157,13 +152,6 @@ class TestRun:
         assert captured.out == ""
         assert re.fullmatch(f"error: {law}\n", captured.err)
         assert not (tmp_path / "graph.json").exists()
-
-    def test_vertex_count_recurrence(self, tables, traces):
-        for name, trace in traces.items():
-            table = tables[name]
-            plain = len(table.classes) - len(table.generic)
-            for (n, _), (n_next, _) in zip(trace.stats, trace.stats[1:]):
-                assert n_next == len(table.generic) * wildcards_size(n) + plain
 
     def test_vertex_sets_grow_monotonically(self, traces):
         for trace in traces.values():
@@ -342,41 +330,19 @@ def gate_traces(tables, numbers_table):
     return {name: (table, run(table, GATE_DEPTH)) for name, table in programs.items()}
 
 
-def labels(types):
-    return sorted(map(canonical_label, types))
-
-
 class TestInfiniteGraph:
     def test_covers_match_the_materialised_graphs(self, gate_traces):
-        for name, (table, trace) in gate_traces.items():
-            graph = InfiniteGraph(table)
-            for k, s in enumerate(trace.graphs, start=1):
-                below = reversed_graph(s.graph)
-                for v in s.graph.sorted_vertices:
-                    t = parse_ground_type(v, table)
-                    assert labels(graph.covers_up(t, k)) == list(s.graph.successors(v)), (name, k, v)
-                    assert labels(graph.covers_down(t, k)) == list(below.successors(v)), (name, k, v)
+        for table, trace in gate_traces.values():
+            assert_covers_law(table, [s.graph for s in trace.graphs])
 
     def test_graphs_and_covers_match_a_rules_only_reference(self, gate_traces):
         # The Hasse diagram of the rules decider's order shares no rule
         # code with `run` or `InfiniteGraph`.
         for name, (table, trace) in gate_traces.items():
-            graph = InfiniteGraph(table)
-            for k in range(1, 4):
-                reference = reference_hasse(table, k)
-                below = reversed_graph(reference)
+            references = [reference_hasse(table, k) for k in range(1, 4)]
+            for k, reference in enumerate(references, start=1):
                 assert equals_ignoring_tags(trace.graphs[k - 1].graph, reference), (name, k)
-                assert labels(graph.vertices(k)) == list(reference.sorted_vertices), (name, k)
-                for v in reference.sorted_vertices:
-                    t = parse_ground_type(v, table)
-                    assert labels(graph.covers_up(t, k)) == list(reference.successors(v)), (name, k, v)
-                    assert labels(graph.covers_down(t, k)) == list(below.successors(v)), (name, k, v)
-
-    def test_vertices_match_the_materialised_graphs(self, gate_traces):
-        for name, (table, trace) in gate_traces.items():
-            graph = InfiniteGraph(table)
-            for k, s in enumerate(trace.graphs, start=1):
-                assert labels(graph.vertices(k)) == list(s.graph.sorted_vertices), (name, k)
+            assert_covers_law(table, references)
 
     def test_vertices_below_depth_one_are_refused(self, tables, monkeypatch):
         # Refused before anything is enumerated or cached.
@@ -412,30 +378,3 @@ class TestInfiniteGraph:
                 graph.covers_up(t, 1)
         assert graph.covers_down(nested, 2)
 
-
-class TestSelfSimilarity:
-    def test_embeddings_between_consecutive_steps(self, tables, traces):
-        for name, trace in traces.items():
-            table = tables[name]
-            for current, nxt in zip(trace.graphs, trace.graphs[1:]):
-                for cls in sorted(table.generic):
-                    for u in current.graph.vertices:
-                        for v in current.graph.vertices:
-                            expected = reachable(current.graph, u, v)
-                            cov_u = covariant_image(cls, u)
-                            cov_v = covariant_image(cls, v)
-                            assert reachable(nxt.graph, cov_u, cov_v) == expected
-                            con_u = contravariant_image(cls, u)
-                            con_v = contravariant_image(cls, v)
-                            assert reachable(nxt.graph, con_v, con_u) == expected
-
-
-class TestMonotoneApproximation:
-    def test_restriction_of_next_closure_matches(self, traces):
-        for trace in traces.values():
-            for current, nxt in zip(trace.graphs, trace.graphs[1:]):
-                restricted = induced_subgraph(
-                    reflexive_transitive_closure(nxt.graph), current.graph.vertices
-                )
-                closed = reflexive_transitive_closure(current.graph)
-                assert equals_ignoring_tags(restricted, closed)

@@ -41,7 +41,6 @@ from groundsub import (
     parse_declarations,
     parse_ground_type,
     rank,
-    reachable,
     run,
     wildcards_graph,
     wildcards_size,
@@ -183,46 +182,75 @@ def test_rows_read_off_their_bounds(table):
 @EXAMPLES
 @given(class_tables())
 def test_infinite_graph_equals_the_materialised_graphs(table):
-    trace = run(table, checked_rank(table))
-    graph = InfiniteGraph(table)
-    for k, s in enumerate(trace.graphs, start=1):
-        assert labels(graph.vertices(k)) == list(s.graph.sorted_vertices)
-        below = reversed_graph(s.graph)
-        for v in s.graph.sorted_vertices:
-            t = parse_ground_type(v, table)
-            assert labels(graph.covers_up(t, k)) == list(s.graph.successors(v)), (k, v)
-            assert labels(graph.covers_down(t, k)) == list(below.successors(v)), (k, v)
+    assert_covers_law(table, [s.graph for s in run(table, checked_rank(table)).graphs])
 
 
 @EXAMPLES
 @given(class_tables())
 def test_laws(table):
-    trace = run(table, checked_rank(table))
+    graphs = run(table, checked_rank(table)).graphs
+    assert_size_laws(table, graphs)
+    assert_restriction_law(graphs)
+    assert_embedding_law(table, graphs)
+
+
+def assert_size_laws(table, graphs):
+    """|S_1| is the number of classes and each next size follows the vertex
+    recurrence n_k+1 = |plain| + |generic| * 3(n_k - 1), restated rather
+    than read from `predicted_sizes`; W(S_k) has 3(n_k - 1) vertices."""
     plain = len(table.classes) - len(table.generic)
     n = len(table.classes)
-    for current in trace.graphs:
-        # The vertex recurrence, restated rather than read from
-        # `predicted_sizes`, and the size law of the argument graph.
-        assert len(current.vertices) == n
-        assert len(wildcards_graph(current).vertices) == wildcards_size(n) == 3 * (n - 1)
+    for k, s in enumerate(graphs, start=1):
+        assert len(s.vertices) == n, k
+        assert len(wildcards_graph(s).vertices) == wildcards_size(n) == 3 * (n - 1), k
         n = plain + len(table.generic) * 3 * (n - 1)
-    for current, nxt in zip(trace.graphs, trace.graphs[1:]):
-        # S_k is the restriction of S_k+1 to its own vertices.
-        restricted = induced_subgraph(
-            reflexive_transitive_closure(nxt.graph), current.graph.vertices
-        )
-        assert equals_ignoring_tags(restricted, reflexive_transitive_closure(current.graph))
-        # Each generic class embeds S_k in S_k+1 covariantly through its
-        # upper-bounded arguments and contravariantly through its
-        # lower-bounded ones.
+
+
+def assert_restriction_law(graphs):
+    """Each S_k is the restriction of S_k+1 to its own vertices: the closure
+    of S_k+1 induced on them is the closure of S_k."""
+    closures = [reflexive_transitive_closure(s.graph) for s in graphs]
+    for k, (s, closed, closed_next) in enumerate(zip(graphs, closures, closures[1:]), start=1):
+        assert equals_ignoring_tags(induced_subgraph(closed_next, s.graph.vertices), closed), k
+
+
+def assert_embedding_law(table, graphs):
+    """Each generic class C embeds S_k in S_k+1 covariantly through its
+    upper-bounded arguments and contravariantly through its lower-bounded
+    ones: u reaches v in S_k exactly when C's covariant image of u reaches
+    that of v, and C's contravariant image of v reaches that of u.  Each
+    vertex is searched once, as `reachable(g, u, v)` is u == v or v among
+    `g.descendants_of(u)`."""
+
+    def up(g, u):
+        return g.descendants_of(u) | {u}
+
+    for current, nxt in zip(graphs, graphs[1:]):
+        g, h = current.graph, nxt.graph
+        vertices = g.sorted_vertices
+        ups = {u: up(g, u) for u in vertices}
         for cls in sorted(table.generic):
-            for u in current.graph.vertices:
-                for v in current.graph.vertices:
-                    expected = reachable(current.graph, u, v)
-                    cov = covariant_image(cls, u), covariant_image(cls, v)
-                    assert reachable(nxt.graph, *cov) == expected
-                    con = contravariant_image(cls, v), contravariant_image(cls, u)
-                    assert reachable(nxt.graph, *con) == expected
+            cov = {u: covariant_image(cls, u) for u in vertices}
+            con = {u: contravariant_image(cls, u) for u in vertices}
+            for u in vertices:
+                cov_up, con_up = up(h, cov[u]), up(h, con[u])
+                for v in vertices:
+                    assert (cov[v] in cov_up) == (v in ups[u]), (cls, u, v)
+                    assert (con[v] in con_up) == (u in ups[v]), (cls, v, u)
+
+
+def assert_covers_law(table, graphs):
+    """`InfiniteGraph` worked out on demand is each materialised graph: at
+    depth k its vertices, and each one's covers up and down, are those of
+    the k-th of `graphs`, in label order."""
+    infinite = InfiniteGraph(table)
+    for k, g in enumerate(graphs, start=1):
+        assert labels(infinite.vertices(k)) == list(g.sorted_vertices), k
+        below = reversed_graph(g)
+        for v in g.sorted_vertices:
+            t = parse_ground_type(v, table)
+            assert labels(infinite.covers_up(t, k)) == list(g.successors(v)), (k, v)
+            assert labels(infinite.covers_down(t, k)) == list(below.successors(v)), (k, v)
 
 
 def assert_fibre_law(table, k):

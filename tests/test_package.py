@@ -132,6 +132,8 @@ def test_src_keeps_no_wrapper_only_the_tests_call():
     assert "reached_fixed_point" not in {f.name for f in fields(builder.IterationTrace)}
     assert not hasattr(typelang.ClassTable, "superclass_of")
     assert not hasattr(typelang.ClassTable, "user_classes")
+    # An argument is checked as `is_type(C<arg>)` under a generic class `C`.
+    assert not hasattr(typelang.ClassTable, "is_argument")
     assert not hasattr(product.PartitionedGraph, "nonproduct_vertices")
 
 

@@ -1,7 +1,8 @@
-"""The walks down a type's argument chain: `rank`, `ClassTable.is_type` and
-`is_argument`, and the shape builders of the two deciders.  Each is a loop;
-here it is compared with the recursive reference it replaced, in results
-and in errors, and pinned not to recurse once per level."""
+"""The walks down a type's argument chain: `rank`, `ClassTable.is_type`, the
+shape builders of the two deciders, and `GroundType`'s `==`, `hash` and
+`repr`.  Each is a loop; here the first three are compared with the
+recursive references they replaced, in results and in errors, and all are
+pinned not to recurse once per level."""
 
 from __future__ import annotations
 
@@ -64,8 +65,10 @@ def outcome(walk, table, t):
 def assert_walks_agree(table, t):
     for name, walk in WALKS.items():
         assert outcome(walk, table, t) == outcome(REFERENCES[name], table, t), (name, t)
-    if t.arg is not None:
-        assert table.is_argument(t.arg) == reference_is_argument(t.arg, table), t
+    if t.arg is not None and table.generic:
+        # The argument alone, under a generic class of the table.
+        wrapped = GroundType(min(table.generic), t.arg)
+        assert table.is_type(wrapped) == reference_is_argument(t.arg, table), t
 
 
 def nested(kinds, innermost, name="C"):
@@ -124,9 +127,7 @@ def test_the_deepest_chains_agree():
     table = parse_declarations(CORPUS["one_generic"])
     text = "C<? <: " * (MAX_TYPE_NESTING - 1) + "C<?>" + ">" * (MAX_TYPE_NESTING - 1)
     parsed = parse_ground_type(text, table)
-    # Compared by label: `==` on two types this deep passes the recursion
-    # limit, since the dataclass comparison spends several frames a level.
-    assert canonical_label(parsed) == canonical_label(next(deepest_chains()))
+    assert parsed == next(deepest_chains())
     for t in deepest_chains():
         assert_walks_agree(table, t)
     assert rank(parsed) == MAX_TYPE_NESTING
@@ -169,3 +170,21 @@ def test_the_walks_do_not_recurse_once_per_level():
             assert shape[0] == "C", name
             shape, levels = shape[2], levels + 1
         assert (levels, shape) == (MAX_TYPE_NESTING - 1, ("C", Wild, None)), name
+
+
+def test_deep_types_compare_hash_and_print_without_recursing():
+    table = parse_declarations(CORPUS["one_generic"])
+    text = canonical_label(next(deepest_chains()))
+    t1, t2 = parse_ground_type(text, table), parse_ground_type(text, table)
+    changed = parse_ground_type(text.replace("C<?>", "C<N>"), table)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 50)
+    try:
+        equal, hashes, one = t1 == t2, (hash(t1), hash(t2)), len({t1, t2})
+        printed, differ = repr(t1), t1 != changed
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t1 is not t2
+    assert equal and hashes[0] == hashes[1] and one == 1
+    assert printed.count("GroundType(") == MAX_TYPE_NESTING
+    assert differ
