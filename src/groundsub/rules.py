@@ -9,10 +9,10 @@ contained in `b` exactly when `C<a> <: C<b>` for a generic class `C`.  The
 module shares no graph machinery with the iterated construction, so
 `differential_check` can compare the two over every ordered pair of types
 up to a rank bound and report any disagreement.  The types are listed
-rank by rank, each with its label and shape made from its bound's
-(`_layers`), for `enumerate_types` and the check alike.  The check lists
-each bound's up-set or down-set once, so it costs a pass over the types
-plus a step per true pair and per type of a listed bound.
+rank by rank as labels and shapes made from their bounds' (`_layers`),
+which the check reads and `enumerate_types` makes types of.  The check
+lists each bound's up-set or down-set once, so it costs a pass over the
+types plus a step per true pair and per type of a listed bound.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+from .builder import _sizes_within_limit
 from .errors import GraphError, SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .typelang import (
@@ -212,39 +213,35 @@ def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
     return rules.subtype(rules.shape(t1), rules.shape(t2))
 
 
-def _layers(table: ClassTable, max_rank: int) -> Iterator[list[tuple[str, GroundType, tuple]]]:
-    """The types of each rank from 0 to `max_rank` >= 0 as (label, type,
-    shape) triples, one list per rank in label order; none past rank 0
-    without a generic class.
+def _layers(table: ClassTable, max_rank: int) -> Iterator[list[tuple[str, tuple]]]:
+    """The types of each rank from 0 to `max_rank` >= 0 as (label, shape)
+    pairs, one list per rank in label order; none past rank 0 without a
+    generic class.
 
     Rank 0 holds the plain classes and rank 1 each generic class applied to
     `?`.  Rank k >= 2 applies each generic class to the exact,
     upper-bounded and lower-bounded form of every type of rank k - 1 (of
     ranks 0 and 1 when k is 2) but the forms `CORNERS` rewrites.  Each such
-    triple is made from its bound's; a plain type's label is its name.
+    pair is made from its bound's; a plain type's label is its name.
     """
     generics = sorted(table.generic)
-    plain = sorted(
-        (c, GroundType(c), (c, None, None)) for c in table.classes if c not in table.generic
-    )
+    plain = sorted((c, (c, None, None)) for c in table.classes if c not in table.generic)
     yield plain
     if max_rank == 0 or not generics:
         return
-    layer = sorted(
-        (instantiation_label(c, WILDCARD), GroundType(c, WILD), (c, Wild, None)) for c in generics
-    )
+    layer = sorted((instantiation_label(c, WILDCARD), (c, Wild, None)) for c in generics)
     yield layer
     layer = plain + layer
     for _ in range(2, max_rank + 1):
         args = []
-        for label, t, shape in layer:
+        for label, shape in layer:
             kinds = (kind for kind, corners in CORNERS.items() if label not in corners)
-            args += ((SPELL_BOUND[kind](label), kind, kind(t), shape) for kind in kinds)
+            args += ((SPELL_BOUND[kind](label), kind, shape) for kind in kinds)
         # Labels are unique, so the sort compares nothing past them.
         layer = sorted(
-            (instantiation_label(c, spelled), GroundType(c, arg), (c, kind, shape))
+            (instantiation_label(c, spelled), (c, kind, shape))
             for c in generics
-            for spelled, kind, arg, shape in args
+            for spelled, kind, shape in args
         )
         yield layer
 
@@ -253,11 +250,19 @@ def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
     """All normalized ground types over `table` with rank at most `max_rank`.
 
     Returned in deterministic order (by rank, then by label).  The count
-    matches the vertex count of the construction at the same depth.
+    matches the vertex count of the construction at the same depth; a depth
+    `run` refuses raises `SizeLimitError` before anything is listed.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
-    return tuple(t for layer in _layers(table, max_rank) for _, t, _ in layer)
+    _sizes_within_limit(table, max(max_rank, 1))
+    made: dict[tuple, GroundType] = {}  # by shape; an argument wraps its bound's type
+    for layer in _layers(table, max_rank):
+        for _, shape in layer:
+            name, kind, bound = shape
+            arg = None if kind is None else WILD if kind is Wild else kind(made[bound])
+            made[shape] = GroundType(name, arg)
+    return tuple(made.values())
 
 
 @dataclass(frozen=True)
@@ -305,8 +310,8 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     up-sets and down-sets of bounds that those listings read are each listed
     once, into the memo of the check's one `_Rules`.  So the check costs a
     pass over the types, a step per true pair and a step per shape the memo
-    keeps: 67,673 and 21,596 for two generic classes at rank 5.  A row's
-    mismatches are the difference of its two sets, in column order.
+    keeps: 67,673 and 21,596 for two generic classes at rank 5.  Only a row
+    whose two sets differ lists their difference, in column order.
 
     Mismatches are report content, not exceptions; an empty mismatch list is
     the expected outcome.  Raises `SizeLimitError` once the rows have listed
@@ -322,7 +327,7 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     rows = [
         (label, max(r, 1), shape)
         for r, layer in enumerate(_layers(table, max_rank))
-        for label, _, shape in layer
+        for label, shape in layer
     ]
     decider = _Rules(table)
     label_of = {shape: label for label, _, shape in rows}
@@ -347,6 +352,7 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
             raise SizeLimitError(
                 f"the types up to rank {max_rank} have over the limit of {MAX_PAIRS} true pairs"
             )
-        for l2 in sorted(above ^ by_rules, key=column.__getitem__):
-            mismatches.append(Mismatch(l1, l2, l2 in above, l2 in by_rules))
+        if above != by_rules:
+            for l2 in sorted(above ^ by_rules, key=column.__getitem__):
+                mismatches.append(Mismatch(l1, l2, l2 in above, l2 in by_rules))
     return DifferentialReport(max_rank, len(rows), tuple(mismatches))

@@ -177,8 +177,9 @@ def test_containment_is_asked_as_subtyping_and_run_is_the_only_iteration():
 
 
 def test_types_are_enumerated_once():
-    # `_layers` makes every type with its label and shape, and
-    # `typelang.SPELL_BOUND` is the one spelling of an argument's bound.
+    # `_layers` makes every type's label and shape, `enumerate_types` makes
+    # the types from those, and `typelang.SPELL_BOUND` is the one spelling
+    # of an argument's bound.
     assert not hasattr(rules, "_rows")
     assert not hasattr(rules, "_SPELL")
 

@@ -28,6 +28,7 @@ from groundsub import (
     is_subtype,
     parse_declarations,
     parse_ground_type,
+    rank,
     run,
     subtype_by_graph,
 )
@@ -307,6 +308,27 @@ class TestEnumerateTypes:
         with pytest.raises(ValueError, match="max_rank must be nonnegative"):
             enumerate_types(one_generic, -1)
 
+    def test_oversized_rank_is_refused_before_listing(self, one_generic, monkeypatch):
+        # `run`'s guard: S_3 of one generic class has 23 vertices, S_4 68.
+        def refuse(*args, **kwargs):
+            pytest.fail("listed types past the limit")
+
+        monkeypatch.setattr(builder, "MAX_VERTICES", 23)
+        assert len(enumerate_types(one_generic, 3)) == 23
+        monkeypatch.setattr(rules, "_layers", refuse)
+        with pytest.raises(SizeLimitError, match="approximation 4 would have 68 vertices"):
+            enumerate_types(one_generic, 4)
+
+    def test_bounds_are_shared(self, tables):
+        # A bound is the type listed for it, not an equal copy: copies would
+        # hold each chain once per type over it.
+        for name, table in tables.items():
+            earlier = set()
+            for t in enumerate_types(table, 4):
+                if rank(t) >= 2:
+                    assert id(t.arg.bound) in earlier, (name, canonical_label(t))
+                earlier.add(id(t))
+
 
 class TestDifferentialCheck:
     def test_one_generic_depth_three(self, one_generic):
@@ -405,6 +427,20 @@ class TestDifferentialCheck:
         monkeypatch.setattr(rules, "enumerate_types", again)
         monkeypatch.setattr(rules._Rules, "shape", again)
         assert [differential_check(table, k) for table, k in cases] == expected
+
+    def test_builds_no_ground_type(self, tables, monkeypatch):
+        # The rows are labels and shapes; only `enumerate_types` makes types.
+        class Made(Exception):
+            pass
+
+        def made(*args, **kwargs):
+            raise Made
+
+        expected = [differential_check(table, 3) for table in tables.values()]
+        monkeypatch.setattr(rules, "GroundType", made)
+        assert [differential_check(table, 3) for table in tables.values()] == expected
+        with pytest.raises(Made):
+            enumerate_types(tables["one_generic"], 3)
 
     def test_one_flipped_rule_verdict_is_the_one_mismatch(self, one_generic, monkeypatch):
         # A rank-3 type is never the bound of an argument at rank 3, so the
