@@ -81,6 +81,37 @@ def predicted_sizes(table: ClassTable) -> Iterator[int]:
         yield n
 
 
+def predicted_pairs(table: ClassTable) -> Iterator[int]:
+    """True-pair counts P_k of the approximations, the pairs s <= t of S_k
+    with s = t included, one per `predicted_sizes` count, by the recurrence
+    P_1 = 2n_1 - 1 + A + B + G and
+    P_{k+1} = 2n_{k+1} - 1 + A + B * 3(n_k - 1) + G * (4P_k - 2n_k - 3).
+    A, B and G count the pairs P ⊑ Q with Q not the top: of plain classes
+    with P not the bottom, of a generic P and a plain Q, and of generic ones.
+    """
+    # Each class's plain and generic ancestors, itself included and the top not.
+    counts = {TOP_CLASS: (0, 0)}
+    for name in table.superclass:
+        chain = []
+        while name not in counts:
+            chain.append(name)
+            name = table.superclass[name]
+        for name in reversed(chain):
+            plain, generic = counts[table.superclass[name]]
+            counts[name] = (plain, generic + 1) if name in table.generic else (plain + 1, generic)
+    a = sum(plain for c, (plain, _) in counts.items() if c not in table.generic)
+    b = sum(counts[c][0] for c in table.generic)
+    g = sum(counts[c][1] for c in table.generic)
+    sizes = predicted_sizes(table)
+    n = next(sizes)
+    pairs = 2 * n - 1 + a + b + g
+    yield pairs
+    for after in sizes:
+        pairs = 2 * after - 1 + a + b * wildcards_size(n) + g * (4 * pairs - 2 * n - 3)
+        n = after
+        yield pairs
+
+
 def run(table: ClassTable, iterations: int) -> IterationTrace:
     """Build the first `iterations` approximations.
 

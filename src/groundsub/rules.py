@@ -11,16 +11,18 @@ module shares no graph machinery with the iterated construction, so
 up to a rank bound and report any disagreement.  The types are listed
 rank by rank as labels and shapes made from their bounds' (`_layers`),
 which the check reads and `enumerate_types` makes types of.  The check
-lists each bound's up-set or down-set once, so it costs a pass over the
-types plus a step per true pair and per type of a listed bound.
+lists, as labels, each bound's up-set or down-set once, so it costs a pass
+over the types plus a step per true pair and per type of a listed bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import filterfalse, islice
 
-from .builder import _sizes_within_limit
+from .builder import _sizes_within_limit, predicted_pairs
 from .errors import GraphError, SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .typelang import (
@@ -36,8 +38,9 @@ from .typelang import (
     canonical_label,
 )
 
-# Most true pairs `differential_check` may list.  It counts them row by row
-# as the rules list them, and refuses once they pass the limit.
+# Most true pairs `differential_check` may list.  It predicts their count
+# from the class table (`builder.predicted_pairs`) and refuses before it
+# builds anything when the count passes the limit.
 MAX_PAIRS = 2_000_000
 
 # Argument containment, stated once.  Each outer argument kind names the
@@ -51,7 +54,7 @@ _CONTAINS = {
     Con: ((Con, Inv), _DOWN),
     Inv: ((Inv,), _SAME),
 }
-_TOP, _BOTTOM = (TOP_CLASS, None, None), (BOTTOM_CLASS, None, None)
+_TOP = TOP_CLASS, None, None
 
 
 class _Rules:
@@ -63,9 +66,11 @@ class _Rules:
     equal shapes, which compare and hash as the types do.  A class's
     superclasses and subclasses are worked out when first needed and kept
     for the life of the instance.  So is each up-set or down-set of a bound
-    that `above` and `below` read, as a tuple keyed by value (`_listing`).
-    Only `differential_check` fills that memo, for one check; `is_subtype`
-    builds an instance per verdict and lists nothing.
+    that `above` and `below` read, as a tuple of labels keyed by value
+    (`_listing`).  A listed type's label is looked up by its bound's label
+    in a table of its class and argument kind (`_labels`), so a listed pair
+    hashes no shape.  Only `differential_check` fills these, for one check;
+    `is_subtype` builds an instance per verdict and lists nothing.
     """
 
     # Each decider keeps its own shape code, `builder.InfiniteGraph` too.
@@ -76,7 +81,7 @@ class _Rules:
         self._table = table
         self._supers: dict[str, frozenset[str]] = {}
         self._subs: dict[str, tuple[str, ...]] = {}
-        self._listed: dict[tuple, tuple[tuple, ...]] = {}
+        self._listed: dict[tuple, tuple[str, ...]] = {}
 
     def shape(self, t: GroundType) -> tuple:
         """The shape of a normalised type; equal types get equal shapes."""
@@ -138,66 +143,94 @@ class _Rules:
             return self.subtype(bound2, bound1)
         return compare is None or bound1 == bound2
 
-    def above(self, s: tuple, k: int) -> Iterator[tuple]:
-        """Every shape of rank at most `k` >= 1 above the shape `s`, once each:
-        each superclass of its head, with, for a generic one, each argument
-        whose row of `_CONTAINS` admits the argument of `s`; every shape
-        above the bottom."""
+    def above(self, s: tuple, k: int) -> Iterator[str]:
+        """The label of every type of rank at most `k` >= 1 above the shape
+        `s`, once each: each superclass of its head, with, for a generic
+        one, each argument whose row of `_CONTAINS` admits the argument of
+        `s`; every type above the bottom."""
         name, kind, bound = s
         if name == BOTTOM_CLASS:
             yield from self._listing(False, _TOP, k)
             return
+        same = self._label(bound) if kind is Inv else None
         for sup in self.supers(name):
             if sup not in self._table.generic:
-                yield sup, None, None
+                yield sup
                 continue
+            labels = self._labels[sup]
             for outer, (kinds, compare) in _CONTAINS.items():
                 if kind in kinds:
-                    for b in self._bounds(outer, compare, bound, k, True):
-                        yield sup, outer, b
+                    bounds = self._bounds(outer, compare, bound, same, k, True)
+                    yield from map(labels[outer].__getitem__, bounds)
 
-    def below(self, s: tuple, k: int) -> Iterator[tuple]:
-        """Every shape of rank at most `k` >= 1 below the shape `s`, once each:
-        the bottom, and each subclass of its head, with, for a generic one,
-        each argument the row of `s`'s argument admits.  A plain class admits
-        every argument, as `?` does."""
+    def below(self, s: tuple, k: int) -> Iterator[str]:
+        """The label of every type of rank at most `k` >= 1 below the shape
+        `s`, once each: the bottom, and each subclass of its head, with, for
+        a generic one, each argument the row of `s`'s argument admits.  A
+        plain class admits every argument, as `?` does."""
         name, kind, bound = s
-        yield _BOTTOM
+        yield BOTTOM_CLASS
+        kinds, compare = _CONTAINS[Wild if kind is None else kind]
+        same = self._label(bound) if kind is Inv else None
         for sub in self.subs(name):
             if sub not in self._table.generic:
-                yield sub, None, None
+                yield sub
                 continue
-            kinds, compare = _CONTAINS[Wild if kind is None else kind]
+            labels = self._labels[sub]
             for inner in kinds:
-                for b in self._bounds(inner, compare, bound, k, False):
-                    yield sub, inner, b
+                bounds = self._bounds(inner, compare, bound, same, k, False)
+                yield from map(labels[inner].__getitem__, bounds)
 
-    def _bounds(self, kind: type, compare: str | None, bound: tuple, k: int, up: bool) -> Iterable:
-        """The bounds an argument of `kind` takes in a type of rank at most
-        `k` when `compare` relates them to `bound`, seen from the outer
-        argument if `up`, else from the inner one.  Without a comparison any
-        type will do; no bound is one of its kind's `CORNERS`, whose names
-        (`O` and `N`, never generic) name only plain shapes."""
+    def _bounds(
+        self, kind: type, compare: str | None, bound: tuple, same: str | None, k: int, up: bool
+    ) -> Iterable:
+        """The labels of the bounds an argument of `kind` takes in a type of
+        rank at most `k` when `compare` relates them to `bound`, of label
+        `same`, seen from the outer argument if `up`, else from the inner
+        one; `None` for `?`.  Without a comparison any type will do; no bound
+        is one of its kind's `CORNERS`, which are plain labels."""
         if kind is Wild:
             return (None,)
         if k < 2:
             return ()
         if compare is _SAME:
-            return (bound,)
+            return (same,)
         if compare is None:
             found = self._listing(False, _TOP, k - 1)
         else:
             found = self._listing((compare is _UP) == up, bound, k - 1)
         corners = CORNERS[kind]
-        return (b for b in found if b[0] not in corners) if corners else found
+        return filterfalse(corners.__contains__, found) if corners else found
 
-    def _listing(self, up: bool, s: tuple, k: int) -> tuple[tuple, ...]:
+    def _listing(self, up: bool, s: tuple, k: int) -> tuple[str, ...]:
         """`above(s, k)` if `up`, else `below(s, k)`, listed on first use
         and kept, by value, for the life of the instance."""
         key = up, s, k
         if key not in self._listed:
             self._listed[key] = tuple((self.above if up else self.below)(s, k))
         return self._listed[key]
+
+    @cached_property
+    def _labels(self) -> dict[str, dict[type, _Spelled]]:
+        """Each generic class's label tables, one per argument kind."""
+        return {c: {kind: _Spelled(c, kind) for kind in _CONTAINS} for c in self._table.generic}
+
+    def _label(self, s: tuple) -> str:
+        """The label of the type of shape `s`, spelled from its bound's."""
+        name, kind, bound = s
+        return name if kind is None else self._labels[name][kind][bound and self._label(bound)]
+
+
+class _Spelled(dict):
+    """The labels of class `name` applied to arguments of `kind`, keyed by
+    the bound's label, or `None` for `?`; each is spelled on first use."""
+
+    def __init__(self, name: str, kind: type):
+        self.name, self.spell = name, SPELL_BOUND.get(kind)
+
+    def __missing__(self, bound: str | None) -> str:
+        self[bound] = instantiation_label(self.name, self.spell(bound) if bound else WILDCARD)
+        return self[bound]
 
 
 def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
@@ -306,21 +339,30 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     read in place of S_k: that S_k is the restriction of every later graph
     is a law of the construction, and the check is there to test it.
 
-    The rules side streams each row's up-set from `_Rules.above`.  The
-    up-sets and down-sets of bounds that those listings read are each listed
-    once, into the memo of the check's one `_Rules`.  So the check costs a
-    pass over the types, a step per true pair and a step per shape the memo
-    keeps: 67,673 and 21,596 for two generic classes at rank 5.  Only a row
-    whose two sets differ lists their difference, in column order.
+    The rules side streams each row's up-set, as labels, from
+    `_Rules.above`.  The up-sets and down-sets of bounds that those listings
+    read are each listed once, into the memo of the check's one `_Rules`.
+    So the check costs a pass over the types, a step per true pair and a
+    step per label the memo keeps: 67,673 and 21,596 for two generic classes
+    at rank 5.  Only a row whose two sets differ lists their difference, in
+    column order.
 
     Mismatches are report content, not exceptions; an empty mismatch list is
-    the expected outcome.  Raises `SizeLimitError` once the rows have listed
-    more than `MAX_PAIRS` true pairs, before the next row is listed.
+    the expected outcome.  The true pairs are counted from the table first
+    (`builder.predicted_pairs`), and `SizeLimitError` refuses more than
+    `MAX_PAIRS` before anything is built.  When every row agrees, the rows'
+    sizes must add up to that count, or `GraphError` names the pair law.
     """
     from .builder import run
 
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
+    depth = len(_sizes_within_limit(table, max_rank))
+    predicted = next(islice(predicted_pairs(table), depth - 1, None))
+    if predicted > MAX_PAIRS:
+        raise SizeLimitError(
+            f"the types up to rank {max_rank} have over the limit of {MAX_PAIRS} true pairs"
+        )
     trace = run(table, max_rank)
     # Each type's label, the index of the smallest graph holding it and its
     # shape: ranks 0 and 1 are both first held by S_1.
@@ -330,7 +372,6 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
         for label, shape in layer
     ]
     decider = _Rules(table)
-    label_of = {shape: label for label, _, shape in rows}
     column = {label: i for i, (label, _, _) in enumerate(rows)}
     # The labels whose smallest graph is S_k; S_k holds those of ranks up to k.
     of_rank: list[set[str]] = [set() for _ in range(trace.depth + 1)]
@@ -346,13 +387,13 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
         above.add(l1)
         for k in range(k1 + 1, trace.depth + 1):
             above |= of_rank[k] & trace.graphs[k - 1].graph.descendants_of(l1)
-        by_rules = {label_of[s] for s in decider.above(s1, max_rank)}
+        by_rules = set(decider.above(s1, max_rank))
         pairs += len(by_rules)
-        if pairs > MAX_PAIRS:
-            raise SizeLimitError(
-                f"the types up to rank {max_rank} have over the limit of {MAX_PAIRS} true pairs"
-            )
         if above != by_rules:
             for l2 in sorted(above ^ by_rules, key=column.__getitem__):
                 mismatches.append(Mismatch(l1, l2, l2 in above, l2 in by_rules))
+    if not mismatches and pairs != predicted:
+        raise GraphError(
+            f"pair law fails at rank {max_rank}: {pairs} true pairs listed, predicted {predicted}"
+        )
     return DifferentialReport(max_rank, len(rows), tuple(mismatches))

@@ -117,10 +117,11 @@ def assert_generator_agrees_with_both_deciders(table, k):
         if reference_is_subtype(t1, t2, table)
     ]
     assert by_rules == by_reference
-    up = [(s1, s2) for s1 in shapes for s2 in decider.above(s1, k)]
-    down = [(s1, s2) for s2 in shapes for s1 in decider.below(s2, k)]
+    labels = dict(zip(shapes, map(canonical_label, types)))
+    up = [(labels[s1], l2) for s1 in shapes for l2 in decider.above(s1, k)]
+    down = [(l1, labels[s2]) for s2 in shapes for l1 in decider.below(s2, k)]
     assert len(up) == len(down) == len(by_rules)
-    assert set(up) == set(down) == set(by_rules)
+    assert set(up) == set(down) == {(labels[s1], labels[s2]) for s1, s2 in by_rules}
 
 
 @pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])

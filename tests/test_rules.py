@@ -363,6 +363,29 @@ class TestDifferentialCheck:
         with pytest.raises(SizeLimitError, match=f"over the limit of {true - 1} true pairs"):
             differential_check(one_generic, 3)
 
+    @pytest.mark.parametrize(
+        "name, k, limit", [("one_generic", 3, 145), ("two_generics", 7, rules.MAX_PAIRS)]
+    )
+    def test_pair_limit_is_read_off_the_table_before_building(
+        self, tables, monkeypatch, name, k, limit
+    ):
+        # 146 and 4,795,481 true pairs, predicted by the pair law.
+        def forbidden(*args):
+            pytest.fail("built the approximations of an over-limit check")
+
+        monkeypatch.setattr(builder, "run", forbidden)
+        monkeypatch.setattr(rules, "MAX_PAIRS", limit)
+        with pytest.raises(SizeLimitError, match=f"rank {k} have over the limit of {limit}"):
+            differential_check(tables[name], k)
+
+    def test_agreeing_rows_off_the_pair_law_are_refused(self, one_generic, monkeypatch):
+        real = rules.predicted_pairs
+        monkeypatch.setattr(rules, "predicted_pairs", lambda table: (p + 1 for p in real(table)))
+        with pytest.raises(
+            GraphError, match="pair law fails at rank 3: 146 true pairs listed, predicted 147"
+        ):
+            differential_check(one_generic, 3)
+
     def test_minimum_rank_is_enforced(self, one_generic):
         with pytest.raises(ValueError):
             differential_check(one_generic, 0)
@@ -416,7 +439,8 @@ class TestDifferentialCheck:
 
     def test_builds_each_type_once(self, tables, monkeypatch):
         # The rows are read off `rules._layers` alone: nothing enumerates the
-        # types, spells a label or makes a shape a second time.
+        # types, spells a row's label with `canonical_label` or makes a shape
+        # a second time.
         cases = [(tables["two_generics"], 3), (tables["mixed_hierarchy"], 4)]
         expected = [reference_differential_check(table, k) for table, k in cases]
 
@@ -446,8 +470,7 @@ class TestDifferentialCheck:
         # A rank-3 type is never the bound of an argument at rank 3, so the
         # flip reaches no other pair through the recursion.
         decider = rules._Rules(one_generic)
-        left = decider.shape(parse_ground_type("C<C<N>>", one_generic))
-        right = decider.shape(parse_ground_type("C<?>", one_generic))
+        left, right = decider.shape(parse_ground_type("C<C<N>>", one_generic)), "C<?>"
         real = rules._Rules.above
 
         def flipped(self, s, k):
@@ -500,9 +523,10 @@ class TestDifferentialCheck:
         # which the check never asks pair by pair.
         table = tables["two_generics"]
         decider = rules._Rules(table)
-        shapes = [decider.shape(t) for t in enumerate_types(table, 3)]
-        for s1 in shapes:
-            assert set(decider.above(s1, 3)) == {s2 for s2 in shapes if decider.subtype(s1, s2)}
+        types = [(canonical_label(t), decider.shape(t)) for t in enumerate_types(table, 3)]
+        for _, s1 in types:
+            expected = {l2 for l2, s2 in types if decider.subtype(s1, s2)}
+            assert set(decider.above(s1, 3)) == expected
         real = rules._Rules.above
         ranks = []
 
