@@ -234,6 +234,8 @@ class InfiniteGraph:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
+        # A table without generic classes has one approximation, S_1.
+        k = len(_sizes_within_limit(self.table, k))
         return tuple(map(_ground, self._vertices_of(k)))
 
     def reaches(self, t1: GroundType, t2: GroundType, k: int) -> bool:

@@ -103,8 +103,10 @@ WILD = Wild()
 class GroundType:
     """A class name, or a generic class applied to one argument.
 
-    `==`, `hash` and `repr` give what the dataclass would generate, but walk
-    the argument chain in a loop, so they work at any nesting.
+    `==` and `repr` give what the dataclass would generate, and `hash`
+    hashes the same flat chain `==` compares, so types that differ only in
+    an argument's kind hash apart.  All three walk the argument chain in a
+    loop, so they work at any nesting.
     """
 
     name: str
@@ -113,50 +115,35 @@ class GroundType:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        a, b = self, other
-        while a is not b:
-            if a.name != b.name:
-                return False
-            down_a, down_b = _down(a), _down(b)
-            if down_a is None or down_b is None or down_a[0] is not down_b[0]:
-                return a.arg is b.arg or a.arg == b.arg
-            a, b = down_a[1], down_b[1]
-        return True
+        return _chain(self) == _chain(other)
 
     def __hash__(self) -> int:
-        levels, t = [], self
-        while (down := _down(t)) is not None:
-            levels.append((t.name, down[0]))
-            t = down[1]
-        h = hash((t.name, t.arg))
-        for name, kind in reversed(levels):  # a bounded argument hashes as (bound,)
-            h = hash((name, _Hash(h if kind is GroundType else hash((_Hash(h),)))))
-        return h
+        return hash(_chain(self))
 
     def __repr__(self) -> str:
-        parts, t = [], self
-        while True:
-            parts.append(f"{t.__class__.__qualname__}(name={t.name!r}, arg=")
-            if (down := _down(t)) is None:
-                return "".join(parts) + repr(t.arg) + ")" * len(parts)
-            kind, t = down
+        *levels, name, arg = _chain(self)
+        parts, cls = [], self.__class__
+        for level, kind in zip(levels[::2], levels[1::2]):
+            parts.append(f"{cls.__qualname__}(name={level!r}, arg=")
             if kind is not GroundType:
                 parts.append(f"{kind.__qualname__}(bound=")
+            cls = GroundType
+        parts.append(f"{cls.__qualname__}(name={name!r}, arg={arg!r})")
+        return "".join(parts) + ")" * (len(parts) - 1)
 
 
-def _down(t: GroundType) -> tuple[type, GroundType] | None:
-    """The class of the argument of `t` and the ground type it is or bounds,
-    or None if it is neither: the next level of the chain."""
-    arg, kind = t.arg, t.arg.__class__
-    below = arg.bound if kind in _BOUNDED else arg
-    return (kind, below) if below.__class__ is GroundType else None
-
-
-class _Hash(int):
-    """Hashes as its own value: a level's stand-in for the levels below."""
-
-    def __hash__(self) -> int:
-        return int(self)
+def _chain(t: GroundType) -> tuple:
+    """`t` as one flat tuple: for each level down its chain of arguments that
+    are a `GroundType` or are bounded by one, the level's class name and its
+    argument's class, then the last level's name and argument."""
+    chain: list = []
+    while True:
+        kind = t.arg.__class__
+        below = t.arg.bound if kind in _BOUNDED else t.arg
+        if below.__class__ is not GroundType:
+            return (*chain, t.name, t.arg)
+        chain += (t.name, kind)
+        t = below
 
 
 OBJECT_TYPE = GroundType(TOP_CLASS)

@@ -27,14 +27,18 @@ the texts of one regex scan: recursive descent over the positioned tokens
 of their own tokenizer, `_tokenize`, normalising a parsed type in a second
 walk.  `reference_rank`, `reference_is_type` with `reference_is_argument`,
 and `reference_shape` are the walks down a type's argument chain as they
-were before they became loops: one call per level.
+were before they became loops: one call per level.  `reference_value`
+mirrors a type into plain frozen dataclasses, whose generated `==` and
+`repr` `GroundType`'s own must equal.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from collections.abc import Callable, Iterable, Mapping
+from functools import cache
 from itertools import accumulate
 from typing import NamedTuple, NoReturn
 
@@ -425,6 +429,26 @@ def reference_shape(t: GroundType) -> tuple:
     if isinstance(t.arg, Wild):
         return t.name, Wild, None
     return t.name, type(t.arg), reference_shape(t.arg.bound)
+
+
+@cache
+def _mirror_class(cls: type) -> type:
+    mirror = dataclasses.make_dataclass(
+        cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True
+    )
+    mirror.__qualname__ = cls.__qualname__
+    return mirror
+
+
+def reference_value(x: object) -> object:
+    """`x` with every dataclass instance in it, a type or an argument, made
+    again as an instance of a plain frozen dataclass of the same qualified
+    name and fields, whose `==`, `hash` and `repr` are the generated ones.
+    Anything else is kept as it is."""
+    if not dataclasses.is_dataclass(x) or isinstance(x, type):
+        return x
+    mirror = _mirror_class(x.__class__)
+    return mirror(*(reference_value(getattr(x, f.name)) for f in dataclasses.fields(mirror)))
 
 
 def edge_tag(t1: GroundType, t2: GroundType) -> EdgeTag:

@@ -355,6 +355,12 @@ class TestInfiniteGraph:
             with pytest.raises(ValueError, match="k must be at least 1"):
                 graph.vertices(k)
 
+    def test_vertices_past_the_fixed_point_are_those_of_s1(self):
+        # A table without generic classes has one approximation, so no depth
+        # is walked down level by level.
+        graph = InfiniteGraph(parse_declarations(ALL_PLAIN_SOURCE))
+        assert graph.vertices(10_000) == graph.vertices(1)
+
     def test_covers_depend_on_depth(self, tables):
         table = tables["one_generic"]
         graph = InfiniteGraph(table)

@@ -10,8 +10,10 @@ from groundsub import differential_check, run
 from conftest import small_class_tables, table_form
 from test_generated import (
     assert_covers_law,
+    assert_edge_law,
     assert_embedding_law,
     assert_fibre_law,
+    assert_pair_law,
     assert_restriction_law,
     assert_size_laws,
     assert_tag_law,
@@ -59,3 +61,11 @@ def test_size_embedding_and_restriction_laws_on_every_small_table(n):
         # 58 four-class tables.
         if n <= 3:
             assert_restriction_law(graphs)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_edge_and_pair_laws_on_every_small_table(n):
+    for table in small_class_tables(n):
+        graphs = run(table, 3).graphs
+        assert_edge_law(table, graphs)
+        assert_pair_law(table, graphs)

@@ -45,8 +45,9 @@ from groundsub import (
     wildcards_graph,
     wildcards_size,
 )
-from groundsub import rules, subtype_by_graph
+from groundsub import builder, product, rules, subtype_by_graph
 from groundsub.builder import predicted_sizes, sufficient_depth
+from groundsub.digraph import EdgeTag
 from groundsub.labels import instantiation_label
 
 from conftest import CORPUS, NUMBERS_SOURCE, class_tables
@@ -193,8 +194,29 @@ def test_infinite_graph_equals_the_materialised_graphs(table):
 def test_laws(table):
     graphs = run(table, checked_rank(table)).graphs
     assert_size_laws(table, graphs)
+    assert_edge_law(table, graphs)
+    assert_pair_law(table, graphs)
     assert_restriction_law(graphs)
     assert_embedding_law(table, graphs)
+
+
+def test_an_implied_edge_breaks_the_edge_law_alone(monkeypatch):
+    # N -> O lies below N -> C<?> -> O: the order, its sizes and its true
+    # pairs stay the same, and only the edge count grows.
+    table = parse_declarations(CORPUS["one_generic"])
+    cover_edges = product._cover_edges
+
+    def with_implied_edge(pg, g2, rows):
+        out = cover_edges(pg, g2, rows)
+        out[BOTTOM_CLASS].append((TOP_CLASS, EdgeTag.INHERIT))
+        return out
+
+    monkeypatch.setattr(product, "_cover_edges", with_implied_edge)
+    graphs = run(table, MAX_RANK).graphs
+    assert_size_laws(table, graphs)
+    assert_pair_law(table, graphs)
+    with pytest.raises(AssertionError):
+        assert_edge_law(table, graphs)
 
 
 def assert_size_laws(table, graphs):
@@ -207,6 +229,55 @@ def assert_size_laws(table, graphs):
         assert len(s.vertices) == n, k
         assert len(wildcards_graph(s).vertices) == wildcards_size(n) == 3 * (n - 1), k
         n = plain + len(table.generic) * 3 * (n - 1)
+
+
+def assert_edge_law(table, graphs):
+    """|E(S_1)| = pp + pn + np + nn, counting the class graph's edges from a
+    generic or plain class (first letter) to a generic or plain one; W(S_k)
+    has 2e_k + 2(n_k - 2) edges; and, with g generic classes,
+    e_k+1 = pp * 3(n_k - 1) + g * (2e_k + 2(n_k - 2)) + pn + np * n_k + nn:
+    a copy of each pp edge per argument and of W(S_k) per generic class,
+    each pn edge out of the sink `?` and each np edge into the n_k exact
+    arguments, the sources of W(S_k)."""
+    ends = [(sub in table.generic, sup in table.generic) for sub, sup in table.extends_edges]
+    pp, pn, np, nn = map(ends.count, ((True, True), (True, False), (False, True), (False, False)))
+    g = len(table.generic)
+    e = pp + pn + np + nn
+    for k, s in enumerate(graphs, start=1):
+        n = len(s.vertices)
+        assert s.graph.edge_count == e, k
+        assert wildcards_graph(s).edge_count == 2 * e + 2 * (n - 2), k
+        e = pp * 3 * (n - 1) + g * (2 * e + 2 * (n - 2)) + pn + np * n + nn
+
+
+def assert_pair_law(table, graphs):
+    """S_k has P_k true pairs s <= t, s = t included, where
+    P_1 = 2n_1 - 1 + A + B + G and
+    P_k+1 = 2n_k+1 - 1 + A + B * 3(n_k - 1) + G * (4P_k - 2n_k - 3),
+    restated rather than read from `builder.predicted_pairs`, which must
+    agree.  A, B and G count the pairs P ⊑ Q, Q not the top, of plain
+    classes with P not the bottom, of a generic P and a plain Q, and of
+    generic classes: each class is paired with itself and its ancestors."""
+    a = b = g = 0
+    for name in table.superclass:
+        ancestors = [name]
+        while (parent := table.superclass[ancestors[-1]]) != TOP_CLASS:
+            ancestors.append(parent)
+        plain = sum(c not in table.generic for c in ancestors)
+        if name in table.generic:
+            b, g = b + plain, g + len(ancestors) - plain
+        else:
+            a += plain
+    predicted = builder.predicted_pairs(table)
+    for k, s in enumerate(graphs, start=1):
+        size = len(s.vertices)
+        if k == 1:
+            pairs = 2 * size - 1 + a + b + g
+        else:
+            pairs = 2 * size - 1 + a + b * 3 * (n - 1) + g * (4 * pairs - 2 * n - 3)
+        n = size
+        assert sum(len(s.graph.descendants_of(v)) + 1 for v in s.graph.vertices) == pairs, k
+        assert next(predicted) == pairs, k
 
 
 def assert_restriction_law(graphs):

@@ -1,8 +1,9 @@
 """The walks down a type's argument chain: `rank`, `ClassTable.is_type`, the
 shape builders of the two deciders, and `GroundType`'s `==`, `hash` and
 `repr`.  Each is a loop; here the first three are compared with the
-recursive references they replaced, in results and in errors, and all are
-pinned not to recurse once per level."""
+recursive references they replaced, in results and in errors, `==` and
+`repr` with those a plain dataclass generates, and all are pinned not to
+recurse once per level."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from groundsub import (
     Wild,
     builder,
     canonical_label,
+    enumerate_types,
     parse_declarations,
     parse_ground_type,
     rank,
@@ -36,6 +38,7 @@ from oracles import (
     reference_normalize_type,
     reference_rank,
     reference_shape,
+    reference_value,
 )
 from test_generated import types_of_rank
 from test_typelang import spelled_arguments, written_types
@@ -188,3 +191,45 @@ def test_deep_types_compare_hash_and_print_without_recursing():
     assert equal and hashes[0] == hashes[1] and one == 1
     assert printed.count("GroundType(") == MAX_TYPE_NESTING
     assert differ
+
+
+class Renamed(GroundType):
+    """A subclass, which `==` tells apart from a `GroundType` of the same fields."""
+
+
+def values():
+    """The types of rank at most 3 over two generic classes and a plain one,
+    and values no parse makes: arguments that are not arguments, bounds that
+    are not types, a subclass at the top and below, and a string."""
+    table = parse_declarations("class A {} class C<T> {} class D<T> extends C<T> {}")
+    c = GroundType("C", WILD)
+    return [
+        *enumerate_types(table, 3),
+        GroundType("C", Inv(42)),
+        GroundType("C", GroundType("A")),
+        GroundType("C", Cov(Inv(GroundType("A")))),
+        Renamed("C", Inv(GroundType("A"))),
+        GroundType("C", Cov(Renamed("C", WILD))),
+        "junk",
+        GroundType("C", "junk"),
+        GroundType("C", Con(GroundType("D", Inv(c)))),
+        GroundType("C", Inv(GroundType("C", Cov(Inv(c))))),
+        GroundType("D", Con(None)),
+    ]
+
+
+def test_values_compare_and_print_as_generated_dataclasses():
+    # Made twice, so that equal values are also compared as distinct objects.
+    first, second = values(), values()
+    mirrors = [reference_value(v) for v in first + second]
+    for v, m in zip(first, mirrors):
+        assert repr(v) == repr(m)
+        for w, n in zip(first + second, mirrors):
+            assert (v == w, v != w) == (m == n, m != n), (v, w)
+            if v == w:
+                assert hash(v) == hash(w), (v, w)
+
+
+def test_types_that_differ_only_in_an_argument_kind_hash_apart():
+    types = enumerate_types(parse_declarations("class C<T> {}"), 6)
+    assert len(set(map(hash, types))) == len(types) == 608
