@@ -121,28 +121,45 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
     `SizeLimitError`, before building anything, when an approximation would
     have more than `MAX_VERTICES` vertices.  After each step it checks the
     paper's size laws, |S_k| = n_k and |W(S_k)| = 3(n_k - 1) with n_k from
-    `predicted_sizes`, and raises `GraphError` naming the law that fails.
+    `predicted_sizes`, and the edge laws, |E(S_k)| = e_k and
+    |E(W(S_k))| = 2e_k + 2(n_k - 2), and raises `GraphError` naming the law
+    that fails.  With pp, pn, np and nn counting the class graph's edges
+    from a generic or plain class to a generic or plain one, and g generic
+    classes, e_1 = pp + pn + np + nn and
+    e_{k+1} = pp * 3(n_k - 1) + g * (2e_k + 2(n_k - 2)) + pn + np * n_k + nn.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     sizes = _sizes_within_limit(table, iterations)
+    generic = table.generic
+    ends = [(sub in generic, sup in generic) for sub, sup in table.extends_edges]
+    pp, pn, np, nn = map(ends.count, ((True, True), (True, False), (False, True), (False, False)))
+    edges = pp + pn + np + nn
     graphs = [_product_with_arguments(table, LabeledDigraph.from_edges(vertices=(WILDCARD,)))]
-    _check_size_law("|S_k| = n_k", 1, len(graphs[0].vertices), sizes[0])
-    for k in range(1, len(sizes)):
+    _check_laws(_LAWS_OF_S, 1, graphs[0].graph, sizes[0], edges)
+    for k, n in enumerate(sizes[:-1], start=1):
         arguments = wildcards_graph(graphs[-1])
-        _check_size_law(
-            "|W(S_k)| = 3(n_k - 1)", k, len(arguments.vertices), wildcards_size(sizes[k - 1])
-        )
+        argument_edges = 2 * edges + 2 * (n - 2)
+        _check_laws(_LAWS_OF_W, k, arguments, wildcards_size(n), argument_edges)
         graphs.append(_product_with_arguments(table, arguments))
-        _check_size_law("|S_k| = n_k", k + 1, len(graphs[-1].vertices), sizes[k])
+        edges = pp * wildcards_size(n) + len(generic) * argument_edges + pn + np * n + nn
+        _check_laws(_LAWS_OF_S, k + 1, graphs[-1].graph, sizes[k], edges)
     return IterationTrace(tuple(graphs))
 
 
-def _check_size_law(law: str, k: int, actual: int, predicted: int) -> None:
-    if actual != predicted:
-        raise GraphError(
-            f"size law {law} fails at k = {k}: {actual} vertices, predicted {predicted}"
-        )
+_LAWS_OF_S = "size law |S_k| = n_k", "edge law |E(S_k)| = e_k"
+_LAWS_OF_W = "size law |W(S_k)| = 3(n_k - 1)", "edge law |E(W(S_k))| = 2e_k + 2(n_k - 2)"
+
+
+def _check_laws(laws: tuple[str, str], k: int, g: LabeledDigraph, size: int, edges: int) -> None:
+    """`g` must have `size` vertices and `edges` edges, or the first law of
+    `laws` that fails, the size law or the edge law, is raised for k."""
+    for law, actual, predicted, unit in (
+        (laws[0], len(g.vertices), size, "vertices"),
+        (laws[1], g.edge_count, edges, "edges"),
+    ):
+        if actual != predicted:
+            raise GraphError(f"{law} fails at k = {k}: {actual} {unit}, predicted {predicted}")
 
 
 def _sizes_within_limit(table: ClassTable, k: int) -> list[int]:

@@ -10,7 +10,10 @@ and parallel edges, and the algorithms below preserve those invariants.
 Immutability is a rule, not enforced: no code changes a built graph's
 vertices or successor lists, so readers may share one, and validation, the
 queries, `product`, `wildcards` and `export` read the lists in place.
-Reachability is searched for over those lists on each call: no closure is kept.
+Validation keeps the topological order Kahn's algorithm finds.  Reachability
+is worked out from the successor lists on each call: `descendants_of`
+searches upward from one vertex, and `up_sets` lists every vertex's strict
+descendants bottom-up along the kept order.  The graph keeps neither result.
 """
 
 from __future__ import annotations
@@ -95,8 +98,9 @@ class LabeledDigraph:
         out.update(dict.fromkeys(vertices - out.keys(), ()))
         if len(out) > len(vertices):  # drop keys outside the vertex set, all without edges
             out = self._out = {v: out[v] for v in vertices}
-        # Kahn's algorithm: the vertices it cannot order lie on or above a cycle.
-        order = [v for v, d in indegree.items() if d == 0]
+        # Kahn's algorithm: the vertices it cannot order lie on or above a
+        # cycle.  The order is kept, every vertex before its successors.
+        order = self._order = [v for v, d in indegree.items() if d == 0]
         self._sources = tuple(sorted(order))
         for v in order:
             for w, _ in out[v]:
@@ -171,7 +175,7 @@ class LabeledDigraph:
 
     def descendants_of(self, label: str) -> set[str]:
         """The strict descendants of `label`: a fresh set, found by a search
-        upward over the successor lists."""
+        upward over the successor lists; nothing found is kept."""
         self._require_vertex(label)
         out, found, stack = self._out, set(), [label]
         while stack:
@@ -180,6 +184,29 @@ class LabeledDigraph:
                     found.add(w)
                     stack.append(w)
         return found
+
+    def up_sets(self) -> dict[str, tuple[str, ...]]:
+        """Every vertex's strict descendants, each as a tuple in no fixed
+        order, in a fresh dict the graph keeps nothing of.
+
+        They are listed bottom-up, in the reverse of the kept topological
+        order: a vertex with one successor `w` gets `w` and `w`'s tuple,
+        and any other the union of its successors and their tuples.  The
+        tuples together hold one entry per strict pair of the order.
+        """
+        out, up = self._out, {}
+        for v in reversed(self._order):
+            targets = out[v]
+            if len(targets) == 1:
+                w = targets[0][0]
+                up[v] = (w, *up[w])
+            else:
+                found = set()
+                for w, _ in targets:
+                    found.add(w)
+                    found.update(up[w])
+                up[v] = tuple(found)
+        return up
 
 
 def _defect(src: str, dst: str, last: str | None) -> str:

@@ -11,8 +11,10 @@ module shares no graph machinery with the iterated construction, so
 up to a rank bound and report any disagreement.  The types are listed
 rank by rank as labels and shapes made from their bounds' (`_layers`),
 which the check reads and `enumerate_types` makes types of.  The check
-lists, as labels, each bound's up-set or down-set once, so it costs a pass
-over the types plus a step per true pair and per type of a listed bound.
+lists, as labels, each bound's up-set or down-set once, and each graph's
+up-sets once (`LabeledDigraph.up_sets`), so it costs a pass over the types
+plus a step per true pair of the rules and of each graph and per type of a
+listed bound.
 """
 
 from __future__ import annotations
@@ -331,10 +333,13 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     one of t1's descendants.  Here the S_k are built by `run`, not searched
     on demand.  The rows are read off `_layers`, which makes each type's
     label and shape from its bound's.  S_k must hold exactly the types of
-    rank at most k, or `GraphError` names k.  Each row t1, of rank k1,
-    gathers its graph verdicts into one set, `above`: t1 itself, its
+    rank at most k, or `GraphError` names k.  Each S_k lists every vertex's
+    strict descendants once, bottom-up (`LabeledDigraph.up_sets`), and the
+    listings are held for the length of the check: one entry per true pair
+    of each S_k, so at most `MAX_PAIRS` per graph.  Each row t1, of rank
+    k1, gathers its graph verdicts into one set, `above`: t1 itself, its
     descendants in S_{k1}, and for each k > k1 its descendants in S_k of
-    rank exactly k, each from one search (`descendants_of`).  A column t2 of
+    rank exactly k, each read from that graph's listing.  A column t2 of
     rank k2 is thus read from S_k, k = max(k1, k2).  The last graph is not
     read in place of S_k: that S_k is the restriction of every later graph
     is a law of the construction, and the check is there to test it.
@@ -380,13 +385,14 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     for k, s in enumerate(trace.graphs, 1):
         if s.graph.vertices != set().union(*of_rank[: k + 1]):
             raise GraphError(f"approximation {k} does not hold the types of rank at most {k}")
+    ups = [s.graph.up_sets() for s in trace.graphs]
     pairs = 0
     mismatches: list[Mismatch] = []
     for l1, k1, s1 in rows:
-        above = trace.graphs[k1 - 1].graph.descendants_of(l1)
+        above = set(ups[k1 - 1][l1])
         above.add(l1)
         for k in range(k1 + 1, trace.depth + 1):
-            above |= of_rank[k] & trace.graphs[k - 1].graph.descendants_of(l1)
+            above |= of_rank[k].intersection(ups[k - 1][l1])
         by_rules = set(decider.above(s1, max_rank))
         pairs += len(by_rules)
         if above != by_rules:

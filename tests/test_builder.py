@@ -134,6 +134,19 @@ class TestRun:
         assert captured.out == ""
         assert re.fullmatch(f"error: {law}\n", captured.err)
 
+    def test_edge_law_of_the_argument_graph_is_checked(self, tables, monkeypatch):
+        # N -> ? lies below N -> ? <: C<?> -> ? in W(S_1) of one generic
+        # class: the vertices are the same, and only the edge count grows.
+        def with_implied_edge(g):
+            w = wildcards_graph(g)
+            return LabeledDigraph.from_edges([*w.edges, ("N", "?")], w.vertices)
+
+        monkeypatch.setattr(builder, "wildcards_graph", with_implied_edge)
+        law = r"edge law \|E\(W\(S_k\)\)\| = 2e_k \+ 2\(n_k - 2\) fails at k = 1: 7 edges, predicted 6"
+        with pytest.raises(GraphError, match=law):
+            run(tables["one_generic"], 2)
+        assert run(tables["one_generic"], 1).stats == ((3, 2),)
+
     def test_size_law_of_each_step_is_checked(self, tables, tmp_path, capsys, monkeypatch):
         def product_ignoring_its_arguments(pg, arguments, combine):
             return partial_product(pg, LabeledDigraph.from_edges(vertices=("?",)), combine)

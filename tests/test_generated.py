@@ -5,8 +5,9 @@ Every table is drawn by `conftest.class_tables`; the checks of the rules'
 up-set and down-set generator, of the order of `enumerate_types` and of the
 label and shape rows that `rules._layers` makes, rank by rank, which
 `differential_check` reads and `enumerate_types` makes its types from, the
-fibre and tag laws of the covers, and the comparison of the two-sided
-search with the upward one, run on the corpus as well.  Each check runs
+fibre and tag laws of the covers, the comparison of the two-sided search
+with the upward one, and that of each graph's up-set listing with its
+searches and its closure, run on the corpus as well.  Each check runs
 at the largest rank up to `MAX_RANK` whose approximation has at most
 `PAIR_CAP` ordered pairs of vertices, read from `predicted_sizes` before
 anything is built, so the cost of an example is bounded whatever table is
@@ -18,6 +19,7 @@ ranks `query` serves; there only the search's own limit bounds an example.
 from __future__ import annotations
 
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -30,9 +32,11 @@ from groundsub import (
     WILD,
     Con,
     Cov,
+    GraphError,
     GroundType,
     InfiniteGraph,
     Inv,
+    LabeledDigraph,
     SizeLimitError,
     canonical_label,
     differential_check,
@@ -47,6 +51,7 @@ from groundsub import (
 )
 from groundsub import builder, product, rules, subtype_by_graph
 from groundsub.builder import predicted_sizes, sufficient_depth
+from groundsub.cli import main
 from groundsub.digraph import EdgeTag
 from groundsub.labels import instantiation_label
 
@@ -200,9 +205,22 @@ def test_laws(table):
     assert_embedding_law(table, graphs)
 
 
-def test_an_implied_edge_breaks_the_edge_law_alone(monkeypatch):
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_up_sets_are_the_descendants_on_the_corpus(source):
+    assert_up_sets_are_the_descendants(run(parse_declarations(source), 4).graphs)
+
+
+@EXAMPLES
+@given(class_tables())
+def test_up_sets_are_the_descendants(table):
+    assert_up_sets_are_the_descendants(run(table, checked_rank(table)).graphs)
+
+
+def test_an_implied_edge_breaks_the_edge_law_alone(monkeypatch, tmp_path, capsys):
     # N -> O lies below N -> C<?> -> O: the order, its sizes and its true
-    # pairs stay the same, and only the edge count grows.
+    # pairs stay the same, and only the edge count grows.  `run` checks the
+    # edge law and refuses, so the graphs are built here the way it builds
+    # them, and `run`, `stats` and `build` must each name the law.
     table = parse_declarations(CORPUS["one_generic"])
     cover_edges = product._cover_edges
 
@@ -212,11 +230,40 @@ def test_an_implied_edge_breaks_the_edge_law_alone(monkeypatch):
         return out
 
     monkeypatch.setattr(product, "_cover_edges", with_implied_edge)
-    graphs = run(table, MAX_RANK).graphs
+    graphs = [builder._product_with_arguments(table, LabeledDigraph.from_edges(vertices=("?",)))]
+    for _ in range(1, MAX_RANK):
+        graphs.append(builder._product_with_arguments(table, wildcards_graph(graphs[-1])))
     assert_size_laws(table, graphs)
     assert_pair_law(table, graphs)
     with pytest.raises(AssertionError):
         assert_edge_law(table, graphs)
+    law = r"edge law \|E\(S_k\)\| = e_k fails at k = 1: 3 edges, predicted 2"
+    with pytest.raises(GraphError, match=law):
+        run(table, MAX_RANK)
+    decls, out = tmp_path / "one.decls", tmp_path / "graph.json"
+    decls.write_text(CORPUS["one_generic"], encoding="utf-8")
+    for argv in (
+        ["stats", "--decls", str(decls), "--iterations", "3"],
+        ["build", "--decls", str(decls), "--iterations", "3", "--format", "json", "--out", str(out)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {law}\n", captured.err)
+    assert not out.exists()
+
+
+def assert_up_sets_are_the_descendants(graphs):
+    """`up_sets` lists every vertex of each graph once, and each vertex's
+    tuple holds, once each, its `descendants_of` set, which is also its
+    successors in the closure the oracles build bottom-up on their own."""
+    for k, s in enumerate(graphs, start=1):
+        g = s.graph
+        ups, closed = g.up_sets(), reflexive_transitive_closure(g)
+        assert ups.keys() == g.vertices, k
+        for v, up in ups.items():
+            assert type(up) is tuple and len(up) == len(set(up)), (k, v)
+            assert set(up) == g.descendants_of(v) == set(closed.successors(v)), (k, v)
 
 
 def assert_size_laws(table, graphs):

@@ -112,10 +112,14 @@ def test_edges_are_plain_tuples():
 
 
 def test_graphs_store_no_test_only_index():
+    # Validation keeps its Kahn order, `_order`, because `up_sets` reads it;
+    # a built graph stores nothing else but its vertices, successor lists
+    # and sources.
     g = run(parse_declarations("class C<T> {}"), 2).last.graph
     assert not hasattr(g, "_tag_by_pair")
     assert not hasattr(g, "_pred")
     assert not hasattr(g, "_topo_order")
+    assert vars(g).keys() == {"vertices", "_out", "_sources", "_order"}
 
 
 def test_src_keeps_no_wrapper_only_the_tests_call():
@@ -151,13 +155,20 @@ def test_the_on_demand_graph_keeps_no_type_table():
 
 def test_graphs_keep_no_reachability_state():
     # `descendants_of` searches the successor lists on each call and returns
-    # a fresh set; no closure or memo of it is stored on the graph.
+    # a fresh set, and `up_sets` lists them all in a fresh dict of fresh
+    # tuples; no closure or memo of either is stored on the graph.
     assert not hasattr(LabeledDigraph, "_descendants")
     g = run(parse_declarations("class C<T> {}"), 2).last.graph
     before = dict(vars(g))
     found = g.descendants_of("N")
     assert vars(g) == before
     assert g.descendants_of("N") == found and g.descendants_of("N") is not found
+    listed = g.up_sets()
+    assert vars(g) == before
+    again = g.up_sets()
+    assert again == listed and again is not listed
+    # Only the top's empty tuple, which Python shares, may be the same object.
+    assert all(again[v] is not up for v, up in listed.items() if up)
 
 
 def test_graphs_have_one_constructor_and_one_edge_list_front_end():

@@ -496,26 +496,36 @@ class TestDifferentialCheck:
         for k in ranks:
             assert differential_check(table, k) == reference_differential_check(table, k)
 
-    def test_graph_side_fetches_one_descendant_set_per_row_and_depth(
-        self, tables, monkeypatch
-    ):
+    def test_graph_side_lists_each_graphs_up_sets_once(self, tables, monkeypatch):
+        # The rows read their graph verdicts from one `up_sets` listing per
+        # S_k, with no search from a row and no per-pair graph query.
         def forbidden(*args):
-            raise AssertionError("per-pair graph query in differential_check")
+            raise AssertionError("per-row or per-pair graph query in differential_check")
 
         monkeypatch.setattr(builder, "subtype_by_graph", forbidden)
         monkeypatch.setattr(builder, "reachable", forbidden)
-        calls = 0
-        real = LabeledDigraph.descendants_of
+        monkeypatch.setattr(LabeledDigraph, "descendants_of", forbidden)
+        listed = []
+        real = LabeledDigraph.up_sets
 
-        def counted(self, label):
-            nonlocal calls
-            calls += 1
-            return real(self, label)
+        def counted(self):
+            listed.append(self)
+            return real(self)
 
-        monkeypatch.setattr(LabeledDigraph, "descendants_of", counted)
+        monkeypatch.setattr(LabeledDigraph, "up_sets", counted)
+        traces = []
+        real_run = builder.run
+
+        def kept(table, k):
+            traces.append(real_run(table, k))
+            return traces[-1]
+
+        monkeypatch.setattr(builder, "run", kept)
         report = differential_check(tables["two_generics"], 3)
         assert report.ok
-        assert 0 < calls <= report.type_count * 3
+        (trace,) = traces
+        assert len(listed) == trace.depth == 3
+        assert all(g is s.graph for g, s in zip(listed, trace.graphs))
 
     def test_rules_decide_every_pair(self, tables, monkeypatch):
         # Each row is read from one top-level call of the generator, the only
