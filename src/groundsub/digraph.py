@@ -10,18 +10,22 @@ and parallel edges, and the algorithms below preserve those invariants.
 Immutability is a rule, not enforced: no code changes a built graph's
 vertices or successor lists, so readers may share one, and validation, the
 queries, `product`, `wildcards` and `export` read the lists in place.
-Validation keeps the topological order Kahn's algorithm finds.  Reachability
-is worked out from the successor lists on each call: `descendants_of`
-searches upward from one vertex, and `up_sets` lists every vertex's strict
-descendants bottom-up along the kept order.  The graph keeps neither result.
+Validation takes one Python step per edge, in Kahn's algorithm, whose
+topological order it keeps; in-degrees are counted in C, and the first
+defect is named only when a graph fails.  Reachability is worked out from
+the successor lists on each call: `descendants_of` searches upward from one
+vertex, and `up_sets` lists every vertex's strict descendants bottom-up
+along the kept order.  The graph keeps neither result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from itertools import chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -73,28 +77,21 @@ class LabeledDigraph:
 
     # The validator keeps this name because bench/tracer.py wraps it.
     def __post_init__(self) -> None:
-        # Sorting each source's targets puts parallel edges next to each
-        # other.  Each defect belongs to one source, so the first in (src,
-        # dst) order is the first failing target of the smallest failing
-        # source.
+        # One Python step per edge, in Kahn's pass; the rest runs in C or
+        # once per source.  A target outside the vertex set lengthens the
+        # in-degree map, and a source outside it with edges fails
+        # `issuperset`.  Sorted targets put parallel edges next to each
+        # other, and a self-loop's vertex is never ordered.  Only a graph
+        # that fails is walked again, by `_failure`, to name its first
+        # defect.
         vertices, out = self.vertices, self._out
-        indegree = dict.fromkeys(vertices, 0)
-        failed = []
         for src, targets in out.items():
             targets.sort(key=_target)
-            if src not in vertices and targets:
-                failed.append((src, _defect(src, targets[0][0], None)))
-                continue
-            last = None
-            for dst, _ in targets:
-                if dst == src or dst == last or dst not in vertices:
-                    failed.append((src, _defect(src, dst, last)))
-                    break
-                last = dst
-                indegree[dst] += 1
             out[src] = tuple(targets)
-        if failed:
-            raise GraphError(min(failed)[1])
+        indegree = dict.fromkeys(vertices, 0)
+        indegree.update(Counter(map(_target, chain.from_iterable(out.values()))))
+        if len(indegree) > len(vertices) or not vertices.issuperset(compress(out, out.values())):
+            raise GraphError(_failure(vertices, out, indegree))
         out.update(dict.fromkeys(vertices - out.keys(), ()))
         if len(out) > len(vertices):  # drop keys outside the vertex set, all without edges
             out = self._out = {v: out[v] for v in vertices}
@@ -103,13 +100,16 @@ class LabeledDigraph:
         order = self._order = [v for v, d in indegree.items() if d == 0]
         self._sources = tuple(sorted(order))
         for v in order:
+            last = None
             for w, _ in out[v]:
+                if w == last:
+                    raise GraphError(_failure(vertices, out, indegree))
+                last = w
                 indegree[w] -= 1
                 if indegree[w] == 0:
                     order.append(w)
         if len(order) != len(vertices):
-            stuck = sorted(v for v, d in indegree.items() if d > 0)
-            raise GraphError(f"graph contains a cycle through {stuck}")
+            raise GraphError(_failure(vertices, out, indegree))
 
     @classmethod
     def from_edges(
@@ -209,13 +209,22 @@ class LabeledDigraph:
         return up
 
 
-def _defect(src: str, dst: str, last: str | None) -> str:
-    """The defect of `src -> dst`, the first bad edge out of `src`, after `last`."""
-    if dst == src:
-        return f"self-loop on {src!r}"
-    if dst == last:
-        return f"parallel edges between {src!r} and {dst!r}"
-    return f"edge {src!r} -> {dst!r} leaves the vertex set"
+def _failure(vertices: frozenset[str], out: dict, indegree: dict[str, int]) -> str:
+    """The message of a graph that failed validation: its first bad edge in
+    (src, dst) order, else the cycle on or above which lie the vertices that
+    Kahn's pass left with an in-degree."""
+    for src in sorted(out):
+        last = None
+        for dst, _ in out[src]:
+            if dst == src:
+                return f"self-loop on {src!r}"
+            if dst == last:
+                return f"parallel edges between {src!r} and {dst!r}"
+            if src not in vertices or dst not in vertices:
+                return f"edge {src!r} -> {dst!r} leaves the vertex set"
+            last = dst
+    stuck = sorted(v for v, d in indegree.items() if d > 0)
+    return f"graph contains a cycle through {stuck}"
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,36 @@ class TestValidationOrder:
     def test_first_defect_wins(self, edges, expected):
         assert self.message({"a", "b", "c"}, edges) == expected
 
+    @pytest.mark.parametrize(
+        "vertices, edges, expected",
+        [
+            pytest.param(
+                "abc", [("a", "b", P), ("b", "a", P), ("a", "c", P), ("a", "c", C)],
+                "parallel edges between 'a' and 'c'", id="parallel_edges_on_a_cycle",
+            ),
+            pytest.param(
+                "abc", [("a", "b", P), ("b", "a", P), ("b", "c", P), ("c", "x", P)],
+                "edge 'c' -> 'x' leaves the vertex set", id="dangling_edge_above_a_cycle",
+            ),
+            pytest.param(
+                "ab", [("a", "b", P), ("b", "b", P)], "self-loop on 'b'", id="self_loop",
+            ),
+            pytest.param(
+                "ab", [("a", "b", P), ("z", "a", P)],
+                "edge 'z' -> 'a' leaves the vertex set", id="source_outside_the_vertex_set",
+            ),
+            pytest.param(
+                "ab", [("a", "b", P), ("b", "x", P)],
+                "edge 'b' -> 'x' leaves the vertex set", id="target_outside_the_vertex_set",
+            ),
+        ],
+    )
+    def test_defect_that_kahns_pass_never_reaches(self, vertices, edges, expected):
+        # Kahn's pass stops at a cycle and never orders a vertex with a
+        # self-loop, and edges that leave the vertex set fail before it.
+        # The message is still the first defect in (src, dst) order.
+        assert self.message(set(vertices), edges) == first_defect(set(vertices), edges) == expected
+
     @given(dags())
     def test_sorted_edges_and_successors_are_in_label_order(self, g):
         assert g.sorted_edges == tuple(sorted(g.edges, key=itemgetter(0, 1)))

@@ -6,14 +6,15 @@ up-set and down-set generator, of the order of `enumerate_types` and of the
 label and shape rows that `rules._layers` makes, rank by rank, which
 `differential_check` reads and `enumerate_types` makes its types from, the
 fibre and tag laws of the covers, the comparison of the two-sided search
-with the upward one, and that of each graph's up-set listing with its
-searches and its closure, run on the corpus as well.  Each check runs
-at the largest rank up to `MAX_RANK` whose approximation has at most
-`PAIR_CAP` ordered pairs of vertices, read from `predicted_sizes` before
-anything is built, so the cost of an example is bounded whatever table is
-drawn.  Past those ranks, pairs of ranks 4 to 12, most of them a type and
-a widening of it, check the search against both rule deciders at the
-ranks `query` serves; there only the search's own limit bounds an example.
+with the upward one, that of each graph's up-set listing with its
+searches and its closure, and that of the Kahn order each graph keeps,
+run on the corpus as well.  Each check runs at the largest rank up to
+`MAX_RANK` whose approximation has at most `PAIR_CAP` ordered pairs of
+vertices, read from `predicted_sizes` before anything is built, so the
+cost of an example is bounded whatever table is drawn.  Past those ranks,
+pairs of ranks 4 to 12, most of them a type and a widening of it, check
+the search against both rule deciders at the ranks `query` serves; there
+only the search's own limit bounds an example.
 """
 
 from __future__ import annotations
@@ -216,6 +217,17 @@ def test_up_sets_are_the_descendants(table):
     assert_up_sets_are_the_descendants(run(table, checked_rank(table)).graphs)
 
 
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_kept_order_is_topological_on_the_corpus(source):
+    assert_kept_order_is_topological(run(parse_declarations(source), 4).graphs)
+
+
+@EXAMPLES
+@given(class_tables())
+def test_kept_order_is_topological(table):
+    assert_kept_order_is_topological(run(table, checked_rank(table)).graphs)
+
+
 def test_an_implied_edge_breaks_the_edge_law_alone(monkeypatch, tmp_path, capsys):
     # N -> O lies below N -> C<?> -> O: the order, its sizes and its true
     # pairs stay the same, and only the edge count grows.  `run` checks the
@@ -264,6 +276,18 @@ def assert_up_sets_are_the_descendants(graphs):
         for v, up in ups.items():
             assert type(up) is tuple and len(up) == len(set(up)), (k, v)
             assert set(up) == g.descendants_of(v) == set(closed.successors(v)), (k, v)
+
+
+def assert_kept_order_is_topological(graphs):
+    """The Kahn order each S_k and W(S_k) keeps, which `up_sets` reads
+    backwards, is a permutation of its vertices in which every edge points
+    forward."""
+    for k, s in enumerate(graphs, start=1):
+        for g in (s.graph, wildcards_graph(s)):
+            position = {v: i for i, v in enumerate(g._order)}
+            assert len(position) == len(g._order) and position.keys() == g.vertices, k
+            for v in g.vertices:
+                assert all(position[v] < position[w] for w in g.successors(v)), (k, v)
 
 
 def assert_size_laws(table, graphs):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -436,6 +437,31 @@ class TestDifferentialCheck:
         report = differential_check(one_generic, 3)
         assert (len(report.mismatches), report.mismatches[0]) == (count, first)
         assert report == reference_differential_check(one_generic, 3)
+
+    def test_a_dropped_bound_fails_the_check_and_the_pair_law(self, one_generic, monkeypatch):
+        # Each upward listing of bounds that a row of rank 3 reads loses its
+        # first bound, so every row the rules list is a subset of the
+        # graph's, and the rows together list fewer true pairs than the pair
+        # law predicts.
+        bounds = rules._Rules._bounds
+
+        def dropping_the_first(self, kind, compare, bound, same, k, up):
+            found = tuple(bounds(self, kind, compare, bound, same, k, up))
+            return found[1:] if up and k == 3 and compare is rules._UP else found
+
+        def listed_pairs():
+            decider = rules._Rules(one_generic)
+            layers = rules._layers(one_generic, 3)
+            return sum(len(set(decider.above(s, 3))) for layer in layers for _, s in layer)
+
+        predicted = list(islice(builder.predicted_pairs(one_generic), 3))[-1]
+        assert differential_check(one_generic, 3).ok
+        assert listed_pairs() == predicted == 146
+        monkeypatch.setattr(rules._Rules, "_bounds", dropping_the_first)
+        report = differential_check(one_generic, 3)
+        assert len(report.mismatches) == 13
+        assert all(m.graph_verdict and not m.rule_verdict for m in report.mismatches)
+        assert listed_pairs() == 133
 
     def test_builds_each_type_once(self, tables, monkeypatch):
         # The rows are read off `rules._layers` alone: nothing enumerates the
