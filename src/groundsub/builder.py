@@ -23,7 +23,6 @@ from .errors import GraphError, SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .product import PartitionedGraph, partial_product
 from .typelang import (
-    WILD,
     ClassTable,
     Con,
     Cov,
@@ -36,8 +35,8 @@ from .typelang import (
 from .wildcards import wildcards_graph, wildcards_size
 
 # Most vertices one approximation may have, and most vertices one query may
-# visit.  `run` and `InfiniteGraph` predict every size from the vertex
-# recurrence and refuse before they build or enumerate anything.
+# visit.  `run` and `InfiniteGraph` read every size from `predicted_counts`
+# and refuse before they build or enumerate anything.
 MAX_VERTICES = 200_000
 
 
@@ -66,50 +65,54 @@ def _product_with_arguments(table: ClassTable, arguments: LabeledDigraph) -> Bip
     return BipointedGraph(result, top=TOP_CLASS, bottom=BOTTOM_CLASS)
 
 
-def predicted_sizes(table: ClassTable) -> Iterator[int]:
-    """Vertex counts of the approximations, from the recurrence
-    n_1 = |classes| and n_{k+1} = |plain| + |generic| * 3(n_k - 1).
+def predicted_counts(table: ClassTable) -> Iterator[tuple[int, int, int]]:
+    """The vertex, edge and true-pair counts (n_k, e_k, P_k) of S_1, S_2, …,
+    from the class table alone.
 
-    Endless for a table with generic classes, whose sizes strictly grow;
-    a single count for one without, whose first graph is the fixed point.
-    """
-    plain = len(table.classes) - len(table.generic)
-    n = len(table.classes)
-    yield n
-    while table.generic:
-        n = plain + len(table.generic) * wildcards_size(n)
-        yield n
-
-
-def predicted_pairs(table: ClassTable) -> Iterator[int]:
-    """True-pair counts P_k of the approximations, the pairs s <= t of S_k
-    with s = t included, one per `predicted_sizes` count, by the recurrence
+    W(S_k) has 3(n_k - 1) vertices and 2e_k + 2(n_k - 2) edges, and S_k+1
+    multiplies the class graph with it, so
+    n_1 = |classes| and n_k+1 = |plain| + |generic| * 3(n_k - 1);
+    e_1 = pp + pn + np + nn and
+    e_k+1 = pp * 3(n_k - 1) + |generic| * (2e_k + 2(n_k - 2)) + pn + np * n_k + nn;
     P_1 = 2n_1 - 1 + A + B + G and
-    P_{k+1} = 2n_{k+1} - 1 + A + B * 3(n_k - 1) + G * (4P_k - 2n_k - 3).
-    A, B and G count the pairs P ⊑ Q with Q not the top: of plain classes
-    with P not the bottom, of a generic P and a plain Q, and of generic ones.
+    P_k+1 = 2n_k+1 - 1 + A + B * 3(n_k - 1) + G * (4P_k - 2n_k - 3).
+    pp, pn, np and nn count the class graph's edges from a generic or plain
+    class to a generic or plain one.  P_k counts the pairs s <= t of S_k,
+    s = t included; A, B and G count the pairs P ⊑ Q with Q not the top: of
+    plain classes with P not the bottom, of a generic P and a plain Q, and
+    of generic ones.
+
+    Endless for a table with generic classes, whose sizes strictly grow; a
+    single triple for one without, whose first graph is the fixed point.
     """
+    generic = table.generic
+    ends = [(sub in generic, sup in generic) for sub, sup in table.extends_edges]
+    pp, pn, np, nn = map(ends.count, ((True, True), (True, False), (False, True), (False, False)))
     # Each class's plain and generic ancestors, itself included and the top not.
-    counts = {TOP_CLASS: (0, 0)}
+    ancestors = {TOP_CLASS: (0, 0)}
     for name in table.superclass:
         chain = []
-        while name not in counts:
+        while name not in ancestors:
             chain.append(name)
             name = table.superclass[name]
         for name in reversed(chain):
-            plain, generic = counts[table.superclass[name]]
-            counts[name] = (plain, generic + 1) if name in table.generic else (plain + 1, generic)
-    a = sum(plain for c, (plain, _) in counts.items() if c not in table.generic)
-    b = sum(counts[c][0] for c in table.generic)
-    g = sum(counts[c][1] for c in table.generic)
-    sizes = predicted_sizes(table)
-    n = next(sizes)
+            plains, generics = ancestors[table.superclass[name]]
+            ancestors[name] = (plains, generics + 1) if name in generic else (plains + 1, generics)
+    a = sum(plains for c, (plains, _) in ancestors.items() if c not in generic)
+    b = sum(ancestors[c][0] for c in generic)
+    g = sum(ancestors[c][1] for c in generic)
+    n = len(table.classes)
+    plain = n - len(generic)
+    e = pp + pn + np + nn
     pairs = 2 * n - 1 + a + b + g
-    yield pairs
-    for after in sizes:
-        pairs = 2 * after - 1 + a + b * wildcards_size(n) + g * (4 * pairs - 2 * n - 3)
+    yield n, e, pairs
+    while generic:
+        w = wildcards_size(n)
+        after = plain + len(generic) * w
+        e = pp * w + len(generic) * (2 * e + 2 * (n - 2)) + pn + np * n + nn
+        pairs = 2 * after - 1 + a + b * w + g * (4 * pairs - 2 * n - 3)
         n = after
-        yield pairs
+        yield n, e, pairs
 
 
 def run(table: ClassTable, iterations: int) -> IterationTrace:
@@ -120,30 +123,19 @@ def run(table: ClassTable, iterations: int) -> IterationTrace:
     classes stops at S_1, which every further step would reproduce.  Raises
     `SizeLimitError`, before building anything, when an approximation would
     have more than `MAX_VERTICES` vertices.  After each step it checks the
-    paper's size laws, |S_k| = n_k and |W(S_k)| = 3(n_k - 1) with n_k from
-    `predicted_sizes`, and the edge laws, |E(S_k)| = e_k and
-    |E(W(S_k))| = 2e_k + 2(n_k - 2), and raises `GraphError` naming the law
-    that fails.  With pp, pn, np and nn counting the class graph's edges
-    from a generic or plain class to a generic or plain one, and g generic
-    classes, e_1 = pp + pn + np + nn and
-    e_{k+1} = pp * 3(n_k - 1) + g * (2e_k + 2(n_k - 2)) + pn + np * n_k + nn.
+    size and edge laws of S_k and W(S_k), with n_k and e_k from
+    `predicted_counts`, and raises `GraphError` naming the law that fails.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    sizes = _sizes_within_limit(table, iterations)
-    generic = table.generic
-    ends = [(sub in generic, sup in generic) for sub, sup in table.extends_edges]
-    pp, pn, np, nn = map(ends.count, ((True, True), (True, False), (False, True), (False, False)))
-    edges = pp + pn + np + nn
+    counts = _counts_within_limit(table, iterations)
     graphs = [_product_with_arguments(table, LabeledDigraph.from_edges(vertices=(WILDCARD,)))]
-    _check_laws(_LAWS_OF_S, 1, graphs[0].graph, sizes[0], edges)
-    for k, n in enumerate(sizes[:-1], start=1):
+    _check_laws(_LAWS_OF_S, 1, graphs[0].graph, *counts[0][:2])
+    for k, (n, e, _) in enumerate(counts[:-1], start=1):
         arguments = wildcards_graph(graphs[-1])
-        argument_edges = 2 * edges + 2 * (n - 2)
-        _check_laws(_LAWS_OF_W, k, arguments, wildcards_size(n), argument_edges)
+        _check_laws(_LAWS_OF_W, k, arguments, wildcards_size(n), 2 * e + 2 * (n - 2))
         graphs.append(_product_with_arguments(table, arguments))
-        edges = pp * wildcards_size(n) + len(generic) * argument_edges + pn + np * n + nn
-        _check_laws(_LAWS_OF_S, k + 1, graphs[-1].graph, sizes[k], edges)
+        _check_laws(_LAWS_OF_S, k + 1, graphs[-1].graph, *counts[k][:2])
     return IterationTrace(tuple(graphs))
 
 
@@ -162,18 +154,18 @@ def _check_laws(laws: tuple[str, str], k: int, g: LabeledDigraph, size: int, edg
             raise GraphError(f"{law} fails at k = {k}: {actual} {unit}, predicted {predicted}")
 
 
-def _sizes_within_limit(table: ClassTable, k: int) -> list[int]:
-    """The predicted sizes of S_1 to S_k (only of S_1 for a table without
-    generic classes).  Raises `SizeLimitError` at the first one over
-    `MAX_VERTICES`, before the sizes after it are worked out."""
-    sizes = []
-    for j, n in zip(range(1, k + 1), predicted_sizes(table)):
+def _counts_within_limit(table: ClassTable, k: int) -> list[tuple[int, int, int]]:
+    """The predicted counts of S_1 to S_k (only of S_1 for a table without
+    generic classes).  Raises `SizeLimitError` at the first n_k over
+    `MAX_VERTICES`, before the counts after it are worked out."""
+    counts = []
+    for j, (n, e, pairs) in zip(range(1, k + 1), predicted_counts(table)):
         if n > MAX_VERTICES:
             raise SizeLimitError(
                 f"approximation {j} would have {n} vertices, over the limit of {MAX_VERTICES}"
             )
-        sizes.append(n)
-    return sizes
+        counts.append((n, e, pairs))
+    return counts
 
 
 def sufficient_depth(t1: GroundType, t2: GroundType) -> int:
@@ -197,24 +189,16 @@ def _shape(t: GroundType) -> tuple:
     return shape
 
 
-def _ground(v: tuple) -> GroundType:
-    name, kind, bound = v
-    if kind is None:
-        return GroundType(name)
-    if kind is Wild:
-        return GroundType(name, WILD)
-    return GroundType(name, kind(_ground(bound)))
-
-
 class InfiniteGraph:
     """The ground subtyping graph of a table, one vertex at a time.
 
     Every approximation S_k is a finite restriction of this infinite graph.
-    `covers_up` and `covers_down` give the Hasse covers of a vertex in S_k,
-    derived from the rules `partial_product` and `wildcards_graph` build
-    S_k with; nothing is materialised.  Covers depend on k (`N -> C<?>` is
-    a cover in S_1 but not in S_2), so k is always explicit.  Results are
-    memoised per (type, k) for the lifetime of the instance.
+    `reaches` searches it over the Hasse covers of each vertex in S_k, which
+    `_covers_up` and `_covers_down` derive from the rules `partial_product`
+    and `wildcards_graph` build S_k with; nothing is materialised.  Covers
+    depend on k (`N -> C<?>` is a cover in S_1 but not in S_2), so k is
+    always explicit.  Results are memoised per (shape, k) for the lifetime
+    of the instance.
 
     Inside, a type is its shape, the tuple (class, argument kind, bound
     shape).  The kind is `None` for a plain class, else the class of the
@@ -232,28 +216,6 @@ class InfiniteGraph:
         self._up: dict[tuple[tuple, int], tuple[tuple, ...]] = {}
         self._down: dict[tuple[tuple, int], tuple[tuple, ...]] = {}
         self._vertices: dict[int, tuple[tuple, ...]] = {}
-
-    def covers_up(self, t: GroundType, k: int) -> tuple[GroundType, ...]:
-        """The successors of `t` in S_k."""
-        return tuple(map(_ground, self._covers_up(self._vertex(t, k), k)))
-
-    def covers_down(self, t: GroundType, k: int) -> tuple[GroundType, ...]:
-        """The predecessors of `t` in S_k."""
-        return tuple(map(_ground, self._covers_down(self._vertex(t, k), k)))
-
-    def vertices(self, k: int) -> tuple[GroundType, ...]:
-        """V(S_k): the plain classes, and C<a> for every generic class C and
-        every argument a of W(S_{k-1}) (only `?` when k = 1).
-
-        Raises `ValueError` when k < 1, and `SizeLimitError`, before
-        enumerating anything, when S_k would have more than `MAX_VERTICES`
-        vertices.
-        """
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        # A table without generic classes has one approximation, S_1.
-        k = len(_sizes_within_limit(self.table, k))
-        return tuple(map(_ground, self._vertices_of(k)))
 
     def reaches(self, t1: GroundType, t2: GroundType, k: int) -> bool:
         """True when `t2` is `t1` or lies above it in S_k.
@@ -321,7 +283,7 @@ class InfiniteGraph:
 
     def _vertices_of(self, k: int) -> tuple[tuple, ...]:
         if k not in self._vertices:
-            _sizes_within_limit(self.table, k)
+            _counts_within_limit(self.table, k)
             arguments: list[tuple] = [(Wild, None)]
             if k > 1:
                 for v in self._vertices_of(k - 1):

@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, islice
+from itertools import filterfalse
 
-from .builder import _sizes_within_limit, predicted_pairs
+from .builder import _counts_within_limit
 from .errors import GraphError, SizeLimitError
 from .labels import BOTTOM_CLASS, TOP_CLASS, WILDCARD, instantiation_label
 from .typelang import (
@@ -40,8 +40,8 @@ from .typelang import (
     canonical_label,
 )
 
-# Most true pairs `differential_check` may list.  It predicts their count
-# from the class table (`builder.predicted_pairs`) and refuses before it
+# Most true pairs `differential_check` may list.  It reads their count, P_k,
+# off the class table (`builder.predicted_counts`) and refuses before it
 # builds anything when the count passes the limit.
 MAX_PAIRS = 2_000_000
 
@@ -290,7 +290,7 @@ def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
     """
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
-    _sizes_within_limit(table, max(max_rank, 1))
+    _counts_within_limit(table, max(max_rank, 1))
     made: dict[tuple, GroundType] = {}  # by shape; an argument wraps its bound's type
     for layer in _layers(table, max_rank):
         for _, shape in layer:
@@ -354,16 +354,16 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
 
     Mismatches are report content, not exceptions; an empty mismatch list is
     the expected outcome.  The true pairs are counted from the table first
-    (`builder.predicted_pairs`), and `SizeLimitError` refuses more than
-    `MAX_PAIRS` before anything is built.  When every row agrees, the rows'
-    sizes must add up to that count, or `GraphError` names the pair law.
+    (P_k of `builder.predicted_counts`), and `SizeLimitError` refuses more
+    than `MAX_PAIRS` before anything is built.  When every row agrees, the
+    rows' sizes must add up to that count, or `GraphError` names the pair
+    law.
     """
     from .builder import run
 
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
-    depth = len(_sizes_within_limit(table, max_rank))
-    predicted = next(islice(predicted_pairs(table), depth - 1, None))
+    *_, predicted = _counts_within_limit(table, max_rank)[-1]
     if predicted > MAX_PAIRS:
         raise SizeLimitError(
             f"the types up to rank {max_rank} have over the limit of {MAX_PAIRS} true pairs"

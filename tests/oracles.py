@@ -17,7 +17,9 @@ which needs no graph code of the package beyond the transitive reduction.
 `subtype_by_trace` is the graph decider as it was before it searched covers
 on demand: reachability in a materialised approximation.
 `reference_reaches` is `InfiniteGraph.reaches` as it was before it searched
-from both ends: upward from the first type alone, over the public covers.
+from both ends: upward from the first type alone, over the covers that
+`InfiniteGraph` works out on demand, each read back as a type by
+`shape_type`.
 `reference_differential_check` is the differential comparison as it was
 before the rules listed up-sets: one `_Rules.subtype` call per ordered
 pair, under its own limit on their number.  `reference_json` is the JSON
@@ -549,6 +551,14 @@ def subtype_by_trace(trace: IterationTrace, t1: GroundType, t2: GroundType) -> b
     return reachable(s.graph, canonical_label(t1), canonical_label(t2))
 
 
+def shape_type(shape: tuple) -> GroundType:
+    """The type of an `InfiniteGraph` shape (class, argument kind, bound shape)."""
+    name, kind, bound = shape
+    if kind is None:
+        return GroundType(name)
+    return GroundType(name, WILD if kind is Wild else kind(shape_type(bound)))
+
+
 def reference_reaches(graph: InfiniteGraph, t1: GroundType, t2: GroundType, k: int) -> bool:
     """True when `t2` is `t1` or lies above it in S_k, by a search upward
     from `t1` alone.  Raises `SizeLimitError` when it would visit more than
@@ -559,7 +569,7 @@ def reference_reaches(graph: InfiniteGraph, t1: GroundType, t2: GroundType, k: i
     seen = {t1}
     todo = [t1]
     while todo:
-        for w in graph.covers_up(todo.pop(), k):
+        for w in map(shape_type, graph._covers_up(graph._vertex(todo.pop(), k), k)):
             if w == t2:
                 return True
             if w not in seen:
@@ -596,12 +606,12 @@ def reference_differential_check(table: ClassTable, max_rank: int) -> Differenti
     enumerating anything, when there would be more than `MAX_ALL_PAIRS`
     pairs: unlike the package's check, this one pays for every pair.
     """
-    from groundsub.builder import predicted_sizes, run
+    from groundsub.builder import predicted_counts, run
 
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
     # The types up to rank k are the vertices of the k-th approximation.
-    for k, n in zip(range(1, max_rank + 1), predicted_sizes(table)):
+    for k, (n, _, _) in zip(range(1, max_rank + 1), predicted_counts(table)):
         if n * n > MAX_ALL_PAIRS:
             raise SizeLimitError(
                 f"rank {k} has {n} types, so at least {n * n} ordered pairs, "

@@ -17,6 +17,7 @@ from groundsub import (
     LabeledDigraph,
     PartitionedGraph,
     SizeLimitError,
+    differential_check,
     enumerate_types,
     parse_declarations,
     parse_ground_type,
@@ -39,6 +40,7 @@ from oracles import (
     reference_hasse,
     reference_reaches,
     relabeled,
+    shape_type,
     subtype_by_trace,
 )
 from test_generated import assert_covers_law
@@ -165,6 +167,29 @@ class TestRun:
         assert captured.out == ""
         assert re.fullmatch(f"error: {law}\n", captured.err)
         assert not (tmp_path / "graph.json").exists()
+
+    @pytest.mark.parametrize(
+        "count, law",
+        [
+            (0, r"size law \|S_k\| = n_k fails at k = 2: 8 vertices, predicted 9"),
+            (1, r"edge law \|E\(S_k\)\| = e_k fails at k = 2: 10 edges, predicted 11"),
+            (2, r"pair law fails at rank 2: 30 true pairs listed, predicted 31"),
+        ],
+        ids=["n", "e", "P"],
+    )
+    def test_each_predicted_count_has_a_law_that_catches_it(self, tables, monkeypatch, count, law):
+        # One of (n_k, e_k, P_k) reads one too high from k = 2 on: `run`
+        # checks the first two against S_2, `differential_check` the third.
+        real = builder.predicted_counts
+
+        def one_too_high(table):
+            for k, counts in enumerate(real(table), start=1):
+                yield tuple(c + 1 if k >= 2 and i == count else c for i, c in enumerate(counts))
+
+        monkeypatch.setattr(builder, "predicted_counts", one_too_high)
+        check = differential_check if count == 2 else run
+        with pytest.raises(GraphError, match=f"^{law}$"):
+            check(tables["one_generic"], 2)
 
     def test_vertex_sets_grow_monotonically(self, traces):
         for trace in traces.values():
@@ -300,7 +325,7 @@ class TestSubtypeByGraph:
         with pytest.raises(SizeLimitError, match="approximation 2 would have 8 vertices"):
             graph.reaches(bottom, parse_ground_type("C<?>", table), 4)
         monkeypatch.setattr(builder, "MAX_VERTICES", 8)
-        assert len(graph.vertices(2)) == 8
+        assert len(graph._vertices_of(2)) == 8
 
     def test_rank_twenty_answers_without_building(self, tables, monkeypatch):
         def refuse(*args, **kwargs):
@@ -357,29 +382,13 @@ class TestInfiniteGraph:
                 assert equals_ignoring_tags(trace.graphs[k - 1].graph, reference), (name, k)
             assert_covers_law(table, references)
 
-    def test_vertices_below_depth_one_are_refused(self, tables, monkeypatch):
-        # Refused before anything is enumerated or cached.
-        def refuse(table):
-            pytest.fail("enumerated an approximation")
-
-        graph = InfiniteGraph(tables["one_generic"])
-        monkeypatch.setattr(builder, "predicted_sizes", refuse)
-        for k in (0, -3):
-            with pytest.raises(ValueError, match="k must be at least 1"):
-                graph.vertices(k)
-
-    def test_vertices_past_the_fixed_point_are_those_of_s1(self):
-        # A table without generic classes has one approximation, so no depth
-        # is walked down level by level.
-        graph = InfiniteGraph(parse_declarations(ALL_PLAIN_SOURCE))
-        assert graph.vertices(10_000) == graph.vertices(1)
-
     def test_covers_depend_on_depth(self, tables):
         table = tables["one_generic"]
         graph = InfiniteGraph(table)
         bottom, wild = parse_ground_type("N", table), parse_ground_type("C<?>", table)
-        assert wild in graph.covers_up(bottom, 1)
-        assert wild not in graph.covers_up(bottom, 2)
+        for k, expected in ((1, True), (2, False)):
+            covers = map(shape_type, graph._covers_up(graph._vertex(bottom, k), k))
+            assert (wild in covers) is expected, k
 
     def test_only_vertices_of_the_approximation_have_covers(self, tables):
         table = tables["one_generic"]
@@ -393,7 +402,8 @@ class TestInfiniteGraph:
             GroundType("C", Cov(parse_ground_type("O", table))),  # spelled `C<?>`
             GroundType("C", Inv(GroundType("C"))),
         ):
-            with pytest.raises(GraphError, match="is not a vertex of approximation 1"):
-                graph.covers_up(t, 1)
-        assert graph.covers_down(nested, 2)
+            for t1, t2 in ((t, GroundType("O")), (GroundType("N"), t)):
+                with pytest.raises(GraphError, match="is not a vertex of approximation 1"):
+                    graph.reaches(t1, t2, 1)
+        assert graph.reaches(GroundType("N"), nested, 2)
 

@@ -10,7 +10,7 @@ with the upward one, that of each graph's up-set listing with its
 searches and its closure, and that of the Kahn order each graph keeps,
 run on the corpus as well.  Each check runs at the largest rank up to
 `MAX_RANK` whose approximation has at most `PAIR_CAP` ordered pairs of
-vertices, read from `predicted_sizes` before anything is built, so the
+vertices, read from `predicted_counts` before anything is built, so the
 cost of an example is bounded whatever table is drawn.  Past those ranks,
 pairs of ranks 4 to 12, most of them a type and a widening of it, check
 the search against both rule deciders at the ranks `query` serves; there
@@ -51,7 +51,7 @@ from groundsub import (
     wildcards_size,
 )
 from groundsub import builder, product, rules, subtype_by_graph
-from groundsub.builder import predicted_sizes, sufficient_depth
+from groundsub.builder import predicted_counts, sufficient_depth
 from groundsub.cli import main
 from groundsub.digraph import EdgeTag
 from groundsub.labels import instantiation_label
@@ -70,6 +70,7 @@ from oracles import (
     reflexive_transitive_closure,
     relabeled,
     reversed_graph,
+    shape_type,
 )
 
 MAX_RANK = 3
@@ -86,7 +87,7 @@ def checked_rank(table) -> int:
     A table without generic classes has one graph, its fixed point, at
     every rank.
     """
-    sizes = list(islice(predicted_sizes(table), MAX_RANK))
+    sizes = [n for n, _, _ in islice(predicted_counts(table), MAX_RANK)]
     sizes += sizes[-1:] * (MAX_RANK - len(sizes))
     return max(k for k, n in enumerate(sizes, start=1) if n * n <= PAIR_CAP)
 
@@ -293,7 +294,7 @@ def assert_kept_order_is_topological(graphs):
 def assert_size_laws(table, graphs):
     """|S_1| is the number of classes and each next size follows the vertex
     recurrence n_k+1 = |plain| + |generic| * 3(n_k - 1), restated rather
-    than read from `predicted_sizes`; W(S_k) has 3(n_k - 1) vertices."""
+    than read from `predicted_counts`; W(S_k) has 3(n_k - 1) vertices."""
     plain = len(table.classes) - len(table.generic)
     n = len(table.classes)
     for k, s in enumerate(graphs, start=1):
@@ -325,7 +326,7 @@ def assert_pair_law(table, graphs):
     """S_k has P_k true pairs s <= t, s = t included, where
     P_1 = 2n_1 - 1 + A + B + G and
     P_k+1 = 2n_k+1 - 1 + A + B * 3(n_k - 1) + G * (4P_k - 2n_k - 3),
-    restated rather than read from `builder.predicted_pairs`, which must
+    restated rather than read from `builder.predicted_counts`, which must
     agree.  A, B and G count the pairs P ⊑ Q, Q not the top, of plain
     classes with P not the bottom, of a generic P and a plain Q, and of
     generic classes: each class is paired with itself and its ancestors."""
@@ -339,7 +340,7 @@ def assert_pair_law(table, graphs):
             b, g = b + plain, g + len(ancestors) - plain
         else:
             a += plain
-    predicted = builder.predicted_pairs(table)
+    predicted = builder.predicted_counts(table)
     for k, s in enumerate(graphs, start=1):
         size = len(s.vertices)
         if k == 1:
@@ -348,7 +349,7 @@ def assert_pair_law(table, graphs):
             pairs = 2 * size - 1 + a + b * 3 * (n - 1) + g * (4 * pairs - 2 * n - 3)
         n = size
         assert sum(len(s.graph.descendants_of(v)) + 1 for v in s.graph.vertices) == pairs, k
-        assert next(predicted) == pairs, k
+        assert next(predicted)[2] == pairs, k
 
 
 def assert_restriction_law(graphs):
@@ -390,12 +391,13 @@ def assert_covers_law(table, graphs):
     the k-th of `graphs`, in label order."""
     infinite = InfiniteGraph(table)
     for k, g in enumerate(graphs, start=1):
-        assert labels(infinite.vertices(k)) == list(g.sorted_vertices), k
+        assert labels(map(shape_type, infinite._vertices_of(k))) == list(g.sorted_vertices), k
         below = reversed_graph(g)
         for v in g.sorted_vertices:
-            t = parse_ground_type(v, table)
-            assert labels(infinite.covers_up(t, k)) == list(g.successors(v)), (k, v)
-            assert labels(infinite.covers_down(t, k)) == list(below.successors(v)), (k, v)
+            shape = infinite._vertex(parse_ground_type(v, table), k)
+            up, down = infinite._covers_up(shape, k), infinite._covers_down(shape, k)
+            assert labels(map(shape_type, up)) == list(g.successors(v)), (k, v)
+            assert labels(map(shape_type, down)) == list(below.successors(v)), (k, v)
 
 
 def assert_fibre_law(table, k):
@@ -480,8 +482,8 @@ def assert_two_sided_search_agrees(table, seed, pairs):
     `oracles.reference_reaches`, give `is_subtype`'s verdict wherever they
     answer, and the two-sided search answers every pair the upward one
     does."""
-    sizes = islice(predicted_sizes(table), SEARCH_RANK)
-    r = max(k for k, n in enumerate(sizes, start=1) if k == 1 or n <= SEARCH_TYPES)
+    counts = islice(predicted_counts(table), SEARCH_RANK)
+    r = max(k for k, (n, _, _) in enumerate(counts, start=1) if k == 1 or n <= SEARCH_TYPES)
     types = enumerate_types(table, r)
     rng = random.Random(seed)
     graph, reference = InfiniteGraph(table), InfiniteGraph(table)

@@ -47,6 +47,7 @@ from oracles import (
     reference_normalize_type,
     reference_parse_declarations,
     reference_parse_ground_type,
+    shape_type,
 )
 
 
@@ -232,7 +233,8 @@ class TestHandBuiltTable:
             expected = run(parsed, k).last.graph
             for fmt in FORMATS:
                 assert render(built, fmt) == render(expected, fmt), (k, fmt)
-        covers = InfiniteGraph(table).covers_up(GroundType("N"), 1)
+        graph = InfiniteGraph(table)
+        covers = map(shape_type, graph._covers_up(graph._vertex(GroundType("N"), 1), 1))
         assert {canonical_label(t) for t in covers} == minimal
 
     def test_equals_the_parsed_table(self, passthrough):
