@@ -3,19 +3,22 @@
 Vertices are canonical label strings and every edge carries a provenance
 tag.  A graph is built from its vertex set and a successor map, which
 gives each source the `(target, tag)` pairs of its out-edges; `from_edges`
-is the edge-list front end to that one constructor.  Each vertex keeps its
-pairs sorted by target, and the `Edge` set is derived only when asked for.
-All graphs model partial orders: construction rejects cycles, self-loops
-and parallel edges, and the algorithms below preserve those invariants.
-Immutability is a rule, not enforced: no code changes a built graph's
-vertices or successor lists, so readers may share one, and validation, the
-queries, `product`, `wildcards` and `export` read the lists in place.
-Validation takes one Python step per edge, in Kahn's algorithm, whose
-topological order it keeps; in-degrees are counted in C, and the first
-defect is named only when a graph fails.  Reachability is worked out from
-the successor lists on each call: `descendants_of` searches upward from one
-vertex, and `up_sets` lists every vertex's strict descendants bottom-up
-along the kept order.  The graph keeps neither result.
+is the edge-list front end to that one constructor.  Validation sorts each
+list by target in place and keeps the caller's list, and every vertex
+without out-edges shares the empty tuple `()`; the `Edge` set is derived
+only when asked for.  All graphs model partial orders: construction rejects
+cycles, self-loops and parallel edges, and the algorithms below preserve
+those invariants.  Immutability is a rule, not enforced: no code changes a
+built graph's vertices or successor lists, so readers may share one, and
+validation, the queries, `product`, `wildcards` and `export` read the lists
+in place.  Validation takes one Python step per edge, in Kahn's algorithm,
+whose topological order it keeps.  In-degrees are counted in C, for the
+targets only, so a target outside the vertex set is a key outside it; the
+sources are the vertices that are no key, and the first defect is named
+only when a graph fails.  Reachability is worked out from the successor
+lists on each call: `descendants_of` searches upward from one vertex, and
+`up_sets` lists every vertex's strict descendants bottom-up along the kept
+order.  The graph keeps neither result.
 """
 
 from __future__ import annotations
@@ -63,10 +66,11 @@ class LabeledDigraph:
 
     `LabeledDigraph(vertices, successors)` takes the map from each source
     to a list of `(target, tag)` pairs, in any order, and takes the lists
-    over; a key outside the vertex set must have no edges.  `from_edges`
-    builds that map from edge tuples.  `edges` and `sorted_edges` are
-    derived from the successor lists on first use.  Graphs are equal when
-    they have the same vertices and the same tagged edges.
+    over, sorted in place; a key outside the vertex set must have no edges.
+    `from_edges` builds that map from edge tuples.  `edges` and
+    `sorted_edges` are derived from the successor lists on first use.
+    Graphs are equal when they have the same vertices and the same tagged
+    edges.
     """
 
     def __init__(
@@ -78,26 +82,26 @@ class LabeledDigraph:
     # The validator keeps this name because bench/tracer.py wraps it.
     def __post_init__(self) -> None:
         # One Python step per edge, in Kahn's pass; the rest runs in C or
-        # once per source.  A target outside the vertex set lengthens the
-        # in-degree map, and a source outside it with edges fails
-        # `issuperset`.  Sorted targets put parallel edges next to each
-        # other, and a self-loop's vertex is never ordered.  Only a graph
-        # that fails is walked again, by `_failure`, to name its first
-        # defect.
+        # once per source.  Each list is sorted in place and kept, and a
+        # vertex without out-edges gets the shared `()`.  The in-degree map
+        # holds targets only, so a target outside the vertex set is a key
+        # outside it; `tails`, the sources with edges, must lie in it too.
+        # Sorted targets put parallel edges next to each other, and a
+        # self-loop's vertex is never ordered.  Only a graph that fails is
+        # walked again, by `_failure`, to name its first defect.
         vertices, out = self.vertices, self._out
-        for src, targets in out.items():
+        for targets in out.values():
             targets.sort(key=_target)
-            out[src] = tuple(targets)
-        indegree = dict.fromkeys(vertices, 0)
-        indegree.update(Counter(map(_target, chain.from_iterable(out.values()))))
-        if len(indegree) > len(vertices) or not vertices.issuperset(compress(out, out.values())):
+        tails = set(compress(out, out.values()))
+        indegree = dict(Counter(map(_target, chain.from_iterable(out.values()))))
+        if not (vertices.issuperset(indegree) and vertices.issuperset(tails)):
             raise GraphError(_failure(vertices, out, indegree))
-        out.update(dict.fromkeys(vertices - out.keys(), ()))
+        out.update(dict.fromkeys(vertices - tails, ()))
         if len(out) > len(vertices):  # drop keys outside the vertex set, all without edges
             out = self._out = {v: out[v] for v in vertices}
         # Kahn's algorithm: the vertices it cannot order lie on or above a
         # cycle.  The order is kept, every vertex before its successors.
-        order = self._order = [v for v, d in indegree.items() if d == 0]
+        order = self._order = list(vertices.difference(indegree))
         self._sources = tuple(sorted(order))
         for v in order:
             last = None
@@ -105,8 +109,9 @@ class LabeledDigraph:
                 if w == last:
                     raise GraphError(_failure(vertices, out, indegree))
                 last = w
-                indegree[w] -= 1
-                if indegree[w] == 0:
+                d = indegree[w] - 1
+                indegree[w] = d
+                if not d:
                     order.append(w)
         if len(order) != len(vertices):
             raise GraphError(_failure(vertices, out, indegree))
