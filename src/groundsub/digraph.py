@@ -1,12 +1,16 @@
 """Labeled DAGs and the order algorithms everything else composes.
 
 Vertices are canonical label strings and every edge carries a provenance
-tag.  A graph is built from its vertex set and a successor map, which
-gives each source the `(target, tag)` pairs of its out-edges; `from_edges`
-is the edge-list front end to that one constructor.  Validation sorts each
-list by target in place and keeps the caller's list, and every vertex
-without out-edges shares the empty tuple `()`; the `Edge` set is derived
-only when asked for.  All graphs model partial orders: construction rejects
+tag.  A graph is built from its vertex set and a successor map, which gives
+each source the `(target, tag)` pairs of its out-edges; `from_edges` is the
+edge-list front end to that one constructor.  Validation sorts each list by
+target in place and keeps the caller's list, and every vertex without
+out-edges shares the empty tuple `()`; the `Edge` set is derived only when
+asked for.  The successor map keeps the order the graph was built in, and
+after validation its keys are exactly the vertex set, so `sorted_vertices`
+sorts its keys: the product and `wildcards` build theirs in nearly label
+order, which the sort merges as runs.  The sink set validation works out is
+kept for `sinks`.  All graphs model partial orders: construction rejects
 cycles, self-loops and parallel edges, and the algorithms below preserve
 those invariants.  Immutability is a rule, not enforced: no code changes a
 built graph's vertices or successor lists, so readers may share one, and
@@ -88,7 +92,8 @@ class LabeledDigraph:
         # outside it; `tails`, the sources with edges, must lie in it too.
         # Sorted targets put parallel edges next to each other, and a
         # self-loop's vertex is never ordered.  Only a graph that fails is
-        # walked again, by `_failure`, to name its first defect.
+        # walked again, by `_failure`, to name its first defect.  The
+        # vertices without out-edges are kept as the sinks.
         vertices, out = self.vertices, self._out
         for targets in out.values():
             targets.sort(key=_target)
@@ -96,7 +101,8 @@ class LabeledDigraph:
         indegree = dict(Counter(map(_target, chain.from_iterable(out.values()))))
         if not (vertices.issuperset(indegree) and vertices.issuperset(tails)):
             raise GraphError(_failure(vertices, out, indegree))
-        out.update(dict.fromkeys(vertices - tails, ()))
+        sinks = self._sinks = vertices - tails
+        out.update(dict.fromkeys(sinks, ()))
         if len(out) > len(vertices):  # drop keys outside the vertex set, all without edges
             out = self._out = {v: out[v] for v in vertices}
         # Kahn's algorithm: the vertices it cannot order lie on or above a
@@ -150,7 +156,7 @@ class LabeledDigraph:
 
     @cached_property
     def sorted_vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices))
+        return tuple(sorted(self._out))
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -172,7 +178,7 @@ class LabeledDigraph:
 
     @property
     def sinks(self) -> tuple[str, ...]:
-        return tuple(sorted(v for v, targets in self._out.items() if not targets))
+        return tuple(sorted(self._sinks))
 
     def _require_vertex(self, label: str) -> None:
         if label not in self.vertices:

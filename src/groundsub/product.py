@@ -20,12 +20,17 @@ Factors in Hasse form give the Hasse form of the result by construction: a
 Cartesian product of Hasse diagrams is the Hasse diagram of the product
 order, and every other copy reaches the boundary through its own copy of
 the second factor.
+
+The successor map is written one row per product vertex, in sorted order,
+each row in the order of the second factor's successor map, so a product
+of factors built in nearly label order comes out in nearly label order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .digraph import Edge, EdgeTag, LabeledDigraph, pair_label
@@ -76,8 +81,9 @@ def _product_labels(
     g2: LabeledDigraph,
     combine: Callable[[str, str], str],
 ) -> dict[str, dict[str, str]]:
-    """One row per product vertex u: the label of (u, v) for every v of `g2`."""
-    return {u: {v: combine(u, v) for v in g2.vertices} for u in pg.product_vertices}
+    """One row per product vertex u, in label order: the label of (u, v)
+    for every v of `g2`, in the order `g2`'s successor map was built in."""
+    return {u: {v: combine(u, v) for v in g2._out} for u in sorted(pg.product_vertices)}
 
 
 def _collisions(rows: dict[str, dict[str, str]], plain: frozenset[str]) -> Iterator[str]:
@@ -140,7 +146,7 @@ def partial_product(
     if not g2.vertices:
         raise GraphError("second factor must be nonempty")
     rows, plain = _product_labels(pg, g2, combine), pg.base.vertices - pg.product_vertices
-    vertices = frozenset(name for row in rows.values() for name in row.values()) | plain
+    vertices = plain.union(chain.from_iterable(map(dict.values, rows.values())))
     if len(vertices) != len(plain) + len(rows) * len(g2.vertices):
         raise GraphError(next(_collisions(rows, plain)))
     return LabeledDigraph(vertices, _cover_edges(pg, g2, rows))

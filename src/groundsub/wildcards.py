@@ -10,6 +10,9 @@ both the default argument `?`, the lower-bounded top is the top itself, and
 the upper-bounded bottom is the bottom itself.  An edge `u -> v` means the
 argument `u` is contained in the argument `v`.  No edge leaves the copy of
 its source, so the copies of a Hasse input's edges are already the covers.
+The copies are written in label order, lower-bounded, upper-bounded, then
+plain, each in the order of the input's successor map, so the graph's own
+map comes out in nearly label order.
 """
 
 from __future__ import annotations
@@ -44,12 +47,20 @@ def wildcards_graph(g: BipointedGraph) -> LabeledDigraph:
     lower = {t: lower_bounded_label(t) for t in inner}
     lower.update({top: top, bottom: WILDCARD})
 
-    # `upper` and `lower` are injective and the three families share no pair.
+    # `upper` and `lower` are injective and the three families share no pair;
+    # a label two families share merges their lists.
     covariant, contravariant, link = EdgeTag.COVARIANT, EdgeTag.CONTRAVARIANT, EdgeTag.INV_LINK
-    out = {t: [(upper[t], link), (lower[t], link)] for t in inner}
-    for src, targets in g.graph._out.items():
-        out.setdefault(upper[src], []).extend([(upper[dst], covariant) for dst, _ in targets])
+    source = g.graph._out
+    below = {t: [] for t in source}
+    for src, targets in source.items():
+        edge = (lower[src], contravariant)
         for dst, _ in targets:
-            out.setdefault(lower[dst], []).append((lower[src], contravariant))
+            below[dst].append(edge)
+    out = {lower[t]: edges for t, edges in below.items()}
+    for src, targets in source.items():
+        out.setdefault(upper[src], []).extend([(upper[dst], covariant) for dst, _ in targets])
+    for t in source:
+        if t in inner:
+            out.setdefault(t, []).extend([(lower[t], link), (upper[t], link)])
     vertices = frozenset((*inner, *upper.values(), *lower.values()))
     return LabeledDigraph(vertices, out)

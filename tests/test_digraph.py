@@ -126,6 +126,19 @@ def cycle_defect(vertices, edges) -> str | None:
 
 
 LABELS = ("a", "b", "c", "d", "x", "")
+SPARE_LABELS = ("e", "f")
+
+
+def reached_from(start, edges) -> set[str]:
+    """`start` and every label a path of `edges` leads to from it."""
+    found, stack = set(start), list(start)
+    while stack:
+        here = stack.pop()
+        for src, dst, _ in edges:
+            if src == here and dst not in found:
+                found.add(dst)
+                stack.append(dst)
+    return found
 
 
 @st.composite
@@ -136,7 +149,10 @@ def vertices_and_edges(draw) -> tuple[frozenset[str], list[tuple[str, str, EdgeT
     set.  With two vertices or more, about half the draws plant one
     (src, dst) pair inside the set under two different tags among them, and
     a quarter a cycle through two or three vertices of the set, so that
-    graphs whose only defect is a parallel pair or a cycle come up often."""
+    graphs whose only defect is a parallel pair or a cycle come up often.
+    With each cycle goes one edge between two vertices that the cycle does
+    not reach, so that Kahn's pass orders a target beside it; the vertex
+    set takes `SPARE_LABELS` when fewer than two of its vertices are left."""
     vertices = draw(st.frozensets(st.sampled_from(LABELS[:4])))
     tags = st.sampled_from(list(EdgeTag))
     if len(vertices) < 2 or draw(st.booleans()):
@@ -148,17 +164,25 @@ def vertices_and_edges(draw) -> tuple[frozenset[str], list[tuple[str, str, EdgeT
     if len(vertices) >= 2:
         inside = st.sampled_from(sorted(vertices))
         at = draw(st.integers(0, len(edges)))
-        if draw(st.booleans()):
+        plant = draw(st.sampled_from(("pair", "pair", "cycle", None)))
+        if plant == "pair":
             src, dst = draw(st.lists(inside, min_size=2, max_size=2, unique=True))
             two = draw(st.lists(tags, min_size=2, max_size=2, unique=True))
             edges[at:at] = [(src, dst, tag) for tag in two]
-        elif draw(st.booleans()):
+        elif plant == "cycle":
             ring = draw(st.lists(inside, min_size=2, max_size=3, unique=True))
             known = {e[:2] for e in edges}
             edges[at:at] = [
                 (src, dst, draw(tags)) for src, dst in zip(ring, ring[1:] + ring[:1])
                 if (src, dst) not in known
             ]
+            off = sorted(vertices - reached_from(ring, edges))
+            if len(off) < 2:
+                off += SPARE_LABELS[: 2 - len(off)]
+                vertices = vertices.union(off)
+            src, dst = draw(st.lists(st.sampled_from(off), min_size=2, max_size=2, unique=True))
+            if (src, dst) not in known:
+                edges.insert(draw(st.integers(0, len(edges))), (src, dst, draw(tags)))
     return vertices, list(dict.fromkeys(edges))
 
 
@@ -373,6 +397,24 @@ class TestSuccessorLists:
         assert listed == expected
         assert hash(listed) == hash(expected)
         assert listed.sinks == ("b",) and listed.sources == ("a",)
+
+    @pytest.mark.parametrize(
+        "successors",
+        [
+            pytest.param({"b": [("c", P)], "a": [("c", P), ("b", C)]}, id="missing_key"),
+            pytest.param({"d": [], "b": [("c", P)], "a": [("b", C)], "c": []}, id="empty_list"),
+            pytest.param({"z": [], "b": [("d", P)], "a": [("b", C)]}, id="key_outside_the_vertex_set"),
+        ],
+    )
+    def test_successor_map_is_keyed_by_the_vertex_set(self, successors):
+        # Validation gives every vertex a key and drops a key outside the
+        # set, so `sorted_vertices` may sort the keys; `sinks` reads the
+        # sink set validation kept.
+        g = LabeledDigraph(frozenset("abcd"), successors)
+        assert set(g._out) == g.vertices
+        assert g.sorted_vertices == tuple(sorted(g.vertices)) == ("a", "b", "c", "d")
+        assert g.sinks == tuple(sorted(v for v, targets in g._out.items() if not targets))
+        assert g.sinks == tuple(v for v in "abcd" if not g.successors(v))
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_derived_edges_match_the_successor_lists(self, name):

@@ -229,6 +229,11 @@ def test_kept_order_is_topological(table):
     assert_kept_order_is_topological(run(table, checked_rank(table)).graphs)
 
 
+@pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])
+def test_successor_map_and_sinks_are_the_vertex_set_on_the_corpus(source):
+    assert_successor_map_and_sinks_are_the_vertex_set(run(parse_declarations(source), 4).graphs)
+
+
 def test_an_implied_edge_breaks_the_edge_law_alone(monkeypatch, tmp_path, capsys):
     # N -> O lies below N -> C<?> -> O: the order, its sizes and its true
     # pairs stay the same, and only the edge count grows.  `run` checks the
@@ -289,6 +294,17 @@ def assert_kept_order_is_topological(graphs):
             assert len(position) == len(g._order) and position.keys() == g.vertices, k
             for v in g.vertices:
                 assert all(position[v] < position[w] for w in g.successors(v)), (k, v)
+
+
+def assert_successor_map_and_sinks_are_the_vertex_set(graphs):
+    """Each S_k and W(S_k) keys its successor map by exactly its vertices,
+    in the order it was built in, so sorting the keys sorts the vertices;
+    and the sink set validation kept is the vertices with no successor."""
+    for k, s in enumerate(graphs, start=1):
+        for g in (s.graph, wildcards_graph(s)):
+            assert set(g._out) == g.vertices, k
+            assert g.sorted_vertices == tuple(sorted(g.vertices)), k
+            assert g.sinks == tuple(sorted(v for v, targets in g._out.items() if not targets)), k
 
 
 def assert_size_laws(table, graphs):

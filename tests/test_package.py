@@ -112,14 +112,14 @@ def test_edges_are_plain_tuples():
 
 
 def test_graphs_store_no_test_only_index():
-    # Validation keeps its Kahn order, `_order`, because `up_sets` reads it;
-    # a built graph stores nothing else but its vertices, successor lists
-    # and sources.
+    # Validation keeps its Kahn order, `_order`, because `up_sets` reads it,
+    # and the sink set it works out, because `sinks` reads it; a built graph
+    # stores nothing else but its vertices, successor lists and sources.
     g = run(parse_declarations("class C<T> {}"), 2).last.graph
     assert not hasattr(g, "_tag_by_pair")
     assert not hasattr(g, "_pred")
     assert not hasattr(g, "_topo_order")
-    assert vars(g).keys() == {"vertices", "_out", "_sources", "_order"}
+    assert vars(g).keys() == {"vertices", "_out", "_sources", "_order", "_sinks"}
 
 
 def test_src_keeps_no_wrapper_only_the_tests_call():
