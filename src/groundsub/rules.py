@@ -6,22 +6,21 @@ of Igarashi and Viroli, is stated once as data, `_CONTAINS`, which
 `_Rules.subtype` reads pair by pair and `_Rules.above` and `below` read
 backwards.  Containment is subtyping under one shared head: `a` is
 contained in `b` exactly when `C<a> <: C<b>` for a generic class `C`.  The
-module shares no graph machinery with the iterated construction, so
+decider shares no graph machinery with the iterated construction, so
 `differential_check` can compare the two over every ordered pair of types
 up to a rank bound and report any disagreement.  The types are listed
-rank by rank as labels and shapes made from their bounds' (`_layers`),
-which the check reads and `enumerate_types` makes types of.  The check
-lists, as labels, each bound's up-set or down-set once, and each graph's
-up-sets once (`LabeledDigraph.up_sets`), so it costs a pass over the types
-plus a step per true pair of the rules and of each graph and per type of a
-listed bound.
+rank by rank as labels, each spelled once from its bound's
+(`_Rules.layers`), which the check reads and `enumerate_types` makes types
+of.  The check lists, as labels, each bound's up-set or down-set once, and
+each graph's up-sets once (`LabeledDigraph.up_sets`), so it costs a pass
+over the types plus a step per true pair of the rules and of each graph and
+per type of a listed bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import filterfalse
 
 from .builder import _counts_within_limit
@@ -56,23 +55,23 @@ _CONTAINS = {
     Con: ((Con, Inv), _DOWN),
     Inv: ((Inv,), _SAME),
 }
-_TOP = TOP_CLASS, None, None
 
 
 class _Rules:
     """The rules of ground subtyping over the types of one table.
 
-    A type is its shape, the tuple (class, argument kind, bound shape).  The
-    kind is `None` for a plain class, else the class of the argument; the
-    bound shape is `None` for a plain class and for `?`.  Equal types have
-    equal shapes, which compare and hash as the types do.  A class's
-    superclasses and subclasses are worked out when first needed and kept
-    for the life of the instance.  So is each up-set or down-set of a bound
-    that `above` and `below` read, as a tuple of labels keyed by value
-    (`_listing`).  A listed type's label is looked up by its bound's label
-    in a table of its class and argument kind (`_labels`), so a listed pair
-    hashes no shape.  Only `differential_check` fills these, for one check;
-    `is_subtype` builds an instance per verdict and lists nothing.
+    `subtype` decides on shapes: a type's shape is the tuple (class,
+    argument kind, bound shape).  The kind is `None` for a plain class, else
+    the class of the argument; the bound shape is `None` for a plain class
+    and for `?`.  Equal types have equal shapes, which compare and hash as
+    the types do.  The listing works on labels alone: `layers` records each
+    type's parts (`_parts`), its shape with the bound's label in place of
+    the bound's shape, and files a generic type's label by its bound's label
+    per class and argument kind (`_labels`).  A class's superclasses and
+    subclasses are worked out when first needed and kept for the life of
+    the instance; so is each bound's up-set or down-set that `above` and
+    `below` read, keyed by the bound's label (`_listing`).  `is_subtype`
+    builds an instance per verdict and lists nothing.
     """
 
     # Each decider keeps its own shape code, `builder.InfiniteGraph` too.
@@ -84,6 +83,8 @@ class _Rules:
         self._supers: dict[str, frozenset[str]] = {}
         self._subs: dict[str, tuple[str, ...]] = {}
         self._listed: dict[tuple, tuple[str, ...]] = {}
+        self._parts: dict[str, tuple] = {}
+        self._labels: dict[str, dict[type, dict[str | None, str]]] = {}
 
     def shape(self, t: GroundType) -> tuple:
         """The shape of a normalised type; equal types get equal shapes."""
@@ -145,16 +146,52 @@ class _Rules:
             return self.subtype(bound2, bound1)
         return compare is None or bound1 == bound2
 
-    def above(self, s: tuple, k: int) -> Iterator[str]:
-        """The label of every type of rank at most `k` >= 1 above the shape
-        `s`, once each: each superclass of its head, with, for a generic
-        one, each argument whose row of `_CONTAINS` admits the argument of
-        `s`; every type above the bottom."""
-        name, kind, bound = s
-        if name == BOTTOM_CLASS:
-            yield from self._listing(False, _TOP, k)
+    def layers(self, max_rank: int) -> Iterator[list[str]]:
+        """The labels of the types of each rank from 0 to `max_rank` >= 0,
+        one sorted list per rank; none past rank 0 without a generic class.
+
+        Rank 0 holds the plain classes and rank 1 each generic class applied
+        to `?`.  Rank k >= 2 applies each generic class to the exact,
+        upper-bounded and lower-bounded form of every type of rank k - 1 (of
+        ranks 0 and 1 when k is 2) but the forms `CORNERS` rewrites.  Each
+        label is spelled once, from its bound's, and its parts are recorded
+        for `above`, `below` and `enumerate_types`.
+        """
+        table, parts = self._table, self._parts
+        generics = sorted(table.generic)
+        plain = sorted(c for c in table.classes if c not in table.generic)
+        parts.update((c, (c, None, None)) for c in plain)
+        yield plain
+        if not generics:
             return
-        same = self._label(bound) if kind is Inv else None
+        self._labels.update((c, {kind: {} for kind in _CONTAINS}) for c in generics)
+        bounds, args = plain, [(WILDCARD, Wild, None)]
+        for rank in range(1, max_rank + 1):
+            if rank > 1:
+                forms = ((kind, b) for b in bounds for kind in CORNERS if b not in CORNERS[kind])
+                args = [(SPELL_BOUND[kind](bound), kind, bound) for kind, bound in forms]
+            layer = []
+            for c in generics:
+                labels = self._labels[c]
+                for spelled, kind, bound in args:
+                    label = instantiation_label(c, spelled)
+                    parts[label] = c, kind, bound
+                    labels[kind][bound] = label
+                    layer.append(label)
+            layer.sort()
+            yield layer
+            bounds = plain + layer if rank == 1 else layer
+
+    def above(self, label: str, k: int) -> Iterator[str]:
+        """The label of every type of rank at most `k` >= 1 above the type
+        `label`, once each: each superclass of its head, with, for a generic
+        one, each argument whose row of `_CONTAINS` admits the argument of
+        `label`; every type above the bottom.  `label` and the types listed
+        are those `layers` has listed."""
+        name, kind, bound = self._parts[label]
+        if name == BOTTOM_CLASS:
+            yield from self._listing(False, TOP_CLASS, k)
+            return
         for sup in self.supers(name):
             if sup not in self._table.generic:
                 yield sup
@@ -162,33 +199,33 @@ class _Rules:
             labels = self._labels[sup]
             for outer, (kinds, compare) in _CONTAINS.items():
                 if kind in kinds:
-                    bounds = self._bounds(outer, compare, bound, same, k, True)
+                    bounds = self._bounds(outer, compare, bound, k, True)
                     yield from map(labels[outer].__getitem__, bounds)
 
-    def below(self, s: tuple, k: int) -> Iterator[str]:
-        """The label of every type of rank at most `k` >= 1 below the shape
-        `s`, once each: the bottom, and each subclass of its head, with, for
-        a generic one, each argument the row of `s`'s argument admits.  A
-        plain class admits every argument, as `?` does."""
-        name, kind, bound = s
+    def below(self, label: str, k: int) -> Iterator[str]:
+        """The label of every type of rank at most `k` >= 1 below the type
+        `label`, once each: the bottom, and each subclass of its head, with,
+        for a generic one, each argument the row of `label`'s argument
+        admits.  A plain class admits every argument, as `?` does.  `label`
+        and the types listed are those `layers` has listed."""
+        name, kind, bound = self._parts[label]
         yield BOTTOM_CLASS
         kinds, compare = _CONTAINS[Wild if kind is None else kind]
-        same = self._label(bound) if kind is Inv else None
         for sub in self.subs(name):
             if sub not in self._table.generic:
                 yield sub
                 continue
             labels = self._labels[sub]
             for inner in kinds:
-                bounds = self._bounds(inner, compare, bound, same, k, False)
+                bounds = self._bounds(inner, compare, bound, k, False)
                 yield from map(labels[inner].__getitem__, bounds)
 
     def _bounds(
-        self, kind: type, compare: str | None, bound: tuple, same: str | None, k: int, up: bool
+        self, kind: type, compare: str | None, bound: str | None, k: int, up: bool
     ) -> Iterable:
         """The labels of the bounds an argument of `kind` takes in a type of
-        rank at most `k` when `compare` relates them to `bound`, of label
-        `same`, seen from the outer argument if `up`, else from the inner
+        rank at most `k` when `compare` relates them to the bound of label
+        `bound`, seen from the outer argument if `up`, else from the inner
         one; `None` for `?`.  Without a comparison any type will do; no bound
         is one of its kind's `CORNERS`, which are plain labels."""
         if kind is Wild:
@@ -196,43 +233,21 @@ class _Rules:
         if k < 2:
             return ()
         if compare is _SAME:
-            return (same,)
+            return (bound,)
         if compare is None:
-            found = self._listing(False, _TOP, k - 1)
+            found = self._listing(False, TOP_CLASS, k - 1)
         else:
             found = self._listing((compare is _UP) == up, bound, k - 1)
         corners = CORNERS[kind]
         return filterfalse(corners.__contains__, found) if corners else found
 
-    def _listing(self, up: bool, s: tuple, k: int) -> tuple[str, ...]:
-        """`above(s, k)` if `up`, else `below(s, k)`, listed on first use
-        and kept, by value, for the life of the instance."""
-        key = up, s, k
+    def _listing(self, up: bool, label: str, k: int) -> tuple[str, ...]:
+        """`above(label, k)` if `up`, else `below(label, k)`, listed on first
+        use and kept for the life of the instance."""
+        key = up, label, k
         if key not in self._listed:
-            self._listed[key] = tuple((self.above if up else self.below)(s, k))
+            self._listed[key] = tuple((self.above if up else self.below)(label, k))
         return self._listed[key]
-
-    @cached_property
-    def _labels(self) -> dict[str, dict[type, _Spelled]]:
-        """Each generic class's label tables, one per argument kind."""
-        return {c: {kind: _Spelled(c, kind) for kind in _CONTAINS} for c in self._table.generic}
-
-    def _label(self, s: tuple) -> str:
-        """The label of the type of shape `s`, spelled from its bound's."""
-        name, kind, bound = s
-        return name if kind is None else self._labels[name][kind][bound and self._label(bound)]
-
-
-class _Spelled(dict):
-    """The labels of class `name` applied to arguments of `kind`, keyed by
-    the bound's label, or `None` for `?`; each is spelled on first use."""
-
-    def __init__(self, name: str, kind: type):
-        self.name, self.spell = name, SPELL_BOUND.get(kind)
-
-    def __missing__(self, bound: str | None) -> str:
-        self[bound] = instantiation_label(self.name, self.spell(bound) if bound else WILDCARD)
-        return self[bound]
 
 
 def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
@@ -248,39 +263,6 @@ def is_subtype(t1: GroundType, t2: GroundType, table: ClassTable) -> bool:
     return rules.subtype(rules.shape(t1), rules.shape(t2))
 
 
-def _layers(table: ClassTable, max_rank: int) -> Iterator[list[tuple[str, tuple]]]:
-    """The types of each rank from 0 to `max_rank` >= 0 as (label, shape)
-    pairs, one list per rank in label order; none past rank 0 without a
-    generic class.
-
-    Rank 0 holds the plain classes and rank 1 each generic class applied to
-    `?`.  Rank k >= 2 applies each generic class to the exact,
-    upper-bounded and lower-bounded form of every type of rank k - 1 (of
-    ranks 0 and 1 when k is 2) but the forms `CORNERS` rewrites.  Each such
-    pair is made from its bound's; a plain type's label is its name.
-    """
-    generics = sorted(table.generic)
-    plain = sorted((c, (c, None, None)) for c in table.classes if c not in table.generic)
-    yield plain
-    if max_rank == 0 or not generics:
-        return
-    layer = sorted((instantiation_label(c, WILDCARD), (c, Wild, None)) for c in generics)
-    yield layer
-    layer = plain + layer
-    for _ in range(2, max_rank + 1):
-        args = []
-        for label, shape in layer:
-            kinds = (kind for kind, corners in CORNERS.items() if label not in corners)
-            args += ((SPELL_BOUND[kind](label), kind, shape) for kind in kinds)
-        # Labels are unique, so the sort compares nothing past them.
-        layer = sorted(
-            (instantiation_label(c, spelled), (c, kind, shape))
-            for c in generics
-            for spelled, kind, shape in args
-        )
-        yield layer
-
-
 def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
     """All normalized ground types over `table` with rank at most `max_rank`.
 
@@ -291,12 +273,13 @@ def enumerate_types(table: ClassTable, max_rank: int) -> tuple[GroundType, ...]:
     if max_rank < 0:
         raise ValueError("max_rank must be nonnegative")
     _counts_within_limit(table, max(max_rank, 1))
-    made: dict[tuple, GroundType] = {}  # by shape; an argument wraps its bound's type
-    for layer in _layers(table, max_rank):
-        for _, shape in layer:
-            name, kind, bound = shape
+    rules = _Rules(table)
+    made: dict[str, GroundType] = {}  # by label; an argument wraps its bound's type
+    for layer in rules.layers(max_rank):
+        for label in layer:
+            name, kind, bound = rules._parts[label]
             arg = None if kind is None else WILD if kind is Wild else kind(made[bound])
-            made[shape] = GroundType(name, arg)
+            made[label] = GroundType(name, arg)
     return tuple(made.values())
 
 
@@ -331,8 +314,8 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     The graph decides a pair (t1, t2) by the rule `builder.subtype_by_graph`
     applies: in S_k, with k = `sufficient_depth(t1, t2)`, t2 is t1 itself or
     one of t1's descendants.  Here the S_k are built by `run`, not searched
-    on demand.  The rows are read off `_layers`, which makes each type's
-    label and shape from its bound's.  S_k must hold exactly the types of
+    on demand.  The rows are read off `_Rules.layers`, which spells each
+    type's label once from its bound's.  S_k must hold exactly the types of
     rank at most k, or `GraphError` names k.  Each S_k lists every vertex's
     strict descendants once, bottom-up (`LabeledDigraph.up_sets`), and the
     listings are held for the length of the check: one entry per true pair
@@ -350,7 +333,7 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     So the check costs a pass over the types, a step per true pair and a
     step per label the memo keeps: 67,673 and 21,596 for two generic classes
     at rank 5.  Only a row whose two sets differ lists their difference, in
-    column order.
+    column order.  That side makes no shape and reads no graph.
 
     Mismatches are report content, not exceptions; an empty mismatch list is
     the expected outcome.  The true pairs are counted from the table first
@@ -369,18 +352,16 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
             f"the types up to rank {max_rank} have over the limit of {MAX_PAIRS} true pairs"
         )
     trace = run(table, max_rank)
-    # Each type's label, the index of the smallest graph holding it and its
-    # shape: ranks 0 and 1 are both first held by S_1.
-    rows = [
-        (label, max(r, 1), shape)
-        for r, layer in enumerate(_layers(table, max_rank))
-        for label, shape in layer
-    ]
     decider = _Rules(table)
-    column = {label: i for i, (label, _, _) in enumerate(rows)}
+    # Each type's label and the index of the smallest graph holding it:
+    # ranks 0 and 1 are both first held by S_1.
+    rows = [
+        (label, max(r, 1)) for r, layer in enumerate(decider.layers(max_rank)) for label in layer
+    ]
+    column = {label: i for i, (label, _) in enumerate(rows)}
     # The labels whose smallest graph is S_k; S_k holds those of ranks up to k.
     of_rank: list[set[str]] = [set() for _ in range(trace.depth + 1)]
-    for label, k, _ in rows:
+    for label, k in rows:
         of_rank[k].add(label)
     for k, s in enumerate(trace.graphs, 1):
         if s.graph.vertices != set().union(*of_rank[: k + 1]):
@@ -388,12 +369,12 @@ def differential_check(table: ClassTable, max_rank: int) -> DifferentialReport:
     ups = [s.graph.up_sets() for s in trace.graphs]
     pairs = 0
     mismatches: list[Mismatch] = []
-    for l1, k1, s1 in rows:
+    for l1, k1 in rows:
         above = set(ups[k1 - 1][l1])
         above.add(l1)
         for k in range(k1 + 1, trace.depth + 1):
             above |= of_rank[k].intersection(ups[k - 1][l1])
-        by_rules = set(decider.above(s1, max_rank))
+        by_rules = set(decider.above(l1, max_rank))
         pairs += len(by_rules)
         if above != by_rules:
             for l2 in sorted(above ^ by_rules, key=column.__getitem__):

@@ -57,9 +57,9 @@ _ALIASES = {"Object": TOP_CLASS, "Null": BOTTOM_CLASS}
 # Deepest nesting of type arguments the parser accepts.  `rank`, `is_type`,
 # the deciders' shape builders and `GroundType`'s `==`, `hash` and `repr`
 # walk the argument chain in a loop.  What still recurses once per level is
-# `canonical_label` with `argument_label`, `rules._Rules.subtype` and
-# `_label`, and the interpreter's own comparison and hashing of shape
-# tuples; the limit keeps them within its recursion limit.
+# `canonical_label` with `argument_label`, `rules._Rules.subtype`, and the
+# interpreter's own comparison and hashing of shape tuples; the limit keeps
+# them within its recursion limit.
 MAX_TYPE_NESTING = 200
 
 

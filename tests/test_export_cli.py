@@ -547,7 +547,7 @@ class TestCli:
 
         monkeypatch.setattr(builder_module, "partial_product", refuse)
         monkeypatch.setattr(rules_module, "enumerate_types", refuse)
-        monkeypatch.setattr(rules_module, "_layers", refuse)
+        monkeypatch.setattr(rules_module._Rules, "layers", refuse)
         decls = tmp_path / "three.decls"
         decls.write_text(THREE_GENERICS, encoding="utf-8")
         one = tmp_path / "one.decls"

@@ -3,7 +3,7 @@ demand equal the materialised graphs, and the paper's laws hold.
 
 Every table is drawn by `conftest.class_tables`; the checks of the rules'
 up-set and down-set generator, of the order of `enumerate_types` and of the
-label and shape rows that `rules._layers` makes, rank by rank, which
+labels and parts that `rules._Rules.layers` records, rank by rank, which
 `differential_check` reads and `enumerate_types` makes its types from, the
 fibre and tag laws of the covers, the comparison of the two-sided search
 with the upward one, that of each graph's up-set listing with its
@@ -115,6 +115,7 @@ def assert_generator_agrees_with_both_deciders(table, k):
     at most k that `_Rules.subtype` and `reference_is_subtype` put above and
     below each type, so only types that `enumerate_types` lists."""
     decider = rules._Rules(table)
+    listed = [label for layer in decider.layers(k) for label in layer]
     types = enumerate_types(table, k)
     shapes = [decider.shape(t) for t in types]
     by_rules = [(s1, s2) for s1 in shapes for s2 in shapes if decider.subtype(s1, s2)]
@@ -126,8 +127,8 @@ def assert_generator_agrees_with_both_deciders(table, k):
     ]
     assert by_rules == by_reference
     labels = dict(zip(shapes, map(canonical_label, types)))
-    up = [(labels[s1], l2) for s1 in shapes for l2 in decider.above(s1, k)]
-    down = [(l1, labels[s2]) for s2 in shapes for l1 in decider.below(s2, k)]
+    up = [(l1, l2) for l1 in listed for l2 in decider.above(l1, k)]
+    down = [(l1, l2) for l2 in listed for l1 in decider.below(l2, k)]
     assert len(up) == len(down) == len(by_rules)
     assert set(up) == set(down) == {(labels[s1], labels[s2]) for s1, s2 in by_rules}
 
@@ -154,14 +155,22 @@ def assert_types_in_label_order(table, k):
 
 
 def assert_rows_read_off_their_bounds(table, k):
-    """The label and shape `rules._layers` makes from its bound's row are
-    those of the type at the same place of `enumerate_types`, and its layer
-    is that type's rank."""
+    """The label `_Rules.layers` spells from its bound's is that of the type
+    at the same place of `enumerate_types`, and its layer is that type's
+    rank.  The parts it records are the type's class, argument kind and
+    bound label, and it files a generic type's label under those."""
     decider = rules._Rules(table)
-    rows = [(r, row) for r, layer in enumerate(rules._layers(table, k)) for row in layer]
+    rows = [(r, label) for r, layer in enumerate(decider.layers(k)) for label in layer]
     types = enumerate_types(table, k)
     assert len(rows) == len(types)
-    assert rows == [(rank(t), (canonical_label(t), decider.shape(t))) for t in types]
+    assert rows == [(rank(t), canonical_label(t)) for t in types]
+    for (_, label), t in zip(rows, types):
+        kind = None if t.arg is None else type(t.arg)
+        bound = getattr(t.arg, "bound", None)
+        parts = t.name, kind, None if bound is None else canonical_label(bound)
+        assert decider._parts[label] == parts
+        if kind is not None:
+            assert decider._labels[t.name][kind][parts[2]] == label
 
 
 @pytest.mark.parametrize("source", [*CORPUS.values(), NUMBERS_SOURCE], ids=[*CORPUS, "numbers"])

@@ -316,7 +316,7 @@ class TestEnumerateTypes:
 
         monkeypatch.setattr(builder, "MAX_VERTICES", 23)
         assert len(enumerate_types(one_generic, 3)) == 23
-        monkeypatch.setattr(rules, "_layers", refuse)
+        monkeypatch.setattr(rules._Rules, "layers", refuse)
         with pytest.raises(SizeLimitError, match="approximation 4 would have 68 vertices"):
             enumerate_types(one_generic, 4)
 
@@ -447,14 +447,14 @@ class TestDifferentialCheck:
         # law predicts.
         bounds = rules._Rules._bounds
 
-        def dropping_the_first(self, kind, compare, bound, same, k, up):
-            found = tuple(bounds(self, kind, compare, bound, same, k, up))
+        def dropping_the_first(self, kind, compare, bound, k, up):
+            found = tuple(bounds(self, kind, compare, bound, k, up))
             return found[1:] if up and k == 3 and compare is rules._UP else found
 
         def listed_pairs():
             decider = rules._Rules(one_generic)
-            layers = rules._layers(one_generic, 3)
-            return sum(len(set(decider.above(s, 3))) for layer in layers for _, s in layer)
+            layers = list(decider.layers(3))
+            return sum(len(set(decider.above(label, 3))) for layer in layers for label in layer)
 
         *_, predicted = list(islice(builder.predicted_counts(one_generic), 3))[-1]
         assert differential_check(one_generic, 3).ok
@@ -464,6 +464,64 @@ class TestDifferentialCheck:
         assert len(report.mismatches) == 13
         assert all(m.graph_verdict and not m.rule_verdict for m in report.mismatches)
         assert listed_pairs() == 133
+
+    @pytest.mark.parametrize(
+        "source, k, spelled",
+        [
+            ("class C<T> {}\nclass D<T> extends C<T> {}\n", 3, 114),
+            (CORPUS["mixed_hierarchy"], 4, 183),
+        ],
+        ids=["two_generic_chain", "mixed_hierarchy"],
+    )
+    def test_spells_each_label_once(self, monkeypatch, source, k, spelled):
+        # One spelling per generic-headed type of rank at most k: the listing
+        # looks every label up by its bound's and spells none again.
+        table = parse_declarations(source)
+        generic = [t for t in enumerate_types(table, k) if t.name in table.generic]
+        real = rules.instantiation_label
+        calls = []
+
+        def counted(name, argument):
+            calls.append((name, argument))
+            return real(name, argument)
+
+        monkeypatch.setattr(rules, "instantiation_label", counted)
+        assert differential_check(table, k).ok
+        assert len(calls) == len(set(calls)) == len(generic) == spelled
+
+    @pytest.mark.parametrize(
+        "source, count, first",
+        [
+            pytest.param(
+                "class A {}\nclass B extends A {}\nclass C extends B {}\nclass D extends C {}\n",
+                5,
+                Mismatch("C", "O", graph_verdict=True, rule_verdict=False),
+                id="plain_chain",
+            ),
+            pytest.param(
+                "class A<T> {}\nclass B<T> extends A<T> {}\nclass C<T> extends B<T> {}\n",
+                42,
+                Mismatch("N", "C<?>", graph_verdict=True, rule_verdict=False),
+                id="generic_chain",
+            ),
+        ],
+    )
+    def test_short_superclass_chains_are_caught(self, monkeypatch, source, count, first):
+        # `supers` keeps only the class, its parent and its grandparent, so
+        # the rules miss every pair higher up a chain, and so does `subs`.
+        table = parse_declarations(source)
+
+        def three_deep(self, name):
+            chain = [name]
+            while chain[-1] != rules.TOP_CLASS and len(chain) < 3:
+                chain.append(self._table.superclass[chain[-1]])
+            return frozenset(chain)
+
+        assert differential_check(table, 2).ok
+        monkeypatch.setattr(rules._Rules, "supers", three_deep)
+        report = differential_check(table, 2)
+        assert (len(report.mismatches), report.mismatches[0]) == (count, first)
+        assert all(m.graph_verdict and not m.rule_verdict for m in report.mismatches)
 
     def test_builds_each_type_once(self, tables, monkeypatch):
         # The rows are read off `rules._layers` alone: nothing enumerates the
@@ -497,12 +555,11 @@ class TestDifferentialCheck:
     def test_one_flipped_rule_verdict_is_the_one_mismatch(self, one_generic, monkeypatch):
         # A rank-3 type is never the bound of an argument at rank 3, so the
         # flip reaches no other pair through the recursion.
-        decider = rules._Rules(one_generic)
-        left, right = decider.shape(parse_ground_type("C<C<N>>", one_generic)), "C<?>"
+        left, right = "C<C<N>>", "C<?>"
         real = rules._Rules.above
 
-        def flipped(self, s, k):
-            return (found for found in real(self, s, k) if (s, found) != (left, right))
+        def flipped(self, label, k):
+            return (found for found in real(self, label, k) if (label, found) != (left, right))
 
         monkeypatch.setattr(rules._Rules, "above", flipped)
         report = differential_check(one_generic, 3)
@@ -562,9 +619,10 @@ class TestDifferentialCheck:
         table = tables["two_generics"]
         decider = rules._Rules(table)
         types = [(canonical_label(t), decider.shape(t)) for t in enumerate_types(table, 3)]
-        for _, s1 in types:
+        assert [label for layer in decider.layers(3) for label in layer] == [l1 for l1, _ in types]
+        for l1, s1 in types:
             expected = {l2 for l2, s2 in types if decider.subtype(s1, s2)}
-            assert set(decider.above(s1, 3)) == expected
+            assert set(decider.above(l1, 3)) == expected
         real = rules._Rules.above
         ranks = []
 
